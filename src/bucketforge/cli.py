@@ -14,9 +14,9 @@ import sys
 from . import engines, oracle
 from .errors import (ModelError, OrderingConstraintError, UnsatisfiableError,
                      ZeroMassError)
-from .graph import (Ordering, augmented_graph, conditional_induced_width,
-                    constrained_order, cutset_heuristic, induced_width,
-                    interaction_graph, moral_graph, order_heuristic)
+from .graph import (Ordering, augmented_graph, constrained_order,
+                    cutset_heuristic, induced_width, interaction_graph,
+                    moral_graph, order_heuristic)
 from .model import (CnfTheory, InfluenceDiagram, parse_cnf, parse_cnf_evidence,
                     parse_evidence, parse_network)
 from .resolution import directional_resolution, generate_model
@@ -53,8 +53,6 @@ def build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="emit one JSON object")
         p.add_argument("--lax", action="store_true",
                        help="renormalize off rows instead of rejecting them")
-        p.add_argument("--seed", type=int, default=0,
-                       help="fixture-tooling seed (BUCKETFORGE_SEED overrides)")
         if oracle_flag:
             p.add_argument("--oracle", action="store_true",
                            help="also print enumeration-oracle results")
@@ -356,10 +354,11 @@ def _run_dr(args) -> int:
     return 0
 
 
-def _stats_block(out: _Output, label: str, g, order) -> None:
+def _stats_block(out: _Output, label: str, g, order, offset: int = 0) -> None:
     report = induced_width(g, order)
     out.put("order", label)
-    out.put("sequence", " ".join(str(v) for v in report.order), list(report.order))
+    out.put("sequence", " ".join(str(v + offset) for v in report.order),
+            [v + offset for v in report.order])
     out.raw(report.render(), "width_reports",
             {"w": report.width, "wstar": report.induced_width,
              "fill": len(report.fill_edges)})
@@ -369,7 +368,8 @@ def _run_stats(args) -> int:
     text = _read(args.path)
     head = text.split(None, 1)[0] if text.split() else ""
     out = _Output(args.json)
-    if head in ("BAYES", "ID"):
+    cnf = head not in ("BAYES", "ID")
+    if not cnf:
         model = parse_network(text, strict=not args.lax)
         evidence = _load_evidence(args, model)
         removed = [] if evidence is None else [v for v, _ in evidence.items()]
@@ -378,40 +378,25 @@ def _run_stats(args) -> int:
         g = g.without(removed)
         out.put("kind", "id" if isinstance(model, InfluenceDiagram) else "bayes")
         out.put("variables", str(model.n), model.n)
-        if args.order in (None, "min-fill", "min-degree"):
-            kinds = [args.order] if args.order else ["min-degree", "min-fill"]
-            for kind in kinds:
-                _stats_block(out, kind, g, order_heuristic(g, HEURISTICS[kind]))
-        elif args.order.startswith("given:"):
-            names = [v.name for v in model.variables]
-            _stats_block(out, "given", g, _parse_id_list(args.order[len("given:"):], names))
-        else:
-            _stats_block(out, "file", g, Ordering.parse(_read(args.order), model.n))
     else:
         theory = parse_cnf(text)
         g = interaction_graph(theory)
         out.put("kind", "cnf")
         out.put("propositions", str(theory.num_props), theory.num_props)
-        if args.order in (None, "min-fill", "min-degree"):
-            kinds = [args.order] if args.order else ["min-degree", "min-fill"]
-            for kind in kinds:
-                report_order = order_heuristic(g, HEURISTICS[kind])
-                report = induced_width(g, report_order)
-                out.put("order", kind)
-                out.put("sequence", " ".join(str(v + 1) for v in report.order),
-                        [v + 1 for v in report.order])
-                out.raw(report.render(), "width_reports",
-                        {"w": report.width, "wstar": report.induced_width,
-                         "fill": len(report.fill_edges)})
+    offset = 1 if cnf else 0  # propositions print 1-based
+    if args.order in (None, "min-fill", "min-degree"):
+        for kind in [args.order] if args.order else ["min-degree", "min-fill"]:
+            _stats_block(out, kind, g, order_heuristic(g, HEURISTICS[kind]), offset)
+    else:
+        label = "given" if args.order.startswith("given:") else "file"
+        if cnf:
+            order = _resolve_cnf_ordering(args.order, theory)
+        elif label == "given":
+            names = [v.name for v in model.variables]
+            order = _parse_id_list(args.order[len("given:"):], names)
         else:
-            ordering = _resolve_cnf_ordering(args.order, theory)
-            report = induced_width(g, ordering)
-            out.put("order", "given" if args.order.startswith("given:") else "file")
-            out.put("sequence", " ".join(str(v + 1) for v in report.order),
-                    [v + 1 for v in report.order])
-            out.raw(report.render(), "width_reports",
-                    {"w": report.width, "wstar": report.induced_width,
-                     "fill": len(report.fill_edges)})
+            order = Ordering.parse(_read(args.order), model.n)
+        _stats_block(out, label, g, order, offset)
     out.flush()
     return 0
 

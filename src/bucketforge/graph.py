@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -12,8 +13,8 @@ class GraphView:
     """Simple undirected graph over integer node ids.
 
     Built once by the constructors below and then treated as read-only;
-    the mutating methods exist for the working copies the ordering
-    heuristics chew through.
+    the mutating methods exist for the working copies the cutset heuristic
+    shrinks.
     """
 
     __slots__ = ("_adj",)
@@ -58,17 +59,6 @@ class GraphView:
     def remove_node(self, v: int) -> None:
         for u in self._adj.pop(v):
             self._adj[u].discard(v)
-
-    def connect_neighbors(self, v: int) -> int:
-        """Add the missing edges among v's neighbors; returns how many."""
-        added = 0
-        nbrs = sorted(self._adj[v])
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                if b not in self._adj[a]:
-                    self.add_edge(a, b)
-                    added += 1
-        return added
 
     def copy(self) -> "GraphView":
         g = GraphView()
@@ -156,14 +146,94 @@ class WidthReport:
 
 def _restrict_sequence(g: GraphView, order: Sequence[int] | Ordering) -> list[int]:
     seq = [v for v in order if v in g]
+    if len(set(seq)) != len(seq):
+        raise ValueError(f"ordering repeats a node: {seq}")
     if set(seq) != set(g.nodes):
         missing = sorted(set(g.nodes) - set(seq))
         raise ValueError(f"ordering does not cover nodes {missing}")
     return seq
 
 
+# -- the elimination kernel -----------------------------------------------------
+#
+# Every width and ordering question is answered by eliminating nodes from a
+# working copy of the adjacency sets: connect the node's remaining neighbours,
+# then delete it.  Its neighbour count at that moment is its induced width.
+
+def _eliminate(adj: dict[int, set[int]], v: int) -> tuple[set[int], list[tuple[int, int]]]:
+    """Remove ``v`` and connect its neighbours; returns the neighbours and
+    the fill edges added, ordered by (lower end, higher end)."""
+    nbrs = adj.pop(v)
+    for u in nbrs:
+        adj[u].discard(v)
+    added = []
+    for a in sorted(nbrs):
+        # Pairs with a lower first end are already connected, so what is
+        # missing here lies above a.
+        missing = nbrs - adj[a]
+        missing.discard(a)
+        for b in sorted(missing):
+            adj[a].add(b)
+            adj[b].add(a)
+            added.append((a, b))
+    return nbrs, added
+
+
+def _degree(adj: dict[int, set[int]], v: int) -> int:
+    return len(adj[v])
+
+
+def _fill(adj: dict[int, set[int]], v: int) -> int:
+    """Missing edges among v's neighbours: C(d, 2) minus the present ones."""
+    nbrs = adj[v]
+    d = len(nbrs)
+    present = sum(len(nbrs & adj[u]) for u in nbrs) // 2
+    return d * (d - 1) // 2 - present
+
+
+_SCORES = {"min_degree": _degree, "min_fill": _fill}
+
+
+def _greedy(g: GraphView, kind: str, candidates: Iterable[int] | None = None,
+            bound: int | None = None) -> list[int] | None:
+    """Greedy elimination of ``candidates`` (default: every node), lowest
+    (score, id) first; nodes outside ``candidates`` stay in the graph.
+
+    Returns the nodes in elimination order, or None as soon as a node would
+    be eliminated with more than ``bound`` neighbours.  Scores are cached and
+    recomputed only where an elimination can change them: at the node's
+    neighbours, and for min-fill also at the common neighbours of each fill
+    edge, whose neighbourhoods gain that edge.
+    """
+    score_of = _SCORES.get(kind)
+    if score_of is None:
+        raise ValueError(f"unknown ordering heuristic {kind!r}")
+    adj = g.copy()._adj
+    score = {v: score_of(adj, v) for v in (adj if candidates is None else candidates)}
+    heap = sorted((s, v) for v, s in score.items())
+    taken: list[int] = []
+    while heap:
+        s, v = heappop(heap)
+        if score.get(v) != s:
+            continue  # eliminated, or rescored since this entry was pushed
+        if bound is not None and len(adj[v]) > bound:
+            return None
+        del score[v]
+        taken.append(v)
+        touched, added = _eliminate(adj, v)
+        if kind == "min_fill":
+            touched = touched.union(*(adj[a] & adj[b] for a, b in added))
+        for u in touched:
+            if u in score:
+                s = score_of(adj, u)
+                if s != score[u]:
+                    score[u] = s
+                    heappush(heap, (s, u))
+    return taken
+
+
 def induced_width(g: GraphView, order: Sequence[int] | Ordering) -> WidthReport:
-    """Process nodes last to first, connecting each node's earlier neighbors.
+    """Eliminate nodes last to first, connecting each node's earlier neighbors.
 
     Entries of ``order`` outside the graph are skipped, so a full-model
     ordering can be reused on a node-deleted graph.
@@ -171,17 +241,13 @@ def induced_width(g: GraphView, order: Sequence[int] | Ordering) -> WidthReport:
     seq = _restrict_sequence(g, order)
     pos = {v: i for i, v in enumerate(seq)}
     node_width = {v: sum(1 for u in g.neighbors(v) if pos[u] < pos[v]) for v in seq}
-    work = g.copy()
+    adj = g.copy()._adj
     node_induced: dict[int, int] = {}
     fill: list[tuple[int, int]] = []
     for v in reversed(seq):
-        earlier = sorted(u for u in work.neighbors(v) if pos[u] < pos[v])
+        earlier, added = _eliminate(adj, v)
         node_induced[v] = len(earlier)
-        for i, a in enumerate(earlier):
-            for b in earlier[i + 1:]:
-                if not work.has_edge(a, b):
-                    work.add_edge(a, b)
-                    fill.append((a, b))
+        fill.extend(added)
     return WidthReport(
         order=tuple(seq),
         node_width=node_width,
@@ -200,37 +266,9 @@ def conditional_induced_width(g: GraphView, order: Sequence[int] | Ordering,
 
 # -- greedy ordering construction ----------------------------------------------
 
-_HEURISTICS = ("min_degree", "min_fill")
-
-
-def _fill_count(g: GraphView, v: int) -> int:
-    nbrs = sorted(g.neighbors(v))
-    return sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:] if not g.has_edge(a, b))
-
-
-def _pick(g: GraphView, kind: str, candidates: Iterable[int]) -> int:
-    if kind == "min_degree":
-        return min(candidates, key=lambda v: (g.degree(v), v))
-    if kind == "min_fill":
-        return min(candidates, key=lambda v: (_fill_count(g, v), v))
-    raise ValueError(f"unknown ordering heuristic {kind!r}")
-
-
-def _heuristic_sequence(g: GraphView, kind: str) -> tuple[int, ...]:
-    # Nodes are selected in elimination order (last ordering position first).
-    work = g.copy()
-    taken: list[int] = []
-    while work.n:
-        v = _pick(work, kind, work.nodes)
-        taken.append(v)
-        work.connect_neighbors(v)
-        work.remove_node(v)
-    return tuple(reversed(taken))
-
-
 def order_heuristic(g: GraphView, kind: str) -> Ordering:
     """Greedy elimination ordering; ties always break toward the lowest id."""
-    return Ordering(_heuristic_sequence(g, kind))
+    return Ordering(tuple(reversed(_greedy(g, kind))))
 
 
 def constrained_order(g: GraphView, kind: str = "min_fill",
@@ -238,9 +276,10 @@ def constrained_order(g: GraphView, kind: str = "min_fill",
     """Heuristic ordering with pinned first and last regions.
 
     ``prefix`` occupies positions 1..k in the given order (eliminated last);
-    ``suffix`` occupies the final positions in the given order (eliminated,
-    or observed and scattered, first).  The free middle region is filled
-    greedily on the shrinking graph.
+    ``suffix`` occupies the final positions in the given order.  Suffix nodes
+    are observed or conditioned on, so their buckets scatter and connect
+    nothing: the free middle region is filled greedily on the graph with the
+    suffix deleted, the prefix nodes staying in it uneliminated.
     """
     prefix = [int(v) for v in prefix]
     suffix = [int(v) for v in suffix]
@@ -251,23 +290,10 @@ def constrained_order(g: GraphView, kind: str = "min_fill",
     for v in prefix + suffix:
         if v not in g:
             raise ValueError(f"constrained node {v} is not in the graph")
-    work = g.copy()
-    free = set(g.nodes) - set(prefix) - set(suffix)
-    pending_suffix = list(suffix)
-    pending_prefix = list(prefix)
-    taken: list[int] = []
-    while work.n:
-        if pending_suffix:
-            v = pending_suffix.pop()
-        elif free:
-            v = _pick(work, kind, free)
-            free.discard(v)
-        else:
-            v = pending_prefix.pop()
-        taken.append(v)
-        work.connect_neighbors(v)
-        work.remove_node(v)
-    return Ordering(tuple(reversed(taken)))
+    rest = g.without(suffix)
+    free = set(rest.nodes) - set(prefix)
+    middle = _greedy(rest, kind, candidates=free)
+    return Ordering((*prefix, *reversed(middle), *suffix))
 
 
 def cutset_heuristic(g: GraphView, bound: int, kind: str = "min_degree") -> list[int]:
@@ -281,13 +307,11 @@ def cutset_heuristic(g: GraphView, bound: int, kind: str = "min_degree") -> list
         raise ValueError("width bound must be >= 0")
     work = g.copy()
     cut: set[int] = set()
-    while True:
-        seq = _heuristic_sequence(work, kind)
-        if induced_width(work, seq).induced_width <= bound:
-            return sorted(cut)
+    while _greedy(work, kind, bound=bound) is None:
         v = min(work.nodes, key=lambda u: (-work.degree(u), u))
         cut.add(v)
         work.remove_node(v)
+    return sorted(cut)
 
 
 # -- graph constructions from models ---------------------------------------------

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -97,10 +99,10 @@ class BeliefNetwork:
         for i, ps in enumerate(self.parents):
             for p in ps:
                 children[p].append(i)
-        queue = sorted(i for i in range(n) if indeg[i] == 0)
+        queue = deque(i for i in range(n) if indeg[i] == 0)
         seen = 0
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             seen += 1
             for c in children[v]:
                 indeg[c] -= 1
@@ -114,7 +116,7 @@ class BeliefNetwork:
     def n(self) -> int:
         return len(self.variables)
 
-    @property
+    @cached_property
     def cards(self) -> tuple[int, ...]:
         return tuple(v.cardinality for v in self.variables)
 

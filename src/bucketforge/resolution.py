@@ -112,8 +112,10 @@ def directional_resolution(theory: CnfTheory, ordering: Ordering) -> Directional
                                      {p: tuple(cs) for p, cs in buckets.items()}, True)
     # Resolvent size is capped by the interaction graph's induced width.
     bound = induced_width(interaction_graph(theory), ordering).induced_width + 1
-    assert all(len(c) <= bound for c in extension.all_clauses()), \
-        "clause exceeded the induced-width bound"
+    longest = max((len(c) for c in extension.all_clauses()), default=0)
+    if longest > bound:
+        raise AssertionError(f"a clause of {longest} literals exceeded the "
+                             f"induced-width bound {bound}")
     return extension
 
 

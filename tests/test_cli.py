@@ -205,6 +205,23 @@ def test_usage_and_model_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_seed_flag_is_gone(tmp_path, capsys):
+    net = write(tmp_path, "chain.net", CHAIN_TEXT)
+    cnf = write(tmp_path, "theory.cnf", SAT_CNF)
+    assert run(["bel", net, "--query", "0", "--seed", "1"]) == 1
+    assert run(["dr", cnf, "--seed", "1"]) == 1
+    assert run(["stats", net, "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
+def test_stats_given_order_with_a_repeated_node_is_a_usage_error(tmp_path, capsys):
+    net = write(tmp_path, "chain.net", CHAIN_TEXT)
+    assert run(["stats", net, "--order", "given:0,0,1,2"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_impossible_evidence_exit_codes(tmp_path, capsys):
     net = write(tmp_path, "copy.net", COPY_TEXT)
     ev = write(tmp_path, "conflict.ev", "2 0 0 1 1\n")

@@ -10,6 +10,7 @@ from bucketforge import (CnfTheory, GraphView, Ordering, ParseError,
                          constrained_order, cutset_heuristic, induced_width,
                          interaction_graph, moral_graph, order_heuristic,
                          parse_network)
+from bucketforge.graph import WidthReport
 from bucketforge.randgen import random_tree_network
 
 from conftest import DIAG_BAD_ORDER, DIAG_GOOD_ORDER, DIAG_MORAL_EDGES
@@ -182,3 +183,153 @@ def test_width_report_skips_nodes_outside_the_graph(diag_net):
     g = moral_graph(diag_net).without([5])
     report = induced_width(g, Ordering(DIAG_GOOD_ORDER))
     assert report.induced_width <= 2
+
+
+# -- the incremental kernel against the rescan-everything greedy it replaced ------
+#
+# The reference below rescores every remaining node at every step and adds
+# fill edges pair by pair.  The kernel must reproduce it exactly: same
+# sequences, same cutsets, same width reports down to the fill-edge order.
+
+def _ref_adj(g):
+    return {v: set(g.neighbors(v)) for v in g.nodes}
+
+
+def _ref_connect_and_remove(adj, v):
+    nbrs = sorted(adj[v])
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1:]:
+            if b not in adj[a]:
+                adj[a].add(b)
+                adj[b].add(a)
+    for u in adj.pop(v):
+        adj[u].discard(v)
+
+
+def _ref_fill_count(adj, v):
+    nbrs = sorted(adj[v])
+    return sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:] if b not in adj[a])
+
+
+def _ref_pick(adj, kind, candidates):
+    if kind == "min_degree":
+        return min(candidates, key=lambda v: (len(adj[v]), v))
+    return min(candidates, key=lambda v: (_ref_fill_count(adj, v), v))
+
+
+def ref_greedy(g, kind, prefix=()):
+    """Greedy over the non-prefix nodes, then the prefix pinned in front."""
+    adj = _ref_adj(g)
+    free = set(adj) - set(prefix)
+    taken = []
+    while free:
+        v = _ref_pick(adj, kind, free)
+        free.discard(v)
+        taken.append(v)
+        _ref_connect_and_remove(adj, v)
+    return (*prefix, *reversed(taken))
+
+
+def ref_induced_width(g, order):
+    seq = [v for v in order if v in g]
+    pos = {v: i for i, v in enumerate(seq)}
+    node_width = {v: sum(1 for u in g.neighbors(v) if pos[u] < pos[v]) for v in seq}
+    adj = _ref_adj(g)
+    node_induced, fill = {}, []
+    for v in reversed(seq):
+        earlier = sorted(u for u in adj[v] if pos[u] < pos[v])
+        node_induced[v] = len(earlier)
+        for i, a in enumerate(earlier):
+            for b in earlier[i + 1:]:
+                if b not in adj[a]:
+                    adj[a].add(b)
+                    adj[b].add(a)
+                    fill.append((a, b))
+    return WidthReport(order=tuple(seq), node_width=node_width,
+                       node_induced_width=node_induced,
+                       width=max(node_width.values(), default=0),
+                       induced_width=max(node_induced.values(), default=0),
+                       fill_edges=tuple(fill))
+
+
+def ref_cutset(g, bound, kind="min_degree"):
+    work = g.copy()
+    cut = set()
+    while ref_induced_width(work, ref_greedy(work, kind)).induced_width > bound:
+        v = min(work.nodes, key=lambda u: (-work.degree(u), u))
+        cut.add(v)
+        work.remove_node(v)
+    return sorted(cut)
+
+
+def random_graphs(count, seed, max_n=40):
+    """Empty, complete, banded and random graphs; some with deleted nodes so
+    ids are not contiguous.  Bands and sparse graphs tie on most scores."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, max_n)
+        shape = i % 5
+        g = GraphView(range(n))
+        if shape == 1:
+            pairs = itertools.combinations(range(n), 2)
+        elif shape == 2:
+            k = rng.randint(1, 4)
+            pairs = ((a, b) for a in range(n) for b in range(a + 1, min(n, a + k + 1)))
+        elif shape in (3, 4):
+            p = rng.choice([0.05, 0.1, 0.2, 0.35, 0.6])
+            pairs = (e for e in itertools.combinations(range(n), 2) if rng.random() < p)
+        else:
+            pairs = ()
+        for a, b in pairs:
+            g.add_edge(a, b)
+        if n > 3 and rng.random() < 0.25:
+            g = g.without(rng.sample(range(n), rng.randint(1, n // 3)))
+        yield g
+
+
+@pytest.mark.parametrize("kind", ["min_degree", "min_fill"])
+def test_order_heuristic_matches_the_rescanning_greedy(kind):
+    for g in random_graphs(320, seed=4101):
+        assert order_heuristic(g, kind).sequence == ref_greedy(g, kind)
+
+
+def test_induced_width_matches_the_reference_field_for_field():
+    rng = random.Random(4102)
+    for g in random_graphs(320, seed=4103):
+        nodes = list(g.nodes)
+        for order in (nodes, nodes[::-1], rng.sample(nodes, len(nodes)),
+                      ref_greedy(g, "min_fill")):
+            got = induced_width(g, order)
+            want = ref_induced_width(g, order)
+            assert got == want
+            assert list(got.node_induced_width) == list(want.node_induced_width)
+
+
+def test_cutset_heuristic_matches_the_reference():
+    rng = random.Random(4104)
+    for g in random_graphs(300, seed=4105, max_n=20):
+        bound = rng.randint(0, 4)
+        kind = rng.choice(["min_degree", "min_fill"])
+        assert cutset_heuristic(g, bound, kind) == ref_cutset(g, bound, kind)
+
+
+@pytest.mark.parametrize("kind", ["min_degree", "min_fill"])
+def test_constrained_order_orders_the_free_region_without_the_suffix(kind):
+    rng = random.Random(4106)
+    for g in random_graphs(300, seed=4107):
+        nodes = list(g.nodes)
+        pinned = rng.sample(nodes, rng.randint(0, len(nodes)))
+        cut = rng.randint(0, len(pinned))
+        prefix, suffix = pinned[:cut], pinned[cut:]
+        got = constrained_order(g, kind, prefix=prefix, suffix=suffix).sequence
+        assert got == (*ref_greedy(g.without(suffix), kind, prefix), *suffix)
+
+
+def test_unknown_heuristic_is_rejected():
+    with pytest.raises(ValueError):
+        order_heuristic(complete_graph(3), "min_width")
+
+
+def test_induced_width_rejects_a_repeated_node():
+    with pytest.raises(ValueError):
+        induced_width(complete_graph(3), [0, 0, 1, 2])

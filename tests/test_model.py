@@ -28,6 +28,7 @@ def test_parse_reads_tables_child_fastest():
     net = parse_network(TWO_NODE)
     assert net.n == 2
     assert net.cards == (2, 3)
+    assert net.cards is net.cards  # built once: validation indexes it per entry
     assert net.parents == ((), (0,))
     cpt = net.cpts[1]
     assert cpt.value_at({0: 0, 1: 2}) == 0.7

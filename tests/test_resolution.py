@@ -1,8 +1,17 @@
 """Directional resolution: extensions, model generation, unsatisfiability."""
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import bucketforge
+import bucketforge.resolution
 
 from bucketforge import (CnfTheory, Ordering, UnsatisfiableError,
                          directional_resolution, generate_model, induced_width,
@@ -128,3 +137,51 @@ def test_extension_clause_width_respects_the_induced_width():
         g = interaction_graph(theory)
         bound = induced_width(g, ordering).induced_width + 1
         assert all(len(c) <= bound for c in extension.all_clauses())
+
+
+# A three-literal clause whose interaction graph (a triangle) has induced
+# width 2, so the true bound admits it and a bound of 1 does not.
+_WIDE_THEORY = (3, ((1, 2, 3), (-1, 2)))
+
+
+def _understated_width(real):
+    def fake(g, order):
+        return dataclasses.replace(real(g, order), induced_width=0)
+    return fake
+
+
+def test_width_bound_violation_raises(monkeypatch):
+    props, groups = _WIDE_THEORY
+    theory = CnfTheory(props, clauses(*groups))
+    ordering = Ordering(tuple(range(props)))
+    assert directional_resolution(theory, ordering).satisfiable
+    monkeypatch.setattr(bucketforge.resolution, "induced_width",
+                        _understated_width(bucketforge.resolution.induced_width))
+    with pytest.raises(AssertionError, match="induced-width bound"):
+        directional_resolution(theory, ordering)
+
+
+def test_width_bound_violation_raises_under_python_O(tmp_path):
+    props, groups = _WIDE_THEORY
+    script = textwrap.dedent(f"""
+        import dataclasses, sys
+        import bucketforge.resolution as resolution
+        from bucketforge import CnfTheory, Ordering
+        assert False, "asserts must be stripped in this interpreter"
+        real = resolution.induced_width
+        resolution.induced_width = lambda g, order: dataclasses.replace(
+            real(g, order), induced_width=0)
+        theory = CnfTheory({props}, tuple(frozenset(c) for c in {groups!r}))
+        try:
+            resolution.directional_resolution(theory, Ordering(tuple(range({props}))))
+        except AssertionError as exc:
+            print("raised", sys.flags.optimize, exc)
+        else:
+            print("passed", sys.flags.optimize)
+    """)
+    src = Path(bucketforge.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised 1 "), proc.stdout
