@@ -140,8 +140,7 @@ def _resolve_cnf_ordering(spec, theory):
     if spec.startswith("given:"):
         props = _parse_id_list(spec[len("given:"):], [])
         return Ordering(tuple(p - 1 for p in props))
-    seq = [int(t) - 1 for t in _read(spec).split()]
-    return Ordering(tuple(seq))
+    return Ordering.parse(_read(spec), theory.num_props, base=1)
 
 
 def _load_evidence(args, model):
@@ -292,17 +291,18 @@ def _run_cond_mpe(args) -> int:
     net = parse_network(_read(args.network), kind="bayes", strict=not args.lax)
     evidence = _load_evidence(args, net)
     observed = [] if evidence is None else [v for v, _ in evidence.items()]
+    graph = moral_graph(net)
     if args.cutset is not None:
         cut = sorted(set(_parse_id_list(args.cutset, list(net.names))))
     else:
         if args.wbound < 0:
             raise _UsageError("--wbound must be >= 0")
-        cut = sorted(cutset_heuristic(moral_graph(net).without(observed), args.wbound))
+        cut = sorted(cutset_heuristic(graph.without(observed), args.wbound))
     if args.parallel < 1:
         raise _UsageError("--parallel must be >= 1")
     ordering = _resolve_ordering(args.order, net,
                                  suffix=sorted(set(cut) | set(observed)),
-                                 graph=moral_graph(net))
+                                 graph=graph)
     result = engines.solve_mpe_conditioned(net, cut, evidence, ordering,
                                            parallel=args.parallel)
     out = _Output(args.json)

@@ -9,21 +9,24 @@ pass reads back.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .buckets import BucketSchedule, TraceEntry, forward_decode, partition
 from .errors import EvidenceError, OrderingConstraintError, ZeroMassError
-from .factor import ArgTable, DiscreteFactor, add, multiply
+from .factor import ArgTable, DiscreteFactor, add, fold_max, multiply
 from .graph import Ordering, augmented_graph, constrained_order, moral_graph
 from .model import BeliefNetwork, Evidence, InfluenceDiagram
+from .oracle import CELL_LIMIT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """One conditioning iteration: the pinned values and what they scored."""
 
@@ -170,7 +173,7 @@ def _divide_where_positive(numer: DiscreteFactor, denom: DiscreteFactor) -> Disc
     d = denom.aligned_values(numer.scope)
     d = np.broadcast_to(d, numer.values.shape)
     out = np.divide(numer.values, d, out=np.zeros_like(numer.values), where=d != 0)
-    return DiscreteFactor(numer.scope, numer.cards, out)
+    return DiscreteFactor._trusted(numer.scope, numer.cards, out)
 
 
 def _average_out_chance(schedule: BucketSchedule, var: int) -> None:
@@ -230,17 +233,16 @@ def _maximize_decision(schedule: BucketSchedule, var: int) -> None:
     for f in bucket.factors:
         alive &= np.broadcast_to(f.aligned_values(scope), shape) > 0
     axis = scope.index(var)
-    masked = np.where(alive, theta, -np.inf)
-    choices = masked.argmax(axis=axis)
+    best, choices = fold_max(np.where(alive, theta, -np.inf), axis)
     support = alive.any(axis=axis)
-    best = np.where(support, masked.max(axis=axis), 0.0)
+    best = np.where(support, best, 0.0)
     out_scope = tuple(v for v in scope if v != var)
     out_cards = tuple(cards_map[v] for v in out_scope)
-    theta_out = DiscreteFactor(out_scope, out_cards, best)
-    support_out = DiscreteFactor(out_scope, out_cards,
-                                 support.astype(np.float64))
-    bucket.arg_table = ArgTable(var, cards_map[var], out_scope, out_cards,
-                                choices.astype(np.int64))
+    theta_out = DiscreteFactor._trusted(out_scope, out_cards, best)
+    support_out = DiscreteFactor._trusted(out_scope, out_cards,
+                                          support.astype(np.float64))
+    bucket.arg_table = ArgTable._trusted(var, cards_map[var], out_scope, out_cards,
+                                         choices)
     bucket.generated.append(theta_out)
     schedule.place(theta_out, utility=True)
     bucket.generated.append(support_out)
@@ -306,7 +308,9 @@ def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
     sweep; assignments are enumerated lexicographically over the cutset
     sorted by variable id, and the first maximum wins.  ``parallel`` runs
     iterations concurrently; the reduction key is unchanged, so output is
-    identical to the serial path.
+    identical to the serial path.  Combinations are generated lazily and
+    each iteration's result is dropped once reduced; more than
+    ``oracle.CELL_LIMIT`` of them are refused before the first iteration.
     """
     evidence = evidence if evidence is not None else Evidence.empty()
     _check_evidence(net, evidence)
@@ -320,22 +324,19 @@ def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
     _check_ordering(net, ordering)
 
     ranges = [[evidence.get(v)] if v in evidence else range(net.cards[v]) for v in cut]
-    combos = list(product(*ranges))
+    count = math.prod(len(r) for r in ranges)
+    if count > CELL_LIMIT:
+        raise ValueError(f"cutset has {count} value combinations (cap {CELL_LIMIT})")
 
     def run_one(combo: tuple[int, ...]) -> QueryResult:
         pinned = dict(evidence.assignments)
         pinned.update(zip(cut, combo))
         return solve_mpe(net, Evidence(pinned), ordering)
 
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(run_one, combos))
-    else:
-        results = [run_one(c) for c in combos]
-
     best = None
     records = []
-    for i, (combo, res) in enumerate(zip(combos, results)):
+    results = _map_in_order(run_one, product(*ranges), parallel)
+    for i, (combo, res) in enumerate(zip(product(*ranges), results)):
         records.append(IterationRecord(i, tuple(zip(cut, combo)), res.value,
                                        res.max_table_scope))
         if best is None or res.value > best.value:
@@ -347,3 +348,20 @@ def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
                        note=note, trace=best.trace,
                        max_table_scope=max(r.max_table_scope for r in records),
                        iterations=tuple(records))
+
+
+def _map_in_order(fn, items: Iterator, workers: int) -> Iterator:
+    """``map(fn, items)`` on ``workers`` threads.  At most two items per
+    worker are queued ahead of the consumer, so a long stream is never
+    submitted whole and each result can be dropped once reduced."""
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) >= 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()

@@ -5,6 +5,12 @@ is always kept sorted by variable id, so factors over the same variables are
 comparable entrywise, and ``values`` carries one axis per scope variable in
 that order.  Empty-scope factors are ordinary scalars and participate in
 every operation.
+
+Tables built by the algebra below come from already validated factors, so
+they go through :meth:`DiscreteFactor._trusted`, which keeps only the checks
+an operation can break (finiteness) and the write lock.  The public
+constructor, :meth:`DiscreteFactor.from_table` and the model parsers validate
+everything.
 """
 
 from __future__ import annotations
@@ -45,6 +51,21 @@ class DiscreteFactor:
         object.__setattr__(self, "values", values)
 
     # -- construction helpers -------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, scope: tuple[int, ...], cards: tuple[int, ...],
+                 values) -> "DiscreteFactor":
+        """Wrap an algebra result without copying it.
+
+        ``scope`` and ``cards`` must be sorted int tuples taken from validated
+        factors and ``values`` a float64 array of shape ``cards`` that no one
+        else writes to.  Finiteness is still checked: a product of finite
+        tables can overflow to inf, and inf times 0 is NaN.
+        """
+        values = np.asarray(values)
+        if not np.isfinite(values).all():
+            raise ValueError("factor values must be finite")
+        return _frozen(cls, scope=scope, cards=cards, values=values)
 
     @classmethod
     def scalar(cls, value: float) -> "DiscreteFactor":
@@ -107,7 +128,8 @@ class DiscreteFactor:
             raise ValueError(f"value {value} out of range for variable {var}")
         rest = self.scope[:axis] + self.scope[axis + 1:]
         cards = self.cards[:axis] + self.cards[axis + 1:]
-        return DiscreteFactor(rest, cards, np.take(self.values, value, axis=axis))
+        return DiscreteFactor._trusted(rest, cards,
+                                       np.take(self.values, value, axis=axis))
 
     def eliminate(self, var: int, op: str) -> tuple["DiscreteFactor", "ArgTable | None"]:
         """Remove ``var`` by summing or maximizing over its values.
@@ -119,12 +141,11 @@ class DiscreteFactor:
         rest = self.scope[:axis] + self.scope[axis + 1:]
         cards = self.cards[:axis] + self.cards[axis + 1:]
         if op == "sum":
-            return DiscreteFactor(rest, cards, self.values.sum(axis=axis)), None
+            return DiscreteFactor._trusted(rest, cards, fold_sum(self.values, axis)), None
         if op == "max":
-            reduced = self.values.max(axis=axis)
-            choices = np.argmax(self.values, axis=axis)
-            table = ArgTable(var, self.cards[axis], rest, cards, choices)
-            return DiscreteFactor(rest, cards, reduced), table
+            reduced, choices = fold_max(self.values, axis)
+            table = ArgTable._trusted(var, self.cards[axis], rest, cards, choices)
+            return DiscreteFactor._trusted(rest, cards, reduced), table
         raise ValueError(f"unknown elimination operator {op!r}")
 
     def normalized(self) -> tuple["DiscreteFactor", float]:
@@ -134,7 +155,7 @@ class DiscreteFactor:
         mass = float(self.values.sum())
         if mass == 0.0:
             raise ZeroMassError("table has zero total mass")
-        return DiscreteFactor(self.scope, self.cards, self.values / mass), mass
+        return DiscreteFactor._trusted(self.scope, self.cards, self.values / mass), mass
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +173,69 @@ class ArgTable:
         choices.setflags(write=False)
         object.__setattr__(self, "choices", choices)
 
+    @classmethod
+    def _trusted(cls, variable: int, variable_card: int, scope: tuple[int, ...],
+                 cards: tuple[int, ...], choices: np.ndarray) -> "ArgTable":
+        """Wrap a fresh int64 choice array of shape ``cards`` without copying."""
+        return _frozen(cls, variable=variable, variable_card=variable_card,
+                       scope=scope, cards=cards, choices=choices)
+
     def choice_at(self, assignment: Mapping[int, int]) -> int:
         return int(self.choices[tuple(assignment[v] for v in self.scope)])
+
+
+def _frozen(cls, **fields):
+    """Instance of a frozen dataclass with its fields set as given and its
+    array field locked, skipping ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return obj
+
+
+def _slices(values: np.ndarray, axis: int) -> list[np.ndarray]:
+    # The trailing Ellipsis keeps 0-d slices arrays rather than scalars.
+    head = (slice(None),) * axis
+    return [values[head + (i, Ellipsis)] for i in range(values.shape[axis])]
+
+
+def fold_sum(values: np.ndarray, axis: int) -> np.ndarray:
+    """``values.sum(axis)`` as k - 1 additions of whole slices.
+
+    numpy reduces a short axis with a length-k inner loop per output cell;
+    adding whole slices runs one output-sized loop per value instead.  The
+    additions run in index order, as numpy's do except along a contiguous
+    last axis with k >= 8, where numpy sums pairwise and the two can differ
+    in the last bit.
+    """
+    slices = _slices(values, axis)
+    if len(slices) == 1:
+        return np.array(slices[0])
+    out = np.add(slices[0], slices[1], out=np.empty(slices[0].shape))
+    for s in slices[2:]:
+        np.add(out, s, out=out)
+    return out
+
+
+def fold_max(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """``values.max(axis)`` and the lowest index attaining it, by slices.
+
+    A strictly greater slice value moves the choice to that slice's index,
+    so ties keep the lowest value.  The index grows with each slice, so the
+    running choice is updated by a maximum instead of a masked write, in
+    the smallest integer type that holds it.
+    """
+    slices = _slices(values, axis)
+    best = np.array(slices[0])
+    index = np.min_scalar_type(len(slices) - 1).type
+    choices = np.zeros(best.shape, dtype=index)
+    for i, s in enumerate(slices[1:], 1):
+        better = s > best
+        np.maximum(best, s, out=best)
+        np.maximum(choices, better * index(i), out=choices)
+    return best, choices.astype(np.int64)
 
 
 def _merged_scope(factors: Sequence[DiscreteFactor]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -174,7 +256,9 @@ def multiply(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
     acc = factors[0].aligned_values(scope)
     for f in factors[1:]:
         acc = acc * f.aligned_values(scope)
-    return DiscreteFactor(scope, cards, np.broadcast_to(acc, cards))
+    # Every scope variable has its full extent in some factor, so the
+    # broadcast product already has the full shape.
+    return DiscreteFactor._trusted(scope, cards, acc)
 
 
 def add(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
@@ -185,4 +269,4 @@ def add(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
     acc = factors[0].aligned_values(scope)
     for f in factors[1:]:
         acc = acc + f.aligned_values(scope)
-    return DiscreteFactor(scope, cards, np.broadcast_to(acc, cards))
+    return DiscreteFactor._trusted(scope, cards, acc)

@@ -115,16 +115,19 @@ class Ordering:
         return " ".join(str(v) for v in self.sequence) + "\n"
 
     @classmethod
-    def parse(cls, text: str, n: int | None = None) -> "Ordering":
+    def parse(cls, text: str, n: int | None = None, base: int = 0) -> "Ordering":
+        """Ordering file: whitespace-separated ids counted from ``base``
+        (1 for DIMACS propositions), each of ``base .. base + n - 1`` once
+        when ``n`` is given.  The sequence is stored 0-based."""
         try:
-            seq = tuple(int(t) for t in text.split())
+            ids = tuple(int(t) for t in text.split())
         except ValueError as exc:
             raise ParseError(f"ordering must be whitespace-separated integers: {exc}")
-        if n is not None and sorted(seq) != list(range(n)):
+        if n is not None and sorted(ids) != list(range(base, base + n)):
             raise ParseError(f"ordering must list each of the {n} variables "
-                             f"exactly once, got {seq}")
+                             f"exactly once, got {ids}")
         try:
-            return cls(seq)
+            return cls(tuple(v - base for v in ids))
         except ValueError as exc:
             raise ParseError(str(exc))
 

@@ -269,6 +269,58 @@ def test_dr_unsat_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"sat": 0}
 
 
+def test_dr_reads_a_one_based_order_file(tmp_path, capsys):
+    cnf = write(tmp_path, "theory.cnf", SAT_CNF)
+    order = write(tmp_path, "good.order", "2 3\n1\n")
+    assert run(["dr", cnf, "--order", order, "--trace"]) == 0
+    traced = [line.split()[1] for line in lines_of(capsys) if line.startswith("trace ")]
+    assert traced == ["prop=1", "prop=3", "prop=2"]  # processed last to first
+
+
+@pytest.mark.parametrize("text", ["1 x 3\n", "0 1 2\n", "1 2 2 3\n", "3 1\n"],
+                         ids=["non-integer", "zero-based", "repeated", "missing"])
+def test_dr_bad_order_file_is_an_invalid_input_file(tmp_path, capsys, text):
+    cnf = write(tmp_path, "theory.cnf", SAT_CNF)
+    order = write(tmp_path, "bad.order", text)
+    assert run(["dr", cnf, "--order", order]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ordering ")
+
+
+def test_cond_mpe_refuses_too_many_combinations_up_front(tmp_path, capsys, monkeypatch):
+    n = 21
+    lines = ["BAYES", str(n), " ".join(["2"] * n), str(n)]
+    lines += [f"1 {v}" for v in range(n)]
+    lines += ["2 0.5 0.5"] * n
+    net = write(tmp_path, "wide.net", "\n".join(lines) + "\n")
+
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("an iteration ran")
+    monkeypatch.setattr(bucketforge.engines, "solve_mpe", no_iteration)
+    cutset = ",".join(str(v) for v in range(n))
+    assert run(["cond-mpe", net, "--cutset", cutset]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2097152 value combinations" in captured.err
+
+
+def test_cond_mpe_output_is_the_same_at_every_parallelism(tmp_path, capsys):
+    net = write(tmp_path, "diag.net", DIAG_TEXT)
+    ev = write(tmp_path, "obs.ev", "1 5 1\n")
+    outputs = []
+    for workers in ("1", "2", "4"):
+        argv = ["cond-mpe", net, "--cutset", "0,1,3,4", "--evidence", ev,
+                "--trace", "--parallel", workers]
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert run(argv + ["--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "iterations=16" in outputs[0].splitlines()
+    assert outputs[0::2] == [outputs[0]] * 3
+    assert outputs[1::2] == [outputs[1]] * 3
+
+
 def test_stats_reports_both_heuristics(tmp_path, capsys):
     net = write(tmp_path, "diag.net", DIAG_TEXT)
     assert run(["stats", net]) == 0

@@ -11,6 +11,7 @@ from bucketforge import (Evidence, Ordering, OrderingConstraintError,
 from bucketforge.oracle import (oracle_belief, oracle_map, oracle_meu,
                                 oracle_mpe, score_assignment, score_decisions,
                                 score_hypothesis)
+from bucketforge.engines import _map_in_order
 from bucketforge.randgen import uniform_network
 
 from conftest import DIAG_GOOD_ORDER
@@ -328,3 +329,20 @@ def test_engines_are_deterministic_across_repeat_calls(diag_net):
     assert a.value == b.value
     assert a.assignment == b.assignment
     assert [e.render() for e in a.trace] == [e.render() for e in b.trace]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_conditioning_streams_its_iterations(workers):
+    consumed = []
+
+    def items():
+        for i in range(50):
+            consumed.append(i)
+            yield i
+
+    out = []
+    for result in _map_in_order(lambda x: x * x, items(), workers):
+        # Never more than two items per worker submitted ahead of the reducer.
+        assert len(consumed) - len(out) <= max(1, 2 * workers)
+        out.append(result)
+    assert out == [i * i for i in range(50)]

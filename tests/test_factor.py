@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from bucketforge import ArgTable, DiscreteFactor, ZeroMassError, add, multiply
+from bucketforge.buckets import partition
+from bucketforge.graph import Ordering
 
 
 def random_factor(rng, max_vars=3, max_card=4, low=0.0, high=1.0):
@@ -200,3 +202,116 @@ def test_non_finite_entries_are_rejected():
         DiscreteFactor.from_table([0], [2], [float("nan"), 0.5])
     with pytest.raises(ValueError):
         DiscreteFactor.from_table([0], [2], [float("inf"), 0.5])
+
+
+# -- the slice-fold kernel against the numpy reductions it replaced -----------
+
+def reference_product(factors):
+    """The product as multiply built it before: a broadcast chain over the
+    sorted union scope, then broadcast to the full shape and copied."""
+    cards = {}
+    for f in factors:
+        cards.update(zip(f.scope, f.cards))
+    scope = tuple(sorted(cards))
+    shape = tuple(cards[v] for v in scope)
+    acc = factors[0].aligned_values(scope)
+    for f in factors[1:]:
+        acc = acc * f.aligned_values(scope)
+    return scope, np.array(np.broadcast_to(acc, shape))
+
+
+def reference_eliminate(values, axis, op):
+    """Elimination as numpy reductions: sum, or max plus a second argmax pass."""
+    if op == "sum":
+        return values.sum(axis=axis), None
+    return values.max(axis=axis), np.argmax(values, axis=axis)
+
+
+def random_bucket(rng):
+    """1-4 factors over at most 5 variables of cardinality 1-9; every other
+    bucket draws its entries from three values, so ties are common."""
+    ids = sorted(rng.choice(12, size=rng.integers(1, 6), replace=False).tolist())
+    cards = {v: int(rng.integers(1, 10)) for v in ids}
+    while math.prod(cards.values()) > 4000:
+        v = ids[rng.integers(len(ids))]
+        cards[v] = max(1, cards[v] // 2)
+    tied = rng.random() < 0.5
+    factors = []
+    for i in range(int(rng.integers(1, 5))):
+        # The first factor covers every variable at least once overall.
+        scope = ids if i == 0 else sorted(rng.choice(ids, size=rng.integers(1, len(ids) + 1),
+                                                     replace=False).tolist())
+        size = math.prod(cards[v] for v in scope)
+        values = (rng.choice([0.0, 0.5, 1.0], size=size) if tied
+                  else rng.uniform(0.0, 1.0, size=size))
+        factors.append(DiscreteFactor.from_table(scope, [cards[v] for v in scope], values))
+    return factors
+
+
+def test_slice_folds_match_numpy_reductions_on_random_buckets():
+    rng = np.random.default_rng(4242)
+    empty_results = tied_cells = 0
+    for _ in range(320):
+        factors = random_bucket(rng)
+        scope, want = reference_product(factors)
+        combined = multiply(factors)
+        assert combined.scope == scope
+        assert np.array_equal(combined.values, want)
+        for axis, var in enumerate(scope):  # every axis position
+            got, none = combined.eliminate(var, "sum")
+            ref, _ = reference_eliminate(want, axis, "sum")
+            assert none is None
+            assert got.scope == scope[:axis] + scope[axis + 1:]
+            assert got.values.shape == ref.shape
+            assert np.allclose(got.values, ref, rtol=1e-12, atol=0.0)
+
+            got, table = combined.eliminate(var, "max")
+            ref, ref_choices = reference_eliminate(want, axis, "max")
+            assert got.values.shape == ref.shape
+            assert got.values.tobytes() == ref.tobytes()  # bitwise
+            assert table.choices.dtype == np.int64
+            assert np.array_equal(table.choices, ref_choices)
+            empty_results += got.is_scalar
+            column_max = want.max(axis=axis, keepdims=True)
+            tied_cells += int(((want == column_max).sum(axis=axis) > 1).sum())
+    assert empty_results > 20
+    assert tied_cells > 1000
+
+
+def bucket_of(*factors):
+    schedule = partition(factors, Ordering((0, 1)))
+    assert len(schedule.buckets[1].factors) == len(factors)
+    return schedule
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_bucket_product_overflow_is_rejected():
+    huge = DiscreteFactor.from_table([1], [2], [1e200, 1.0])
+    also = DiscreteFactor.from_table([0, 1], [2, 2], [1e200, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        bucket_of(huge, also).process(1, "sum")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_bucket_product_of_inf_and_zero_is_rejected():
+    huge = DiscreteFactor.from_table([1], [2], [1e200, 1.0])
+    also = DiscreteFactor.from_table([0, 1], [2, 2], [1e200, 1.0, 1.0, 1.0])
+    zero = DiscreteFactor.from_table([0, 1], [2, 2], [0.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        bucket_of(huge, also, zero).process(1, "max")
+
+
+def test_algebra_results_are_write_locked():
+    f = DiscreteFactor.from_table([0, 1], [2, 3], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    g = DiscreteFactor.from_table([1], [3], [1.0, 2.0, 3.0])
+    point = DiscreteFactor.from_table([0], [2], [0.25, 0.75])
+    summed, _ = f.eliminate(1, "sum")
+    best, table = f.eliminate(1, "max")
+    results = [f.restrict(1, 2), summed, best, multiply([f, g]), multiply([g]),
+               add([f, g]), f.normalized()[0], point.eliminate(0, "sum")[0]]
+    for r in results:
+        assert not r.values.flags.writeable
+        with pytest.raises(ValueError):
+            r.values[(0,) * r.values.ndim] = 9.0
+    assert not table.choices.flags.writeable
