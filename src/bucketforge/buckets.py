@@ -3,18 +3,22 @@
 Every query engine works the same way: factors are filed into the bucket of
 their highest-ordered scope variable, buckets are processed from the last
 ordering position to the first, and each bucket either scatters restricted
-slices (observed variable) or eliminates its variable from the product of
-its contents and files the result further down.  Empty-scope results fold
-into running scalars.
+slices (observed variable) or applies the engine's bucket rule to its
+contents and files the results further down.  Empty-scope results fold into
+running scalars.  A processed bucket drops its tables, so a table lives only
+until the bucket it was filed into is processed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .errors import EvidenceError
-from .factor import ArgTable, DiscreteFactor, multiply
+from .factor import (ArgTable, DiscreteFactor, _merged_scope, add, fold_max,
+                     multiply)
 from .graph import Ordering
 from .model import Evidence
 
@@ -42,7 +46,6 @@ class Bucket:
     factors: list[DiscreteFactor] = field(default_factory=list)
     utilities: list[DiscreteFactor] = field(default_factory=list)
     observed_value: int | None = None
-    generated: list[DiscreteFactor] = field(default_factory=list)
     arg_table: ArgTable | None = None
 
 
@@ -99,26 +102,101 @@ class BucketSchedule:
                 ins.append(f.scope)
                 outs.append(sliced.scope)
                 cells += sliced.values.size
-                bucket.generated.append(sliced)
                 self.place(sliced, utility=utility)
         self.record(TraceEntry(var, "assign", tuple(ins), tuple(outs), cells))
 
     def process(self, var: int, op: str) -> None:
-        """Eliminate ``var`` from its bucket with ``op``, or scatter if observed."""
+        """Process the bucket of ``var`` and file what it emits further down.
+
+        An observed bucket scatters its slices and an empty one is skipped,
+        whatever ``op`` is.  Otherwise ``op`` names the bucket rule:
+
+        - ``"sum"``: sum ``var`` out of the product of the probability
+          tables; a bucket that holds utilities also emits their
+          probability-weighted average;
+        - ``"max"``: maximize ``var`` out of that product and keep the
+          choice table (for buckets without utilities);
+        - ``"decide"``: the decision rule of :func:`_decide`, traced as
+          ``max``.
+
+        Afterwards the bucket keeps only its observed value and choice table.
+        """
         bucket = self.buckets[var]
         if bucket.observed_value is not None:
             self.scatter(var)
-            return
-        if not bucket.factors:
+        elif not bucket.factors and not bucket.utilities:
             self.record(TraceEntry(var, "skip", (), (), 0))
-            return
-        combined = multiply(bucket.factors)
-        result, table = combined.eliminate(var, op)
-        bucket.arg_table = table
-        bucket.generated.append(result)
-        self.place(result)
-        self.record(TraceEntry(var, op, tuple(f.scope for f in bucket.factors),
-                               (result.scope,), result.values.size))
+        else:
+            ins = tuple(f.scope for f in (*bucket.factors, *bucket.utilities))
+            if op == "decide":
+                outputs, bucket.arg_table = _decide(bucket)
+                op = "max"
+            else:
+                outputs, bucket.arg_table = _eliminate(bucket, op)
+            for f, utility in outputs:
+                self.place(f, utility=utility)
+            self.record(TraceEntry(var, op, ins,
+                                   tuple(f.scope for f, _ in outputs),
+                                   sum(f.values.size for f, _ in outputs)))
+        bucket.factors, bucket.utilities = [], []
+
+
+Outputs = list[tuple[DiscreteFactor, bool]]  # (table, is it a utility)
+
+
+def _eliminate(bucket: Bucket, op: str) -> tuple[Outputs, ArgTable | None]:
+    """Sum or max rule: eliminate the variable from the probability product.
+
+    Under ``"sum"``, the bucket's utilities are averaged out as well: their
+    sum weighted by the product, summed over the variable and divided by
+    the marginal where it is positive.
+    """
+    var = bucket.variable
+    combined = multiply(bucket.factors)
+    marginal, table = combined.eliminate(var, op)
+    outputs = [(marginal, False)]
+    if bucket.utilities:
+        numer, _ = multiply([combined, add(bucket.utilities)]).eliminate(var, "sum")
+        outputs.append((_divide_where_positive(numer, marginal), True))
+    return outputs, table
+
+
+def _divide_where_positive(numer: DiscreteFactor, denom: DiscreteFactor) -> DiscreteFactor:
+    # Cells the probability part rules out contribute no utility.
+    d = denom.aligned_values(numer.scope)
+    out = np.divide(numer.values, d, out=np.zeros_like(numer.values), where=d != 0)
+    return DiscreteFactor._trusted(numer.scope, numer.cards, out)
+
+
+def _decide(bucket: Bucket) -> tuple[Outputs, ArgTable]:
+    """Decision rule: maximize the bucket's additive utility sum over the
+    decision values its probability factors leave possible.
+
+    Probability magnitudes cancel out of the conditional expected utility,
+    but their zeros mark decision values under which the evidence cannot
+    occur; those cells are excluded from the maximization.  Contexts with no
+    supported value are passed down dead (support 0, utility 0) so later
+    buckets exclude them too.
+    """
+    var = bucket.variable
+    scope, cards = _merged_scope([*bucket.factors, *bucket.utilities])
+    theta = np.zeros(cards)
+    if bucket.utilities:
+        theta = theta + add(bucket.utilities).aligned_values(scope)
+    alive = np.ones(cards, dtype=bool)
+    for f in bucket.factors:
+        alive &= f.aligned_values(scope) > 0
+    axis = scope.index(var)
+    best, choices = fold_max(np.where(alive, theta, -np.inf), axis)
+    support = alive.any(axis=axis)
+    best = np.where(support, best, 0.0)
+    out_scope = scope[:axis] + scope[axis + 1:]
+    out_cards = cards[:axis] + cards[axis + 1:]
+    theta_out = DiscreteFactor._trusted(out_scope, out_cards, best)
+    support_out = DiscreteFactor._trusted(out_scope, out_cards,
+                                          support.astype(np.float64))
+    table = ArgTable._trusted(var, cards[axis], out_scope, out_cards, choices)
+    return [(theta_out, True), (support_out, False)], table
 
 
 def partition(factors: Iterable[DiscreteFactor], ordering: Ordering,

@@ -12,11 +12,11 @@ import json
 import sys
 
 from . import engines, oracle
-from .errors import (ModelError, OrderingConstraintError, UnsatisfiableError,
+from .errors import (ModelError, TooLargeError, UnsatisfiableError,
                      ZeroMassError)
 from .graph import (Ordering, augmented_graph, constrained_order,
                     cutset_heuristic, induced_width, interaction_graph,
-                    moral_graph, order_heuristic)
+                    moral_graph, observed_suffix, order_heuristic)
 from .model import (CnfTheory, InfluenceDiagram, parse_cnf, parse_cnf_evidence,
                     parse_evidence, parse_network)
 from .resolution import directional_resolution, generate_model
@@ -118,13 +118,17 @@ def _parse_id_list(spec: str, names) -> list[int]:
     return out
 
 
-def _resolve_ordering(spec, model, prefix=(), suffix=(), graph=None):
-    """Ordering from a file, a heuristic name, or an inline given: list."""
+def _resolve_ordering(spec, model, graph, prefix=(), observed=()):
+    """Ordering from a file, a heuristic name, or an inline given: list.
+
+    A heuristic ordering pins ``prefix`` first and the ``observed``
+    variables outside it last (``graph.observed_suffix``).
+    """
     if spec is None:
         spec = "min-fill"
     if spec in HEURISTICS:
-        return constrained_order(graph, HEURISTICS[spec],
-                                 prefix=prefix, suffix=suffix)
+        return constrained_order(graph, HEURISTICS[spec], prefix=prefix,
+                                 suffix=observed_suffix(observed, prefix))
     if spec.startswith("given:"):
         names = [v.name for v in model.variables]
         return Ordering(tuple(_parse_id_list(spec[len("given:"):], names)))
@@ -147,6 +151,10 @@ def _load_evidence(args, model):
     if not args.evidence:
         return None
     return parse_evidence(_read(args.evidence), model)
+
+
+def _observed(evidence) -> list[int]:
+    return [] if evidence is None else [v for v, _ in evidence.items()]
 
 
 class _Output:
@@ -211,10 +219,8 @@ def _emit_common(out: _Output, result, args) -> None:
 def _run_bel(args) -> int:
     net = parse_network(_read(args.network), kind="bayes", strict=not args.lax)
     evidence = _load_evidence(args, net)
-    observed = [] if evidence is None else [v for v, _ in evidence.items()]
-    ordering = _resolve_ordering(args.order, net, prefix=[args.query],
-                                 suffix=[v for v in observed if v != args.query],
-                                 graph=moral_graph(net))
+    ordering = _resolve_ordering(args.order, net, moral_graph(net),
+                                 prefix=[args.query], observed=_observed(evidence))
     result = engines.solve_belief(net, args.query, evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
@@ -230,9 +236,8 @@ def _run_bel(args) -> int:
 def _run_mpe(args) -> int:
     net = parse_network(_read(args.network), kind="bayes", strict=not args.lax)
     evidence = _load_evidence(args, net)
-    observed = [] if evidence is None else [v for v, _ in evidence.items()]
-    ordering = _resolve_ordering(args.order, net, suffix=observed,
-                                 graph=moral_graph(net))
+    ordering = _resolve_ordering(args.order, net, moral_graph(net),
+                                 observed=_observed(evidence))
     result = engines.solve_mpe(net, evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
@@ -249,10 +254,8 @@ def _run_map(args) -> int:
     net = parse_network(_read(args.network), kind="bayes", strict=not args.lax)
     hyp = _parse_id_list(args.hyp, list(net.names))
     evidence = _load_evidence(args, net)
-    observed = [] if evidence is None else [v for v, _ in evidence.items()]
-    ordering = _resolve_ordering(args.order, net, prefix=hyp,
-                                 suffix=[v for v in observed if v not in set(hyp)],
-                                 graph=moral_graph(net))
+    ordering = _resolve_ordering(args.order, net, moral_graph(net), prefix=hyp,
+                                 observed=_observed(evidence))
     result = engines.solve_map(net, hyp, evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
@@ -268,11 +271,10 @@ def _run_map(args) -> int:
 def _run_meu(args) -> int:
     diagram = parse_network(_read(args.diagram), kind="id", strict=not args.lax)
     evidence = _load_evidence(args, diagram)
-    observed = [] if evidence is None else [v for v, _ in evidence.items()]
     dset = set(diagram.decisions)
-    ordering = _resolve_ordering(args.order, diagram, prefix=list(diagram.decisions),
-                                 suffix=[v for v in observed if v not in dset],
-                                 graph=augmented_graph(diagram))
+    ordering = _resolve_ordering(args.order, diagram, augmented_graph(diagram),
+                                 prefix=list(diagram.decisions),
+                                 observed=_observed(evidence))
     result = engines.solve_meu(diagram, evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
@@ -290,7 +292,7 @@ def _run_meu(args) -> int:
 def _run_cond_mpe(args) -> int:
     net = parse_network(_read(args.network), kind="bayes", strict=not args.lax)
     evidence = _load_evidence(args, net)
-    observed = [] if evidence is None else [v for v, _ in evidence.items()]
+    observed = _observed(evidence)
     graph = moral_graph(net)
     if args.cutset is not None:
         cut = sorted(set(_parse_id_list(args.cutset, list(net.names))))
@@ -300,9 +302,8 @@ def _run_cond_mpe(args) -> int:
         cut = sorted(cutset_heuristic(graph.without(observed), args.wbound))
     if args.parallel < 1:
         raise _UsageError("--parallel must be >= 1")
-    ordering = _resolve_ordering(args.order, net,
-                                 suffix=sorted(set(cut) | set(observed)),
-                                 graph=graph)
+    ordering = _resolve_ordering(args.order, net, graph,
+                                 observed=sorted(set(cut) | set(observed)))
     result = engines.solve_mpe_conditioned(net, cut, evidence, ordering,
                                            parallel=args.parallel)
     out = _Output(args.json)
@@ -371,8 +372,7 @@ def _run_stats(args) -> int:
     cnf = head not in ("BAYES", "ID")
     if not cnf:
         model = parse_network(text, strict=not args.lax)
-        evidence = _load_evidence(args, model)
-        removed = [] if evidence is None else [v for v, _ in evidence.items()]
+        removed = _observed(_load_evidence(args, model))
         g = (augmented_graph(model) if isinstance(model, InfluenceDiagram)
              else moral_graph(model))
         g = g.without(removed)
@@ -417,13 +417,9 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OrderingConstraintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError, TooLargeError) as exc:
+        # ValueError covers OrderingConstraintError; TooLargeError is an
+        # --oracle query past the enumeration cap.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ModelError as exc:

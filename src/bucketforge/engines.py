@@ -18,10 +18,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .buckets import BucketSchedule, TraceEntry, forward_decode, partition
+from .buckets import TraceEntry, forward_decode, partition
 from .errors import EvidenceError, OrderingConstraintError, ZeroMassError
-from .factor import ArgTable, DiscreteFactor, add, fold_max, multiply
-from .graph import Ordering, augmented_graph, constrained_order, moral_graph
+# ``add`` is no longer called here, but perfbench/tracing.py wraps
+# ``engines.add`` by name and fails to install without it.
+from .factor import DiscreteFactor, add, multiply  # noqa: F401
+from .graph import (Ordering, augmented_graph, constrained_order, moral_graph,
+                    observed_suffix)
 from .model import BeliefNetwork, Evidence, InfluenceDiagram
 from .oracle import CELL_LIMIT
 
@@ -64,22 +67,37 @@ def _check_ordering(model, ordering: Ordering) -> None:
             "exactly once")
 
 
+def _pinned_ends(model, evidence: Evidence | None, ordering: Ordering | None,
+                 graph, prefix: Sequence[int] = (), misplaced: str = "",
+                 pinned: Sequence[int] = ()) -> tuple[Evidence, Ordering]:
+    """Check the evidence and the ordering a query runs on, defaulting both.
+
+    The default ordering is min-fill on ``graph(model)`` with the pinned
+    ends: ``prefix`` first, and the observed and ``pinned`` variables
+    outside it last, by id.  A given ordering must list every variable once
+    and start with the ``prefix`` variables, else ``misplaced`` is raised.
+    """
+    evidence = evidence if evidence is not None else Evidence.empty()
+    _check_evidence(model, evidence)
+    if ordering is None:
+        observed = sorted(set(pinned) | {v for v, _ in evidence.items()})
+        ordering = constrained_order(graph(model), "min_fill", prefix=list(prefix),
+                                     suffix=observed_suffix(observed, prefix))
+    _check_ordering(model, ordering)
+    if set(ordering.sequence[:len(prefix)]) != set(prefix):
+        raise OrderingConstraintError(misplaced)
+    return evidence, ordering
+
+
 def solve_belief(net: BeliefNetwork, query: int, evidence: Evidence | None = None,
                  ordering: Ordering | None = None) -> QueryResult:
     """Posterior over ``query`` by a sum sweep; the query bucket is read, not
     eliminated.  The pre-normalization mass is the evidence probability."""
-    evidence = evidence if evidence is not None else Evidence.empty()
-    _check_evidence(net, evidence)
     if not 0 <= query < net.n:
         raise EvidenceError(f"unknown query variable {query}")
-    if ordering is None:
-        suffix = [v for v, _ in evidence.items() if v != query]
-        ordering = constrained_order(moral_graph(net), "min_fill",
-                                     prefix=[query], suffix=suffix)
-    _check_ordering(net, ordering)
-    if ordering.sequence[0] != query:
-        raise OrderingConstraintError(
-            f"query variable {query} must sit at position 1 of the ordering")
+    evidence, ordering = _pinned_ends(
+        net, evidence, ordering, moral_graph, prefix=[query],
+        misplaced=f"query variable {query} must sit at position 1 of the ordering")
 
     schedule = partition(net.factor_list(), ordering, evidence)
     for var in reversed(ordering.sequence[1:]):
@@ -88,7 +106,7 @@ def solve_belief(net: BeliefNetwork, query: int, evidence: Evidence | None = Non
     card = net.cards[query]
     bucket = schedule.buckets[query]
     if bucket.observed_value is not None:
-        schedule.scatter(query)
+        schedule.process(query, "sum")  # scatters into the scalar
         mass = schedule.scalar
         if mass == 0.0:
             raise ZeroMassError("evidence has probability zero")
@@ -108,12 +126,7 @@ def solve_mpe(net: BeliefNetwork, evidence: Evidence | None = None,
               ordering: Ordering | None = None) -> QueryResult:
     """Most probable complete assignment; value is the maximal joint mass
     consistent with the evidence."""
-    evidence = evidence if evidence is not None else Evidence.empty()
-    _check_evidence(net, evidence)
-    if ordering is None:
-        ordering = constrained_order(moral_graph(net), "min_fill",
-                                     suffix=[v for v, _ in evidence.items()])
-    _check_ordering(net, ordering)
+    evidence, ordering = _pinned_ends(net, evidence, ordering, moral_graph)
 
     schedule = partition(net.factor_list(), ordering, evidence)
     for var in reversed(ordering.sequence):
@@ -144,17 +157,10 @@ def solve_map(net: BeliefNetwork, hypothesis: Sequence[int],
     for v in hyp:
         if not 0 <= v < net.n:
             raise ValueError(f"unknown hypothesis variable {v}")
-    evidence = evidence if evidence is not None else Evidence.empty()
-    _check_evidence(net, evidence)
-    if ordering is None:
-        suffix = [v for v, _ in evidence.items() if v not in set(hyp)]
-        ordering = constrained_order(moral_graph(net), "min_fill",
-                                     prefix=hyp, suffix=suffix)
-    _check_ordering(net, ordering)
+    evidence, ordering = _pinned_ends(
+        net, evidence, ordering, moral_graph, prefix=hyp,
+        misplaced="hypothesis variables must occupy the first ordering positions")
     hset = set(hyp)
-    if set(ordering.sequence[:len(hyp)]) != hset:
-        raise OrderingConstraintError(
-            "hypothesis variables must occupy the first ordering positions")
 
     schedule = partition(net.factor_list(), ordering, evidence)
     for var in reversed(ordering.sequence):
@@ -168,92 +174,6 @@ def solve_map(net: BeliefNetwork, hypothesis: Sequence[int],
                        max_table_scope=schedule.max_generated_scope)
 
 
-def _divide_where_positive(numer: DiscreteFactor, denom: DiscreteFactor) -> DiscreteFactor:
-    # Cells the probability part rules out contribute no utility.
-    d = denom.aligned_values(numer.scope)
-    d = np.broadcast_to(d, numer.values.shape)
-    out = np.divide(numer.values, d, out=np.zeros_like(numer.values), where=d != 0)
-    return DiscreteFactor._trusted(numer.scope, numer.cards, out)
-
-
-def _average_out_chance(schedule: BucketSchedule, var: int) -> None:
-    """Chance-bucket rule: emit the marginal of the probability product and
-    the probability-weighted average of the bucket's utility sum."""
-    bucket = schedule.buckets[var]
-    probs, utils = bucket.factors, bucket.utilities
-    if not probs and not utils:
-        schedule.record(TraceEntry(var, "skip", (), (), 0))
-        return
-    if not probs:  # unreached for well-formed diagrams
-        card = utils[0].card_of(var)
-        probs = [DiscreteFactor((var,), (card,), np.ones(card))]
-    combined = multiply(probs)
-    marginal, _ = combined.eliminate(var, "sum")
-    ins = tuple(f.scope for f in bucket.factors) + tuple(u.scope for u in utils)
-    outs = [marginal.scope]
-    cells = marginal.values.size
-    if utils:
-        weighted = multiply([combined, add(utils)])
-        numer, _ = weighted.eliminate(var, "sum")
-        averaged = _divide_where_positive(numer, marginal)
-        bucket.generated.append(averaged)
-        schedule.place(averaged, utility=True)
-        outs.append(averaged.scope)
-        cells += averaged.values.size
-    bucket.generated.append(marginal)
-    schedule.place(marginal)
-    schedule.record(TraceEntry(var, "sum", ins, tuple(outs), cells))
-
-
-def _maximize_decision(schedule: BucketSchedule, var: int) -> None:
-    """Decision-bucket rule: maximize the bucket's additive utility sum over
-    the decision values its probability factors leave possible.
-
-    Probability magnitudes cancel out of the conditional expected utility,
-    but their zeros mark decision values under which the evidence cannot
-    occur; those cells are excluded from the maximization.  Contexts with no
-    supported value are passed down dead (support 0, utility 0) so later
-    buckets exclude them too.
-    """
-    bucket = schedule.buckets[var]
-    if not bucket.factors and not bucket.utilities:
-        schedule.record(TraceEntry(var, "skip", (), (), 0))
-        return
-    cards_map: dict[int, int] = {}
-    for f in (*bucket.factors, *bucket.utilities):
-        for v, c in zip(f.scope, f.cards):
-            if cards_map.setdefault(v, c) != c:
-                raise ValueError(f"conflicting cardinalities for variable {v}")
-    scope = tuple(sorted(cards_map))
-    shape = tuple(cards_map[v] for v in scope)
-    theta = np.zeros(shape)
-    for f in bucket.utilities:
-        theta = theta + f.aligned_values(scope)
-    alive = np.ones(shape, dtype=bool)
-    for f in bucket.factors:
-        alive &= np.broadcast_to(f.aligned_values(scope), shape) > 0
-    axis = scope.index(var)
-    best, choices = fold_max(np.where(alive, theta, -np.inf), axis)
-    support = alive.any(axis=axis)
-    best = np.where(support, best, 0.0)
-    out_scope = tuple(v for v in scope if v != var)
-    out_cards = tuple(cards_map[v] for v in out_scope)
-    theta_out = DiscreteFactor._trusted(out_scope, out_cards, best)
-    support_out = DiscreteFactor._trusted(out_scope, out_cards,
-                                          support.astype(np.float64))
-    bucket.arg_table = ArgTable._trusted(var, cards_map[var], out_scope, out_cards,
-                                         choices)
-    bucket.generated.append(theta_out)
-    schedule.place(theta_out, utility=True)
-    bucket.generated.append(support_out)
-    schedule.place(support_out)
-    ins = (tuple(f.scope for f in bucket.factors)
-           + tuple(u.scope for u in bucket.utilities))
-    schedule.record(TraceEntry(var, "max", ins,
-                               (theta_out.scope, support_out.scope),
-                               theta_out.values.size + support_out.values.size))
-
-
 def solve_meu(diagram: InfluenceDiagram, evidence: Evidence | None = None,
               ordering: Ordering | None = None) -> QueryResult:
     """Decision assignment maximizing conditional expected utility.
@@ -263,31 +183,16 @@ def solve_meu(diagram: InfluenceDiagram, evidence: Evidence | None = None,
     first in the ordering and are processed last, maximize the accumulated
     utility components.
     """
-    evidence = evidence if evidence is not None else Evidence.empty()
-    _check_evidence(diagram, evidence)
     decisions = diagram.decisions
-    if ordering is None:
-        dset = set(decisions)
-        suffix = [v for v, _ in evidence.items() if v not in dset]
-        ordering = constrained_order(augmented_graph(diagram), "min_fill",
-                                     prefix=list(decisions), suffix=suffix)
-    _check_ordering(diagram, ordering)
-    k = len(decisions)
-    if set(ordering.sequence[:k]) != set(decisions):
-        raise OrderingConstraintError(
-            "decision variables must occupy the first ordering positions")
+    evidence, ordering = _pinned_ends(
+        diagram, evidence, ordering, augmented_graph, prefix=decisions,
+        misplaced="decision variables must occupy the first ordering positions")
 
     schedule = partition(diagram.chance_factors(), ordering, evidence,
                          utilities=diagram.utilities)
     dset = set(decisions)
     for var in reversed(ordering.sequence):
-        bucket = schedule.buckets[var]
-        if bucket.observed_value is not None:
-            schedule.scatter(var)
-        elif var in dset:
-            _maximize_decision(schedule, var)
-        else:
-            _average_out_chance(schedule, var)
+        schedule.process(var, "decide" if var in dset else "sum")
     if schedule.scalar == 0.0:
         raise ZeroMassError(
             "the evidence has zero probability under every decision")
@@ -312,16 +217,12 @@ def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
     each iteration's result is dropped once reduced; more than
     ``oracle.CELL_LIMIT`` of them are refused before the first iteration.
     """
-    evidence = evidence if evidence is not None else Evidence.empty()
-    _check_evidence(net, evidence)
     cut = sorted(set(int(v) for v in cutset))
     for v in cut:
         if not 0 <= v < net.n:
             raise ValueError(f"unknown cutset variable {v}")
-    if ordering is None:
-        suffix = sorted(set(cut) | {v for v, _ in evidence.items()})
-        ordering = constrained_order(moral_graph(net), "min_fill", suffix=suffix)
-    _check_ordering(net, ordering)
+    evidence, ordering = _pinned_ends(net, evidence, ordering, moral_graph,
+                                      pinned=cut)
 
     ranges = [[evidence.get(v)] if v in evidence else range(net.cards[v]) for v in cut]
     count = math.prod(len(r) for r in ranges)

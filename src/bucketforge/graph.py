@@ -299,6 +299,16 @@ def constrained_order(g: GraphView, kind: str = "min_fill",
     return Ordering((*prefix, *reversed(middle), *suffix))
 
 
+def observed_suffix(observed: Iterable[int], prefix: Iterable[int] = ()) -> list[int]:
+    """The pinned-ends rule for a query ordering's suffix.
+
+    The query, hypothesis or decision variables form the ``prefix`` and go
+    first; the observed variables outside it go last, in the given order.
+    """
+    front = set(prefix)
+    return [v for v in observed if v not in front]
+
+
 def cutset_heuristic(g: GraphView, bound: int, kind: str = "min_degree") -> list[int]:
     """Greedy node set whose deletion brings the heuristic width within bound.
 

@@ -183,6 +183,19 @@ def ids(letters):
     return tuple(LETTERS[x] for x in letters)
 
 
+def placed(schedule, var):
+    """(var, scope, target bucket) for each table the bucket of ``var`` just
+    emitted, read from its trace entry; each table must sit in its target."""
+    entry = schedule.trace[-1]
+    assert entry.variable == var
+    out = []
+    for scope in entry.output_scopes:
+        target = max(scope, key=schedule.ordering.index_of)
+        assert scope in [f.scope for f in schedule.buckets[target].factors]
+        out.append((var, scope, target))
+    return out
+
+
 def test_criterion_2_diagnostic_fixture():
     with verdict("criterion 2: diagnostic fixture moral graph, widths, and "
                  "bucket placements"):
@@ -216,9 +229,7 @@ def test_criterion_2_diagnostic_fixture():
             if var == order.sequence[0]:
                 break
             schedule.process(var, "sum")
-            for produced in schedule.buckets[var].generated:
-                placements.append((var, produced.scope,
-                                   schedule.bucket_of(produced)))
+            placements += placed(schedule, var)
         assert placements == [
             (ids("G")[0], ids("E"), ids("E")[0]),
             (ids("D")[0], ids("AB"), ids("B")[0]),
@@ -237,8 +248,7 @@ def test_criterion_2_diagnostic_fixture():
         assert [f.scope for f in schedule.buckets[b].factors] == [
             ids("AB"), ids("ABD"), ids("BCE")]
         schedule.process(b, "sum")
-        scattered = [(piece.scope, schedule.bucket_of(piece))
-                     for piece in schedule.buckets[b].generated]
+        scattered = [(scope, target) for _, scope, target in placed(schedule, b)]
         assert scattered == [
             (ids("A"), ids("A")[0]),
             (ids("AD"), ids("D")[0]),

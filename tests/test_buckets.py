@@ -1,6 +1,8 @@
 """Bucket filing, the observation rule, and the backward sweep mechanics."""
 
+import gc
 import math
+import weakref
 
 from bucketforge import Evidence, Ordering, partition
 
@@ -44,6 +46,7 @@ def test_observed_bucket_scatters_slices_one_by_one(diag_net):
     assert scopes_in(schedule.buckets[0]) == [(0,), (0,)]
     assert scopes_in(schedule.buckets[3]) == [(0, 3)]
     assert scopes_in(schedule.buckets[4]) == [(2, 4)]
+    assert schedule.buckets[1].factors == []
 
     # The slice of the variable's own table keeps the observed column.
     slice_of_own = [f for f in schedule.buckets[0].factors
@@ -73,19 +76,34 @@ def test_elimination_places_results_further_down(diag_net):
     assert entry.output_scopes == ((4,),)
     assert entry.cells == 2
     assert entry.render() == "var=5 op=sum in=4,5 out=4 cells=2"
-    generated = schedule.buckets[5].generated[0]
-    assert generated.scope == (4,)
+    generated = schedule.buckets[4].factors[-1]
+    assert generated.scope == entry.output_scopes[0]
     # A conditional table summed over its child gives the all-ones table.
     assert math.isclose(generated.value_at({4: 0}), 1.0, rel_tol=1e-12)
-    assert generated in schedule.buckets[4].factors
+    assert schedule.buckets[5].factors == []
     assert schedule.max_generated_scope == 1
 
 
 def test_empty_bucket_is_skipped(diag_net):
     schedule = partition(diag_net.factor_list(), Ordering(DIAG_BAD_ORDER))
+    before = {v: list(b.factors) for v, b in schedule.buckets.items()}
     schedule.process(5, "sum")
     assert schedule.trace[-1].op == "skip"
-    assert schedule.buckets[5].generated == []
+    assert schedule.trace[-1].output_scopes == ()
+    assert {v: b.factors for v, b in schedule.buckets.items()} == before
+
+
+def test_a_table_is_freed_once_its_bucket_is_processed(diag_net):
+    schedule = partition(diag_net.factor_list(), Ordering(DIAG_GOOD_ORDER))
+    schedule.process(5, "sum")
+    sent = weakref.ref(schedule.buckets[4].factors[-1])
+    assert sent().scope == (4,)
+    gc.collect()
+    assert sent() is not None
+    schedule.process(4, "sum")
+    gc.collect()
+    assert sent() is None
+    assert schedule.buckets[4].factors == []
 
 
 def test_full_sum_sweep_reproduces_total_mass(diag_net):

@@ -305,6 +305,38 @@ def test_cond_mpe_refuses_too_many_combinations_up_front(tmp_path, capsys, monke
     assert "2097152 value combinations" in captured.err
 
 
+def chain_text(n):
+    lines = ["BAYES", str(n), " ".join(["2"] * n), str(n), "1 0"]
+    lines += [f"2 {v - 1} {v}" for v in range(1, n)]
+    lines += ["2 0.6 0.4"] + ["4 0.9 0.1 0.2 0.8"] * (n - 1)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", [["bel", "--query", "0"], ["mpe"],
+                                     ["map", "--hyp", "0,1"],
+                                     ["cond-mpe", "--cutset", "3"]])
+def test_oracle_past_its_cap_is_an_error_line(tmp_path, capsys, command):
+    net = write(tmp_path, "long.net", chain_text(22))  # 2^22 joint cells
+    assert run([command[0], net, *command[1:]]) == 0
+    capsys.readouterr()
+    assert run([command[0], net, *command[1:], "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: joint table would hold 4194304 cells "
+                            "(cap 1048576)\n")
+
+
+def test_dr_oracle_past_its_cap_is_an_error_line(tmp_path, capsys):
+    clauses = [f"{p} {p + 1} 0" for p in range(1, 21)]
+    cnf = write(tmp_path, "wide.cnf", "p cnf 21 20\n" + "\n".join(clauses) + "\n")
+    assert run(["dr", cnf]) == 0
+    capsys.readouterr()
+    assert run(["dr", cnf, "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: truth table over 21 propositions exceeds the cap\n"
+
+
 def test_cond_mpe_output_is_the_same_at_every_parallelism(tmp_path, capsys):
     net = write(tmp_path, "diag.net", DIAG_TEXT)
     ev = write(tmp_path, "obs.ev", "1 5 1\n")

@@ -3,16 +3,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bucketforge import (Evidence, Ordering, OrderingConstraintError,
                          ZeroMassError, parse_network, solve_belief, solve_map,
                          solve_meu, solve_mpe, solve_mpe_conditioned)
+from bucketforge.buckets import TraceEntry, forward_decode, partition
+from bucketforge.factor import ArgTable, DiscreteFactor, add, fold_max, multiply
 from bucketforge.oracle import (oracle_belief, oracle_map, oracle_meu,
                                 oracle_mpe, score_assignment, score_decisions,
                                 score_hypothesis)
 from bucketforge.engines import _map_in_order
-from bucketforge.randgen import uniform_network
+from bucketforge.randgen import (random_evidence, random_influence_diagram,
+                                 shuffled_ordering, uniform_network)
 
 from conftest import DIAG_GOOD_ORDER
 
@@ -270,6 +274,127 @@ def test_meu_engine_matches_its_oracle_scorer():
         result = solve_meu(diagram, ev, None)
         assert close(result.value, score_decisions(diagram, result.assignment, ev),
                      tol=1e-12)
+
+
+# -- the MEU bucket rules as two separate functions, kept as the reference ----
+
+def _reference_divide_where_positive(numer, denom):
+    d = denom.aligned_values(numer.scope)
+    d = np.broadcast_to(d, numer.values.shape)
+    out = np.divide(numer.values, d, out=np.zeros_like(numer.values), where=d != 0)
+    return DiscreteFactor._trusted(numer.scope, numer.cards, out)
+
+
+def _reference_average_out_chance(schedule, var):
+    bucket = schedule.buckets[var]
+    probs, utils = bucket.factors, bucket.utilities
+    if not probs and not utils:
+        schedule.record(TraceEntry(var, "skip", (), (), 0))
+        return
+    if not probs:
+        card = utils[0].card_of(var)
+        probs = [DiscreteFactor((var,), (card,), np.ones(card))]
+    combined = multiply(probs)
+    marginal, _ = combined.eliminate(var, "sum")
+    ins = tuple(f.scope for f in bucket.factors) + tuple(u.scope for u in utils)
+    outs = [marginal.scope]
+    cells = marginal.values.size
+    if utils:
+        weighted = multiply([combined, add(utils)])
+        numer, _ = weighted.eliminate(var, "sum")
+        averaged = _reference_divide_where_positive(numer, marginal)
+        schedule.place(averaged, utility=True)
+        outs.append(averaged.scope)
+        cells += averaged.values.size
+    schedule.place(marginal)
+    schedule.record(TraceEntry(var, "sum", ins, tuple(outs), cells))
+
+
+def _reference_maximize_decision(schedule, var):
+    bucket = schedule.buckets[var]
+    if not bucket.factors and not bucket.utilities:
+        schedule.record(TraceEntry(var, "skip", (), (), 0))
+        return
+    cards_map = {}
+    for f in (*bucket.factors, *bucket.utilities):
+        for v, c in zip(f.scope, f.cards):
+            if cards_map.setdefault(v, c) != c:
+                raise ValueError(f"conflicting cardinalities for variable {v}")
+    scope = tuple(sorted(cards_map))
+    shape = tuple(cards_map[v] for v in scope)
+    theta = np.zeros(shape)
+    for f in bucket.utilities:
+        theta = theta + f.aligned_values(scope)
+    alive = np.ones(shape, dtype=bool)
+    for f in bucket.factors:
+        alive &= np.broadcast_to(f.aligned_values(scope), shape) > 0
+    axis = scope.index(var)
+    best, choices = fold_max(np.where(alive, theta, -np.inf), axis)
+    support = alive.any(axis=axis)
+    best = np.where(support, best, 0.0)
+    out_scope = tuple(v for v in scope if v != var)
+    out_cards = tuple(cards_map[v] for v in out_scope)
+    theta_out = DiscreteFactor._trusted(out_scope, out_cards, best)
+    support_out = DiscreteFactor._trusted(out_scope, out_cards,
+                                          support.astype(np.float64))
+    bucket.arg_table = ArgTable._trusted(var, cards_map[var], out_scope, out_cards,
+                                         choices)
+    schedule.place(theta_out, utility=True)
+    schedule.place(support_out)
+    ins = (tuple(f.scope for f in bucket.factors)
+           + tuple(u.scope for u in bucket.utilities))
+    schedule.record(TraceEntry(var, "max", ins,
+                               (theta_out.scope, support_out.scope),
+                               theta_out.values.size + support_out.values.size))
+
+
+def _reference_meu_sweep(diagram, evidence, ordering):
+    schedule = partition(diagram.chance_factors(), ordering, evidence,
+                         utilities=diagram.utilities)
+    for var in reversed(ordering.sequence):
+        if schedule.buckets[var].observed_value is not None:
+            schedule.scatter(var)
+        elif var in diagram.decisions:
+            _reference_maximize_decision(schedule, var)
+        else:
+            _reference_average_out_chance(schedule, var)
+    return schedule
+
+
+def test_meu_bucket_rules_match_the_separate_reference_rules():
+    rng = random.Random(51501)
+    compared = zero_mass = observed_mid = 0
+    for case in range(240):
+        diagram = random_influence_diagram(rng, max_vars=8, max_card=3,
+                                           hard_rows=0.3 if case % 3 == 0 else 0.0)
+        decisions = list(diagram.decisions)
+        rng.shuffle(decisions)
+        evidence = random_evidence(rng, diagram, max_observed=3,
+                                   exclude=diagram.decisions)
+        observed = [v for v, _ in evidence.items()]
+        for ev in (None, evidence):
+            for suffix in ([], observed):
+                # With no pinned suffix the observed variables land anywhere
+                # after the decisions, mid-sequence included.
+                order = shuffled_ordering(rng, diagram.n, prefix=decisions,
+                                          suffix=suffix)
+                if ev is not None and observed:
+                    first = min(order.index_of(v) for v in observed)
+                    observed_mid += any(v not in evidence
+                                        for v in order.sequence[first:])
+                ref = _reference_meu_sweep(diagram, ev, order)
+                if ref.scalar == 0.0:
+                    with pytest.raises(ZeroMassError):
+                        solve_meu(diagram, ev, order)
+                    zero_mass += 1
+                    continue
+                result = solve_meu(diagram, ev, order)
+                assert result.trace == tuple(ref.trace)
+                assert result.value == ref.util_scalar
+                assert result.assignment == forward_decode(ref, diagram.decisions)
+                assert result.max_table_scope == ref.max_generated_scope
+                compared += 1
+    assert compared >= 800 and zero_mass > 0 and observed_mid >= 80
 
 
 def test_conditioning_with_empty_cutset_is_plain_elimination(diag_net):
