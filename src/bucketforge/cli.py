@@ -100,29 +100,37 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _parse_id_list(spec: str, names) -> list[int]:
+def _parse_id_list(spec: str, n: int, names=(), base: int = 0) -> list[int]:
+    """The one id rule for ``--hyp``, ``--cutset`` and ``given:`` lists.
+
+    Each comma-separated token is a variable name or an integer in
+    ``base .. base + n - 1``; the ids are returned 0-based.
+    """
+    index = {name: i for i, name in enumerate(names)}
     out = []
     for tok in spec.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        if tok in names:
-            out.append(names.index(tok))
-            continue
         try:
-            out.append(int(tok))
+            v = index[tok] if tok in index else int(tok) - base
         except ValueError:
+            v = -1
+        if not 0 <= v < n:
             raise _UsageError(f"not a variable id or name: {tok!r}")
+        out.append(v)
     if not out:
         raise _UsageError(f"empty id list {spec!r}")
     return out
 
 
-def _resolve_ordering(spec, model, graph, prefix=(), observed=()):
+def _resolve_ordering(spec, n, graph, names=(), base=0, prefix=(), observed=()):
     """Ordering from a file, a heuristic name, or an inline given: list.
 
-    A heuristic ordering pins ``prefix`` first and the ``observed``
-    variables outside it last (``graph.observed_suffix``).
+    Ids in a file or a list count from ``base`` (1 for DIMACS propositions);
+    the ordering holds them 0-based.  A heuristic ordering pins ``prefix``
+    first and the ``observed`` variables outside it last
+    (``graph.observed_suffix``).
     """
     if spec is None:
         spec = "min-fill"
@@ -130,27 +138,20 @@ def _resolve_ordering(spec, model, graph, prefix=(), observed=()):
         return constrained_order(graph, HEURISTICS[spec], prefix=prefix,
                                  suffix=observed_suffix(observed, prefix))
     if spec.startswith("given:"):
-        names = [v.name for v in model.variables]
-        return Ordering(tuple(_parse_id_list(spec[len("given:"):], names)))
-    return Ordering.parse(_read(spec), model.n)
-
-
-def _resolve_cnf_ordering(spec, theory):
-    g = interaction_graph(theory)
-    if spec is None:
-        spec = "min-fill"
-    if spec in HEURISTICS:
-        return order_heuristic(g, HEURISTICS[spec])
-    if spec.startswith("given:"):
-        props = _parse_id_list(spec[len("given:"):], [])
-        return Ordering(tuple(p - 1 for p in props))
-    return Ordering.parse(_read(spec), theory.num_props, base=1)
+        return Ordering(tuple(_parse_id_list(spec[len("given:"):], n, names, base)))
+    return Ordering.parse(_read(spec), n, base=base)
 
 
 def _load_evidence(args, model):
     if not args.evidence:
         return None
     return parse_evidence(_read(args.evidence), model)
+
+
+def _load(args, path: str, kind: str):
+    """A network command's model and its evidence (None without --evidence)."""
+    model = parse_network(_read(path), kind=kind, strict=not args.lax)
+    return model, _load_evidence(args, model)
 
 
 def _observed(evidence) -> list[int]:
@@ -181,8 +182,14 @@ class _Output:
                 print(line)
 
 
-def _assignment_text(assignment: dict[int, int], offset: int = 0) -> str:
-    return " ".join(f"{v + offset}={val}" for v, val in sorted(assignment.items()))
+def _put_choice(out: _Output, prefix: str, value, assignment) -> None:
+    """The value and assignment lines of an engine or ``--oracle`` answer."""
+    if value is not None:
+        out.put(prefix + "value", fmt(value), _jnum(value))
+    if assignment is not None:
+        out.put(prefix + "assignment",
+                " ".join(f"{v}={val}" for v, val in sorted(assignment.items())),
+                {str(v): val for v, val in sorted(assignment.items())})
 
 
 def _emit_trace(out: _Output, result) -> None:
@@ -202,11 +209,7 @@ def _emit_trace(out: _Output, result) -> None:
 def _emit_common(out: _Output, result, args) -> None:
     if args.trace:
         _emit_trace(out, result)
-    if result.value is not None:
-        out.put("value", fmt(result.value), _jnum(result.value))
-    if result.assignment is not None:
-        out.put("assignment", _assignment_text(result.assignment),
-                {str(v): val for v, val in sorted(result.assignment.items())})
+    _put_choice(out, "", result.value, result.assignment)
     if result.belief is not None:
         out.put("belief", " ".join(fmt(p) for p in result.belief),
                 [_jnum(p) for p in result.belief])
@@ -217,9 +220,8 @@ def _emit_common(out: _Output, result, args) -> None:
 
 
 def _run_bel(args) -> int:
-    net = parse_network(_read(args.network), kind="bayes", strict=not args.lax)
-    evidence = _load_evidence(args, net)
-    ordering = _resolve_ordering(args.order, net, moral_graph(net),
+    net, evidence = _load(args, args.network, "bayes")
+    ordering = _resolve_ordering(args.order, net.n, moral_graph(net), net.names,
                                  prefix=[args.query], observed=_observed(evidence))
     result = engines.solve_belief(net, args.query, evidence, ordering)
     out = _Output(args.json)
@@ -234,75 +236,61 @@ def _run_bel(args) -> int:
 
 
 def _run_mpe(args) -> int:
-    net = parse_network(_read(args.network), kind="bayes", strict=not args.lax)
-    evidence = _load_evidence(args, net)
-    ordering = _resolve_ordering(args.order, net, moral_graph(net),
+    net, evidence = _load(args, args.network, "bayes")
+    ordering = _resolve_ordering(args.order, net.n, moral_graph(net), net.names,
                                  observed=_observed(evidence))
     result = engines.solve_mpe(net, evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
     if args.oracle:
-        value, assignment = oracle.oracle_mpe(net, evidence, list(ordering))
-        out.put("oracle_value", fmt(value), _jnum(value))
-        out.put("oracle_assignment", _assignment_text(assignment),
-                {str(v): val for v, val in sorted(assignment.items())})
+        _put_choice(out, "oracle_", *oracle.oracle_mpe(net, evidence, list(ordering)))
     out.flush()
     return 3 if result.note else 0
 
 
 def _run_map(args) -> int:
-    net = parse_network(_read(args.network), kind="bayes", strict=not args.lax)
-    hyp = _parse_id_list(args.hyp, list(net.names))
-    evidence = _load_evidence(args, net)
-    ordering = _resolve_ordering(args.order, net, moral_graph(net), prefix=hyp,
-                                 observed=_observed(evidence))
+    net, evidence = _load(args, args.network, "bayes")
+    hyp = _parse_id_list(args.hyp, net.n, net.names)
+    ordering = _resolve_ordering(args.order, net.n, moral_graph(net), net.names,
+                                 prefix=hyp, observed=_observed(evidence))
     result = engines.solve_map(net, hyp, evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
     if args.oracle:
-        value, assignment = oracle.oracle_map(net, hyp, evidence)
-        out.put("oracle_value", fmt(value), _jnum(value))
-        out.put("oracle_assignment", _assignment_text(assignment),
-                {str(v): val for v, val in sorted(assignment.items())})
+        _put_choice(out, "oracle_", *oracle.oracle_map(net, hyp, evidence))
     out.flush()
     return 0
 
 
 def _run_meu(args) -> int:
-    diagram = parse_network(_read(args.diagram), kind="id", strict=not args.lax)
-    evidence = _load_evidence(args, diagram)
-    dset = set(diagram.decisions)
-    ordering = _resolve_ordering(args.order, diagram, augmented_graph(diagram),
-                                 prefix=list(diagram.decisions),
+    diagram, evidence = _load(args, args.diagram, "id")
+    ordering = _resolve_ordering(args.order, diagram.n, augmented_graph(diagram),
+                                 diagram.names, prefix=list(diagram.decisions),
                                  observed=_observed(evidence))
     result = engines.solve_meu(diagram, evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
     if args.oracle:
-        value, assignment = oracle.oracle_meu(diagram, evidence,
-                                              [v for v in ordering
-                                               if v in dset])
-        out.put("oracle_value", fmt(value), _jnum(value))
-        out.put("oracle_assignment", _assignment_text(assignment),
-                {str(v): val for v, val in sorted(assignment.items())})
+        dset = set(diagram.decisions)
+        _put_choice(out, "oracle_", *oracle.oracle_meu(
+            diagram, evidence, [v for v in ordering if v in dset]))
     out.flush()
     return 0
 
 
 def _run_cond_mpe(args) -> int:
-    net = parse_network(_read(args.network), kind="bayes", strict=not args.lax)
-    evidence = _load_evidence(args, net)
+    net, evidence = _load(args, args.network, "bayes")
     observed = _observed(evidence)
     graph = moral_graph(net)
     if args.cutset is not None:
-        cut = sorted(set(_parse_id_list(args.cutset, list(net.names))))
+        cut = sorted(set(_parse_id_list(args.cutset, net.n, net.names)))
     else:
         if args.wbound < 0:
             raise _UsageError("--wbound must be >= 0")
         cut = sorted(cutset_heuristic(graph.without(observed), args.wbound))
     if args.parallel < 1:
         raise _UsageError("--parallel must be >= 1")
-    ordering = _resolve_ordering(args.order, net, graph,
+    ordering = _resolve_ordering(args.order, net.n, graph, net.names,
                                  observed=sorted(set(cut) | set(observed)))
     result = engines.solve_mpe_conditioned(net, cut, evidence, ordering,
                                            parallel=args.parallel)
@@ -311,10 +299,7 @@ def _run_cond_mpe(args) -> int:
     out.put("iterations", str(len(result.iterations)), len(result.iterations))
     _emit_common(out, result, args)
     if args.oracle:
-        value, assignment = oracle.oracle_mpe(net, evidence, list(ordering))
-        out.put("oracle_value", fmt(value), _jnum(value))
-        out.put("oracle_assignment", _assignment_text(assignment),
-                {str(v): val for v, val in sorted(assignment.items())})
+        _put_choice(out, "oracle_", *oracle.oracle_mpe(net, evidence, list(ordering)))
     out.flush()
     return 3 if result.note else 0
 
@@ -325,7 +310,8 @@ def _run_dr(args) -> int:
         units = parse_cnf_evidence(_read(args.evidence), theory.num_props)
         theory = CnfTheory(theory.num_props,
                            theory.clauses + tuple(frozenset({lit}) for lit in units))
-    ordering = _resolve_cnf_ordering(args.order, theory)
+    ordering = _resolve_ordering(args.order, theory.num_props,
+                                 interaction_graph(theory), base=1)
     extension = directional_resolution(theory, ordering)
     if not extension.satisfiable:
         if args.json:
@@ -346,8 +332,8 @@ def _run_dr(args) -> int:
             {str(p): int(val) for p, val in sorted(model.items())})
     out.put("clauses", str(extension.clause_count()), extension.clause_count())
     if args.oracle:
-        out.put("oracle_sat", str(int(oracle.oracle_sat(theory))),
-                int(oracle.oracle_sat(theory)))
+        sat = int(oracle.oracle_sat(theory))
+        out.put("oracle_sat", str(sat), sat)
     out.flush()
     if args.extension:
         with open(args.extension, "w", encoding="utf-8") as fh:
@@ -367,36 +353,29 @@ def _stats_block(out: _Output, label: str, g, order, offset: int = 0) -> None:
 
 def _run_stats(args) -> int:
     text = _read(args.path)
-    head = text.split(None, 1)[0] if text.split() else ""
     out = _Output(args.json)
-    cnf = head not in ("BAYES", "ID")
-    if not cnf:
+    if (text.split(None, 1) or [""])[0] in ("BAYES", "ID"):
         model = parse_network(text, strict=not args.lax)
-        removed = _observed(_load_evidence(args, model))
-        g = (augmented_graph(model) if isinstance(model, InfluenceDiagram)
-             else moral_graph(model))
-        g = g.without(removed)
-        out.put("kind", "id" if isinstance(model, InfluenceDiagram) else "bayes")
+        kind = "id" if isinstance(model, InfluenceDiagram) else "bayes"
+        g = augmented_graph(model) if kind == "id" else moral_graph(model)
+        g = g.without(_observed(_load_evidence(args, model)))
+        out.put("kind", kind)
         out.put("variables", str(model.n), model.n)
+        n, names, base = model.n, model.names, 0
     else:
         theory = parse_cnf(text)
         g = interaction_graph(theory)
         out.put("kind", "cnf")
         out.put("propositions", str(theory.num_props), theory.num_props)
-    offset = 1 if cnf else 0  # propositions print 1-based
-    if args.order in (None, "min-fill", "min-degree"):
-        for kind in [args.order] if args.order else ["min-degree", "min-fill"]:
-            _stats_block(out, kind, g, order_heuristic(g, HEURISTICS[kind]), offset)
+        n, names, base = theory.num_props, (), 1  # propositions print 1-based
+    if args.order is None:
+        for spec in ("min-degree", "min-fill"):
+            _stats_block(out, spec, g, order_heuristic(g, HEURISTICS[spec]), base)
     else:
-        label = "given" if args.order.startswith("given:") else "file"
-        if cnf:
-            order = _resolve_cnf_ordering(args.order, theory)
-        elif label == "given":
-            names = [v.name for v in model.variables]
-            order = _parse_id_list(args.order[len("given:"):], names)
-        else:
-            order = Ordering.parse(_read(args.order), model.n)
-        _stats_block(out, label, g, order, offset)
+        label = (args.order if args.order in HEURISTICS else
+                 "given" if args.order.startswith("given:") else "file")
+        _stats_block(out, label, g,
+                     _resolve_ordering(args.order, n, g, names, base), base)
     out.flush()
     return 0
 

@@ -179,6 +179,10 @@ class InfluenceDiagram:
     def variables(self) -> tuple[Variable, ...]:
         return self.network.variables
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.network.names
+
     def chance(self) -> tuple[int, ...]:
         dset = set(self.decisions)
         return tuple(i for i in range(self.n) if i not in dset)

@@ -1,12 +1,7 @@
-"""Seeded fixture generators for tests and the acceptance sweeps.
-
-The BUCKETFORGE_SEED environment variable, when set, overrides any seed
-passed in, so a whole run can be repointed without touching code.
-"""
+"""Seeded fixture generators for tests and the acceptance sweeps."""
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Sequence
 
@@ -15,11 +10,6 @@ import numpy as np
 from .factor import DiscreteFactor
 from .graph import Ordering
 from .model import BeliefNetwork, CnfTheory, Evidence, InfluenceDiagram, Variable
-
-
-def resolve_seed(seed: int) -> int:
-    env = os.environ.get("BUCKETFORGE_SEED")
-    return int(env) if env else seed
 
 
 def _random_cpt(rng: random.Random, scope: Sequence[int], cards: Sequence[int],

@@ -62,9 +62,14 @@ def directional_resolution(theory: CnfTheory, ordering: Ordering) -> Directional
 
     On an unsatisfiable theory the returned extension is empty.
     """
-    if len(ordering) != theory.num_props:
-        raise ValueError(f"ordering covers {len(ordering)} propositions, "
-                         f"theory has {theory.num_props}")
+    n = theory.num_props
+    if len(ordering) != n:
+        raise ValueError(f"ordering covers {len(ordering)} propositions, theory has {n}")
+    # Ordering ids are distinct and non-negative, so n of them below n list
+    # each proposition exactly once.
+    outside = [v + 1 for v in ordering if v >= n]
+    if outside:
+        raise ValueError(f"ordering names propositions {outside} outside 1..{n}")
     unsat = DirectionalExtension(ordering, theory.num_props, {}, False)
     if any(not clause for clause in theory.clauses):
         return unsat

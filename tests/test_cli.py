@@ -12,6 +12,7 @@ import pytest
 import bucketforge
 from bucketforge.cli import run
 from bucketforge.model import parse_cnf
+from bucketforge.oracle import oracle_sat
 
 from conftest import DIAG_TEXT
 
@@ -220,6 +221,44 @@ def test_stats_given_order_with_a_repeated_node_is_a_usage_error(tmp_path, capsy
     net = write(tmp_path, "chain.net", CHAIN_TEXT)
     assert run(["stats", net, "--order", "given:0,0,1,2"]) == 1
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["dr", "theory.cnf", "--order", "given:1,2,5"], 1, "'5'"),
+    (["dr", "theory.cnf", "--order", "given:0,1,2"], 1, "'0'"),
+    (["stats", "chain.net", "--order", "given:0,1,2,99"], 1, "'99'"),
+    (["stats", "chain.net", "--order", "given:0,-1,1,2"], 1, "'-1'"),
+    (["stats", "theory.cnf", "--order", "given:3,2,1,4"], 1, "'4'"),
+    (["map", "chain.net", "--hyp", "0,5"], 1, "'5'"),
+    (["cond-mpe", "chain.net", "--cutset", "3"], 1, "'3'"),
+    (["stats", "chain.net", "--order", "given:0,2", "--evidence", "obs.ev"], 0, None),
+], ids=["dr-high", "dr-zero", "stats-net", "stats-negative", "stats-cnf", "map-hyp",
+        "cond-mpe-cutset", "stats-observed-left-out"])
+def test_given_and_id_lists_follow_one_id_rule(tmp_path, capsys, argv, code, err):
+    write(tmp_path, "chain.net", CHAIN_TEXT)
+    write(tmp_path, "theory.cnf", SAT_CNF)
+    write(tmp_path, "obs.ev", "1 1 0\n")
+    assert run([str(tmp_path / a) if "." in a else a for a in argv]) == code
+    captured = capsys.readouterr()
+    if err is None:
+        assert captured.err == ""
+        assert "sequence=0 2" in captured.out.splitlines()
+    else:
+        assert captured.out == ""
+        assert captured.err == f"error: not a variable id or name: {err}\n"
+
+
+def test_dr_oracle_builds_the_truth_table_once(tmp_path, capsys, monkeypatch):
+    cnf = write(tmp_path, "theory.cnf", SAT_CNF)
+    calls = []
+
+    def counted(theory):
+        calls.append(theory)
+        return oracle_sat(theory)
+    monkeypatch.setattr(bucketforge.oracle, "oracle_sat", counted)
+    assert run(["dr", cnf, "--oracle"]) == 0
+    assert "oracle_sat=1" in lines_of(capsys)
+    assert len(calls) == 1
 
 
 def test_impossible_evidence_exit_codes(tmp_path, capsys):

@@ -323,6 +323,9 @@ def test_constrained_order_orders_the_free_region_without_the_suffix(kind):
         prefix, suffix = pinned[:cut], pinned[cut:]
         got = constrained_order(g, kind, prefix=prefix, suffix=suffix).sequence
         assert got == (*ref_greedy(g.without(suffix), kind, prefix), *suffix)
+        # With no pinned ends it is the plain heuristic, as `dr` relies on.
+        assert (constrained_order(g, kind).sequence
+                == order_heuristic(g, kind).sequence)
 
 
 def test_unknown_heuristic_is_rejected():

@@ -85,9 +85,12 @@ def test_empty_theory_generates_the_all_false_model():
 
 
 def test_ordering_must_cover_every_proposition():
-    theory = CnfTheory(3, clauses({1, 2}))
+    theory = CnfTheory(3, clauses({1, 2}, {-2, 3}))
     with pytest.raises(ValueError):
         directional_resolution(theory, Ordering((0, 1)))
+    # Right length, but proposition 3 is missing and 5 is not in the theory.
+    with pytest.raises(ValueError, match=r"propositions \[5\] outside 1..3"):
+        directional_resolution(theory, Ordering((0, 1, 4)))
 
 
 def test_extension_buckets_key_by_highest_position():
