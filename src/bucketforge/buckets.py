@@ -55,13 +55,11 @@ class BucketSchedule:
     def __init__(self, ordering: Ordering, evidence: Evidence | None = None):
         self.ordering = ordering
         self.buckets: dict[int, Bucket] = {v: Bucket(v) for v in ordering}
-        self.evidence: dict[int, int] = {}
         if evidence is not None:
             for var, val in evidence.items():
                 if var not in self.buckets:
                     raise EvidenceError(f"unknown variable {var}")
                 self.buckets[var].observed_value = val
-                self.evidence[var] = val
         self.scalar = 1.0       # product of empty-scope probability results
         self.util_scalar = 0.0  # sum of empty-scope utility results
         self.trace: list[TraceEntry] = []
@@ -195,7 +193,7 @@ def _decide(bucket: Bucket) -> tuple[Outputs, ArgTable]:
     theta_out = DiscreteFactor._trusted(out_scope, out_cards, best)
     support_out = DiscreteFactor._trusted(out_scope, out_cards,
                                           support.astype(np.float64))
-    table = ArgTable._trusted(var, cards[axis], out_scope, out_cards, choices)
+    table = ArgTable._trusted(var, out_scope, out_cards, choices)
     return [(theta_out, True), (support_out, False)], table
 
 

@@ -59,7 +59,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bel", help="posterior belief for one variable")
     p.add_argument("network")
-    p.add_argument("--query", type=int, required=True, metavar="VAR")
+    p.add_argument("--query", required=True, metavar="VAR")
     common(p)
 
     p = sub.add_parser("mpe", help="most probable complete assignment")
@@ -154,6 +154,16 @@ def _load(args, path: str, kind: str):
     return model, _load_evidence(args, model)
 
 
+def _load_cnf(args, text: str) -> CnfTheory:
+    """A DIMACS theory plus one unit clause per ``--evidence`` observation."""
+    theory = parse_cnf(text)
+    if not args.evidence:
+        return theory
+    units = parse_cnf_evidence(_read(args.evidence), theory.num_props)
+    return CnfTheory(theory.num_props,
+                     theory.clauses + tuple(frozenset({lit}) for lit in units))
+
+
 def _observed(evidence) -> list[int]:
     return [] if evidence is None else [v for v, _ in evidence.items()]
 
@@ -221,13 +231,16 @@ def _emit_common(out: _Output, result, args) -> None:
 
 def _run_bel(args) -> int:
     net, evidence = _load(args, args.network, "bayes")
+    query = _parse_id_list(args.query, net.n, net.names)
+    if len(query) != 1:
+        raise _UsageError(f"--query takes one variable, got {args.query!r}")
     ordering = _resolve_ordering(args.order, net.n, moral_graph(net), net.names,
-                                 prefix=[args.query], observed=_observed(evidence))
-    result = engines.solve_belief(net, args.query, evidence, ordering)
+                                 prefix=query, observed=_observed(evidence))
+    result = engines.solve_belief(net, query[0], evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
     if args.oracle:
-        belief, mass = oracle.oracle_belief(net, args.query, evidence)
+        belief, mass = oracle.oracle_belief(net, query[0], evidence)
         out.put("oracle_belief", " ".join(fmt(p) for p in belief),
                 [_jnum(p) for p in belief])
         out.put("oracle_evidence_mass", fmt(mass), _jnum(mass))
@@ -305,11 +318,7 @@ def _run_cond_mpe(args) -> int:
 
 
 def _run_dr(args) -> int:
-    theory = parse_cnf(_read(args.cnf))
-    if args.evidence:
-        units = parse_cnf_evidence(_read(args.evidence), theory.num_props)
-        theory = CnfTheory(theory.num_props,
-                           theory.clauses + tuple(frozenset({lit}) for lit in units))
+    theory = _load_cnf(args, _read(args.cnf))
     ordering = _resolve_ordering(args.order, theory.num_props,
                                  interaction_graph(theory), base=1)
     extension = directional_resolution(theory, ordering)
@@ -363,7 +372,7 @@ def _run_stats(args) -> int:
         out.put("variables", str(model.n), model.n)
         n, names, base = model.n, model.names, 0
     else:
-        theory = parse_cnf(text)
+        theory = _load_cnf(args, text)
         g = interaction_graph(theory)
         out.put("kind", "cnf")
         out.put("propositions", str(theory.num_props), theory.num_props)

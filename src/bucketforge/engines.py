@@ -167,7 +167,7 @@ def solve_map(net: BeliefNetwork, hypothesis: Sequence[int],
         schedule.process(var, "max" if var in hset else "sum")
     value = schedule.scalar
     assignment = forward_decode(schedule, hyp)
-    overlap = sorted(hset & set(schedule.evidence))
+    overlap = [v for v in sorted(hset) if v in evidence]
     note = f"evidence overrides hypothesis variables {overlap}" if overlap else None
     return QueryResult(kind="map", value=value, assignment=assignment, note=note,
                        trace=tuple(schedule.trace),

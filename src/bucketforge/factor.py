@@ -144,7 +144,7 @@ class DiscreteFactor:
             return DiscreteFactor._trusted(rest, cards, fold_sum(self.values, axis)), None
         if op == "max":
             reduced, choices = fold_max(self.values, axis)
-            table = ArgTable._trusted(var, self.cards[axis], rest, cards, choices)
+            table = ArgTable._trusted(var, rest, cards, choices)
             return DiscreteFactor._trusted(rest, cards, reduced), table
         raise ValueError(f"unknown elimination operator {op!r}")
 
@@ -163,7 +163,6 @@ class ArgTable:
     """Maximizing value of one eliminated variable, per remaining cell."""
 
     variable: int
-    variable_card: int
     scope: tuple[int, ...]
     cards: tuple[int, ...]
     choices: np.ndarray
@@ -174,11 +173,10 @@ class ArgTable:
         object.__setattr__(self, "choices", choices)
 
     @classmethod
-    def _trusted(cls, variable: int, variable_card: int, scope: tuple[int, ...],
-                 cards: tuple[int, ...], choices: np.ndarray) -> "ArgTable":
+    def _trusted(cls, variable: int, scope: tuple[int, ...], cards: tuple[int, ...],
+                 choices: np.ndarray) -> "ArgTable":
         """Wrap a fresh int64 choice array of shape ``cards`` without copying."""
-        return _frozen(cls, variable=variable, variable_card=variable_card,
-                       scope=scope, cards=cards, choices=choices)
+        return _frozen(cls, variable=variable, scope=scope, cards=cards, choices=choices)
 
     def choice_at(self, assignment: Mapping[int, int]) -> int:
         return int(self.choices[tuple(assignment[v] for v in self.scope)])

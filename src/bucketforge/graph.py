@@ -41,9 +41,6 @@ class GraphView:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, ())
-
     def edges(self) -> list[tuple[int, int]]:
         return sorted((u, v) for u in self._adj for v in self._adj[u] if u < v)
 
@@ -329,16 +326,17 @@ def cutset_heuristic(g: GraphView, bound: int, kind: str = "min_degree") -> list
 
 # -- graph constructions from models ---------------------------------------------
 
+def _add_clique(g: GraphView, nodes: Sequence[int]) -> None:
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            g.add_edge(a, b)
+
+
 def moral_graph(net) -> GraphView:
     """Undirected family cliques: each child married to and among its parents."""
     g = GraphView(range(net.n))
     for child, parents in enumerate(net.parents):
-        for p in parents:
-            g.add_edge(child, p)
-        for i, a in enumerate(parents):
-            for b in parents[i + 1:]:
-                if not g.has_edge(a, b):
-                    g.add_edge(a, b)
+        _add_clique(g, (child, *parents))
     return g
 
 
@@ -346,11 +344,7 @@ def augmented_graph(diagram) -> GraphView:
     """Moral graph of the diagram plus a clique over each utility scope."""
     g = moral_graph(diagram.network)
     for f in diagram.utilities:
-        scope = f.scope
-        for i, a in enumerate(scope):
-            for b in scope[i + 1:]:
-                if not g.has_edge(a, b):
-                    g.add_edge(a, b)
+        _add_clique(g, f.scope)
     return g
 
 
@@ -358,9 +352,5 @@ def interaction_graph(theory) -> GraphView:
     """One node per proposition, a clique per clause scope (0-based nodes)."""
     g = GraphView(range(theory.num_props))
     for clause in theory.clauses:
-        scope = sorted({abs(l) - 1 for l in clause})
-        for i, a in enumerate(scope):
-            for b in scope[i + 1:]:
-                if not g.has_edge(a, b):
-                    g.add_edge(a, b)
+        _add_clique(g, sorted({abs(l) - 1 for l in clause}))
     return g

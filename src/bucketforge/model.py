@@ -24,7 +24,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class BeliefNetwork:
                     raise ModelError(f"variable {i} has unknown parent {p}")
                 if p == i:
                     raise ModelError(f"variable {i} is its own parent")
-        self._check_acyclic()
         for i, cpt in enumerate(self.cpts):
             if cpt is None:
                 continue
@@ -86,11 +85,10 @@ class BeliefNetwork:
             for v, c in zip(cpt.scope, cpt.cards):
                 if c != self.cards[v]:
                     raise ModelError(f"table for variable {i} disagrees on cardinality of {v}")
-            axis = cpt.scope.index(i)
-            sums = cpt.values.sum(axis=axis)
+            sums = cpt.values.sum(axis=cpt.scope.index(i))
             if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOLERANCE:
-                raise NormalizationError(
-                    f"rows of the table for variable {self.variables[i].name} do not sum to 1")
+                raise NormalizationError(f"rows of the table for variable {i} do not sum to 1")
+        self._check_acyclic()  # after the tables: an off row is named before a cycle
 
     def _check_acyclic(self) -> None:
         n = len(self.variables)
@@ -237,52 +235,76 @@ class CnfTheory:
 
 # -- tokenizer --------------------------------------------------------------------
 
+def _column(line: str, j: int) -> int:
+    """Column (from 1) of the j-th whitespace-separated token of ``line``."""
+    return [m.start() for m in re.finditer(r"\S+", line)][j] + 1
+
+
 class _TokenStream:
+    """The whitespace-separated tokens of one text, split once.
+
+    No positions are kept: ``error`` works out a token's line and column
+    from its index, counting lines as ``str.splitlines`` does.  Every line
+    boundary is whitespace, so no token spans two lines.
+    """
+
     def __init__(self, text: str):
-        self._toks: list[tuple[str, int, int]] = []
-        for ln, line in enumerate(text.splitlines(), start=1):
-            for m in re.finditer(r"\S+", line):
-                self._toks.append((m.group(), ln, m.start() + 1))
+        self._text = text
+        self._toks = text.split()
         self._i = 0
 
-    def at_end(self) -> bool:
-        return self._i >= len(self._toks)
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        """A ParseError at token ``index``, by default the last one read."""
+        index = self._i - 1 if index is None else index
+        for ln, line in enumerate(self._text.splitlines(), start=1):
+            k = len(line.split())
+            if index < k:
+                return ParseError(message, ln, _column(line, index))
+            index -= k
 
-    def next(self, expect: str) -> tuple[str, int, int]:
-        if self.at_end():
+    def next(self, expect: str) -> str:
+        if self._i >= len(self._toks):
             raise ParseError(f"unexpected end of input, expected {expect}")
-        tok = self._toks[self._i]
         self._i += 1
-        return tok
+        return self._toks[self._i - 1]
 
     def next_int(self, expect: str, minimum: int | None = None) -> int:
-        tok, ln, col = self.next(expect)
+        tok = self.next(expect)
         try:
             value = int(tok)
         except ValueError:
-            raise ParseError(f"expected {expect}, found {tok!r}", ln, col)
+            raise self.error(f"expected {expect}, found {tok!r}")
         if minimum is not None and value < minimum:
-            raise ParseError(f"{expect} must be >= {minimum}, found {value}", ln, col)
+            raise self.error(f"{expect} must be >= {minimum}, found {value}")
         return value
 
-    def next_float(self, expect: str) -> float:
-        tok, ln, col = self.next(expect)
+    def next_table(self, count: int) -> np.ndarray:
+        """The next ``count`` tokens as finite floats, read as one slice.  Errors
+        come as a token-by-token reader meets them: bad token, end, non-finite."""
+        start = self._i
+        toks = self._toks[start:start + count]
         try:
-            return float(tok)
+            values = np.fromiter(map(float, toks), dtype=np.float64, count=len(toks))
         except ValueError:
-            raise ParseError(f"expected {expect}, found {tok!r}", ln, col)
+            for j, tok in enumerate(toks):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise self.error(f"expected table entry, found {tok!r}", start + j)
+        if len(toks) < count:
+            raise ParseError("unexpected end of input, expected table entry")
+        if not np.isfinite(values).all():
+            j = int(np.argmin(np.isfinite(values)))
+            raise self.error(f"table entry must be finite, found {toks[j]!r}", start + j)
+        self._i += count
+        return values
 
     def expect_end(self) -> None:
-        if not self.at_end():
-            tok, ln, col = self._toks[self._i]
-            raise ParseError(f"unexpected trailing token {tok!r}", ln, col)
+        if self._i < len(self._toks):
+            raise self.error(f"unexpected trailing token {self._toks[self._i]!r}", self._i)
 
 
 # -- network parsing ----------------------------------------------------------------
-
-def _default_variables(cards: Sequence[int]) -> tuple[Variable, ...]:
-    return tuple(Variable(i, f"X{i}", c) for i, c in enumerate(cards))
-
 
 def _read_scope(ts: _TokenStream, n: int, what: str, minimum: int = 1) -> list[int]:
     k = ts.next_int(f"{what} scope size", minimum=minimum)
@@ -304,23 +326,22 @@ def _read_table(ts: _TokenStream, scope: Sequence[int], cards: Sequence[int]) ->
     if count != expected:
         raise ParseError(f"table over scope {list(scope)} needs {expected} entries, "
                          f"file declares {count}")
-    values = [ts.next_float("table entry") for _ in range(count)]
-    return np.asarray(values, dtype=np.float64).reshape(shape)
+    return ts.next_table(count).reshape(shape)
 
 
 def parse_network(text: str, kind: str | None = None, strict: bool = True):
     """Parse ``BAYES``/``ID`` text into a BeliefNetwork or InfluenceDiagram.
 
-    Under ``strict`` (the default) a conditional-table row that does not sum
-    to one is an error; otherwise rows are renormalized with a warning.
+    Under ``strict`` (the default) BeliefNetwork rejects a table row that does
+    not sum to one; otherwise rows are renormalized with a warning.
     """
     ts = _TokenStream(text)
-    tok, ln, col = ts.next("model header")
+    tok = ts.next("model header")
     if tok not in ("BAYES", "ID"):
-        raise ParseError(f"unknown model header {tok!r}", ln, col)
+        raise ts.error(f"unknown model header {tok!r}")
     header = "bayes" if tok == "BAYES" else "id"
     if kind is not None and kind != header:
-        raise ParseError(f"expected a {kind.upper()} model, found {tok}", ln, col)
+        raise ts.error(f"expected a {kind.upper()} model, found {tok}")
     n = ts.next_int("variable count", minimum=1)
     cards = [ts.next_int("cardinality", minimum=1) for _ in range(n)]
 
@@ -362,17 +383,15 @@ def parse_network(text: str, kind: str | None = None, strict: bool = True):
     for ids in scopes:
         child = ids[-1]
         raw = _read_table(ts, ids, cards)
-        row_sums = raw.sum(axis=-1)  # the child is the fastest-running axis
-        if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOLERANCE:
-            if strict:
-                raise NormalizationError(
-                    f"rows of the table for variable {child} do not sum to 1")
-            if np.any(row_sums == 0.0):
-                raise NormalizationError(
-                    f"table for variable {child} has an all-zero row")
-            raw = raw / row_sums[..., np.newaxis]
-            warnings.warn(f"renormalized conditional table of variable {child}",
-                          stacklevel=2)
+        if not strict:  # BeliefNetwork makes the strict check
+            row_sums = raw.sum(axis=-1)  # the child is the fastest-running axis
+            if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOLERANCE:
+                if np.any(row_sums == 0.0):
+                    raise NormalizationError(
+                        f"table for variable {child} has an all-zero row")
+                raw = raw / row_sums[..., np.newaxis]
+                warnings.warn(f"renormalized conditional table of variable {child}",
+                              stacklevel=2)
         parents[child] = tuple(sorted(ids[:-1]))
         cpts[child] = DiscreteFactor.from_table(ids, [cards[v] for v in ids], raw)
 
@@ -385,93 +404,74 @@ def parse_network(text: str, kind: str | None = None, strict: bool = True):
             utilities.append(DiscreteFactor.from_table(ids, [cards[v] for v in ids], raw))
     ts.expect_end()
 
-    net = BeliefNetwork(_default_variables(cards), tuple(parents), tuple(cpts))
+    variables = tuple(Variable(i, f"X{i}", c) for i, c in enumerate(cards))
+    net = BeliefNetwork(variables, tuple(parents), tuple(cpts))
     if header == "bayes":
         return net
     return InfluenceDiagram(net, tuple(decisions), tuple(utilities))
 
 
-def _num(x: float) -> str:
-    return repr(float(x))
+def _table_lines(values: np.ndarray) -> list[str]:
+    return [str(values.size), " ".join(repr(float(x)) for x in values.ravel())]
 
 
 def serialize_network(model) -> str:
     """Render a model back into the network format, full precision."""
     diagram = model if isinstance(model, InfluenceDiagram) else None
     net = diagram.network if diagram else model
-    out = ["ID" if diagram else "BAYES", str(net.n),
-           " ".join(str(c) for c in net.cards)]
+    out = ["ID" if diagram else "BAYES", str(net.n), " ".join(str(c) for c in net.cards)]
     if diagram:
-        out.append(" ".join([str(len(diagram.decisions)),
-                             *[str(d) for d in diagram.decisions]]).strip())
+        out.append(" ".join(str(t) for t in [len(diagram.decisions), *diagram.decisions]))
     children = [i for i in range(net.n) if net.cpts[i] is not None]
+    file_scopes = [[*net.parents[i], i] for i in children]
     out.append(str(len(children)))
-    for child in children:
-        file_scope = [*net.parents[child], child]
-        out.append(" ".join(str(t) for t in [len(file_scope), *file_scope]))
-    for child in children:
+    out += [" ".join(str(t) for t in [len(fs), *fs]) for fs in file_scopes]
+    for child, fs in zip(children, file_scopes):
         cpt = net.cpts[child]
-        file_scope = [*net.parents[child], child]
-        axes = tuple(cpt.scope.index(v) for v in file_scope)
-        table = cpt.values.transpose(axes)
-        out.append(str(table.size))
-        out.append(" ".join(_num(x) for x in table.ravel()))
+        out += _table_lines(cpt.values.transpose([cpt.scope.index(v) for v in fs]))
     if diagram:
         out.append(str(len(diagram.utilities)))
         for f in diagram.utilities:
             out.append(" ".join(str(t) for t in [len(f.scope), *f.scope]))
-            out.append(str(f.values.size))
-            out.append(" ".join(_num(x) for x in f.values.ravel()))
+            out += _table_lines(f.values)
     return "\n".join(out) + "\n"
 
 
 # -- evidence ------------------------------------------------------------------------
 
-def parse_evidence(text: str, net) -> Evidence:
-    """Parse ``count  var value ...`` pairs and range-check them against a model."""
+def _read_pairs(text: str, noun: str, cards: Sequence[int], base: int) -> dict[int, int]:
+    """``count  id value ...`` pairs in file order, ids counted from ``base``
+    and each value below its variable's cardinality."""
     ts = _TokenStream(text)
     count = ts.next_int("assignment count", minimum=0)
-    assignments: dict[int, int] = {}
+    pairs: dict[int, int] = {}
     for _ in range(count):
-        var = ts.next_int("observed variable")
+        var = ts.next_int(f"observed {noun}")
         val = ts.next_int("observed value")
-        if not 0 <= var < net.n:
-            raise EvidenceError(f"unknown variable {var}")
-        if not 0 <= val < net.cards[var]:
-            raise EvidenceError(f"value {val} out of range for variable {var}")
-        if var in assignments:
-            raise EvidenceError(f"variable {var} observed twice")
-        assignments[var] = val
+        if not base <= var < base + len(cards):
+            raise EvidenceError(f"unknown {noun} {var}")
+        if not 0 <= val < cards[var - base]:
+            raise EvidenceError(f"value {val} out of range for {noun} {var}")
+        if var in pairs:
+            raise EvidenceError(f"{noun} {var} observed twice")
+        pairs[var] = val
     ts.expect_end()
-    return Evidence(assignments)
+    return pairs
+
+
+def parse_evidence(text: str, net) -> Evidence:
+    """Parse ``count  var value ...`` pairs and range-check them against a model."""
+    return Evidence(_read_pairs(text, "variable", net.cards, 0))
 
 
 def serialize_evidence(ev: Evidence) -> str:
-    parts = [str(len(ev))]
-    for var, val in ev.items():
-        parts.append(f"{var} {val}")
-    return " ".join(parts) + "\n"
+    return " ".join([str(len(ev)), *(f"{var} {val}" for var, val in ev.items())]) + "\n"
 
 
 def parse_cnf_evidence(text: str, num_props: int) -> list[int]:
     """Observed propositions as unit literals (1-based, sign = truth value)."""
-    ts = _TokenStream(text)
-    count = ts.next_int("assignment count", minimum=0)
-    literals: list[int] = []
-    seen: set[int] = set()
-    for _ in range(count):
-        var = ts.next_int("observed proposition")
-        val = ts.next_int("observed value")
-        if not 1 <= var <= num_props:
-            raise EvidenceError(f"unknown proposition {var}")
-        if val not in (0, 1):
-            raise EvidenceError(f"value {val} out of range for proposition {var}")
-        if var in seen:
-            raise EvidenceError(f"proposition {var} observed twice")
-        seen.add(var)
-        literals.append(var if val else -var)
-    ts.expect_end()
-    return literals
+    pairs = _read_pairs(text, "proposition", (2,) * num_props, 1)
+    return [var if val else -var for var, val in pairs.items()]
 
 
 # -- DIMACS --------------------------------------------------------------------------
@@ -492,7 +492,8 @@ def parse_cnf(text: str) -> CnfTheory:
             return
         clauses.append(clause)
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for ln, raw in enumerate(lines, start=1):
         s = raw.strip()
         if not s or s[0] in ("c", "%"):
             continue
@@ -511,21 +512,20 @@ def parse_cnf(text: str) -> CnfTheory:
             continue
         if num_props is None:
             raise ParseError("clause data before the DIMACS header", ln, 1)
-        for m in re.finditer(r"\S+", s):
+        for j, tok in enumerate(s.split()):  # columns count from the first non-blank
             try:
-                lit = int(m.group())
+                lit = int(tok)
             except ValueError:
-                raise ParseError(f"expected a literal, found {m.group()!r}",
-                                 ln, m.start() + 1)
+                raise ParseError(f"expected a literal, found {tok!r}", ln, _column(s, j))
             if lit == 0:
                 flush(ln)
             else:
                 if abs(lit) > num_props:
-                    raise ParseError(f"literal {lit} out of range", ln, m.start() + 1)
+                    raise ParseError(f"literal {lit} out of range", ln, _column(s, j))
                 pending.append(lit)
     if num_props is None:
         raise ParseError("missing DIMACS header")
-    flush(len(text.splitlines()))
+    flush(len(lines))
     return CnfTheory(num_props, tuple(clauses))
 
 

@@ -472,3 +472,44 @@ def test_console_script_is_installed(tmp_path):
 def test_installed_console_script_runs(tmp_path):
     net = write(tmp_path, "chain.net", CHAIN_TEXT)
     _assert_cli_process([shutil.which("bucketforge")], net, None, tmp_path)
+
+
+def test_non_finite_table_entry_is_an_invalid_input_file(tmp_path, capsys):
+    net = write(tmp_path, "nan.net", CHAIN_TEXT.replace("2 0.7 0.3", "2 nan 0.3"))
+    assert run(["mpe", net]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: table entry must be finite, found 'nan' (line 8, column 3)\n"
+
+
+@pytest.mark.parametrize("order", [None, "min-degree", "given:1,0,2", "chain.ord"])
+def test_bel_query_follows_the_one_id_rule(tmp_path, capsys, order):
+    net = write(tmp_path, "chain.net", CHAIN_TEXT)
+    write(tmp_path, "chain.ord", "1 0 2\n")
+    tail = [] if order is None else ["--order", str(tmp_path / order) if "." in order else order]
+    assert run(["bel", net, "--query", "9", *tail]) == 1
+    assert capsys.readouterr() == ("", "error: not a variable id or name: '9'\n")
+    assert run(["bel", net, "--query", "0,1", *tail]) == 1
+    assert capsys.readouterr().out == ""
+    assert run(["bel", net, "--query", "1", *tail]) == 0
+    by_id = capsys.readouterr().out
+    assert run(["bel", net, "--query", "X1", *tail]) == 0
+    assert capsys.readouterr().out == by_id
+
+
+def test_stats_cnf_reads_evidence_like_dr(tmp_path, capsys):
+    cnf = write(tmp_path, "theory.cnf", SAT_CNF)
+    ev = write(tmp_path, "obs.ev", "1 1 1\n")
+    bad = write(tmp_path, "bad.ev", "1 4 1\n")
+    assert run(["stats", cnf]) == 0
+    plain = capsys.readouterr().out
+    assert run(["stats", cnf, "--evidence", ev]) == 0
+    assert capsys.readouterr().out == plain
+    for path, err in [(str(tmp_path / "missing.ev"), "No such file"),
+                      (bad, "error: unknown proposition 4")]:
+        assert run(["stats", cnf, "--evidence", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert err in captured.err
+        assert run(["dr", cnf, "--evidence", path]) == 2
+        assert err in capsys.readouterr().err

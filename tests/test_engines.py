@@ -337,8 +337,7 @@ def _reference_maximize_decision(schedule, var):
     theta_out = DiscreteFactor._trusted(out_scope, out_cards, best)
     support_out = DiscreteFactor._trusted(out_scope, out_cards,
                                           support.astype(np.float64))
-    bucket.arg_table = ArgTable._trusted(var, cards_map[var], out_scope, out_cards,
-                                         choices)
+    bucket.arg_table = ArgTable._trusted(var, out_scope, out_cards, choices)
     schedule.place(theta_out, utility=True)
     schedule.place(support_out)
     ins = (tuple(f.scope for f in bucket.factors)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import pytest
 
@@ -245,3 +246,109 @@ def test_random_evidence_respects_exclusions():
         assert 0 not in ev
         for var, val in ev.items():
             assert 0 <= val < net.cards[var]
+
+
+ID_TEXT = """ID
+2
+2 2
+1 0
+1
+2 0 1
+4 0.2 0.8 0.9 0.1
+1
+1 1
+2 10.0 inf
+"""
+
+
+@pytest.mark.parametrize("text, strict, token, line, column", [
+    (TWO_NODE.replace("0.4 0.6", "nan 0.6"), True, "nan", 7, 3),
+    (TWO_NODE.replace("0.4 0.6", "0.4 inf"), False, "inf", 7, 7),
+    (ID_TEXT, True, "inf", 10, 8),
+], ids=["cpt-strict", "cpt-lax", "utility"])
+def test_non_finite_table_entries_are_parse_errors(text, strict, token, line, column):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError) as info:
+            parse_network(text, strict=strict)
+    assert str(info.value) == (f"table entry must be finite, found {token!r} "
+                               f"(line {line}, column {column})")
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_an_off_row_is_named_after_the_whole_text_is_read():
+    off = TWO_NODE.replace("0.4 0.6", "0.4 0.7")
+    with pytest.raises(NormalizationError, match="^rows of the table for variable 0 do "):
+        parse_network(off)
+    with pytest.raises(ParseError, match=r"^unexpected trailing token '99' \(line 9, "):
+        parse_network(off + "99\n")
+
+
+# Irregular whitespace for the position tests: separators inside a line,
+# indents, and line ends with the number of line breaks each holds (a form
+# feed ends a line, as str.splitlines counts lines).
+SEPARATORS = [" ", "\t", "   ", " \t "]
+INDENTS = ["", "  ", "\t", " \t"]
+LINE_ENDS = [("\n", 1), ("\r\n", 1), ("\n\n", 2), ("\f", 1), (" \n\t\n", 2)]
+
+
+def _layout(rows, replace=None):
+    """Text of token rows laid out irregularly (token ``replace`` as ``x``),
+    and per token its line, its column, and its column counted from the
+    line's first token."""
+    text, line, places = "", 1, []
+    for r, row in enumerate(rows):
+        start = len(text)
+        indent = INDENTS[r % len(INDENTS)]
+        text += indent
+        for j, tok in enumerate(row):
+            if j:
+                text += SEPARATORS[(r + j) % len(SEPARATORS)]
+            column = len(text) - start + 1
+            places.append((line, column, column - len(indent)))
+            text += "x" if len(places) - 1 == replace else tok
+        end, breaks = LINE_ENDS[r % len(LINE_ENDS)]
+        text += end
+        line += breaks
+    return text, places
+
+
+NETWORK_ROWS = [["ID"], ["3"], ["2", "2", "2"], ["1", "0"], ["2"], ["2", "0", "1"],
+                ["2", "1", "2"], ["4", "0.2", "0.8", "0.9", "0.1"],
+                ["4", "0.7", "0.3", "0.4", "0.6"], ["1"], ["2", "0", "2"],
+                ["4", "1.0", "-2.5", "0", "3e1"]]
+EVIDENCE_ROWS = [["4"], ["1", "1"], ["2", "0"], ["4", "1"], ["3", "0"]]
+DIMACS_ROWS = [["c", "a", "comment"], ["p", "cnf", "3", "2"], ["1", "-2", "0"],
+               ["2", "3"], ["0"]]
+
+
+def _assert_each_token_is_located(rows, parse, first_data_token=0, from_line_start=True):
+    text, places = _layout(rows)
+    parse(text)  # the unmutated text is valid
+    assert "\f" in text and "\r\n" in text and "\t" in text and "\n\n" in text
+    for k in range(first_data_token, len(places)):
+        mutated, _ = _layout(rows, replace=k)
+        with pytest.raises(ParseError) as info:
+            parse(mutated)
+        line, column, in_line = places[k]
+        expected = (line, column if from_line_start else in_line)
+        assert (info.value.line, info.value.column) == expected, (k, mutated)
+        assert str(info.value).endswith(f"(line {expected[0]}, column {expected[1]})")
+
+
+def test_network_errors_carry_each_tokens_position():
+    _assert_each_token_is_located(NETWORK_ROWS, parse_network)
+
+
+def test_evidence_errors_carry_each_tokens_position():
+    net = parse_network("BAYES 5 2 2 2 2 2 5 1 0 1 1 1 2 1 3 1 4"
+                        + " 2 0.5 0.5" * 5)
+    _assert_each_token_is_located(EVIDENCE_ROWS, lambda t: parse_evidence(t, net))
+    _assert_each_token_is_located(EVIDENCE_ROWS, lambda t: parse_cnf_evidence(t, 4))
+
+
+def test_dimacs_errors_carry_each_literals_position():
+    # Clause data starts at token 7, after the comment and header lines; its
+    # columns count from the line's first non-blank character.
+    _assert_each_token_is_located(DIMACS_ROWS, parse_cnf, first_data_token=7,
+                                  from_line_start=False)
