@@ -10,6 +10,7 @@ pass reads back.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,10 +19,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .buckets import TraceEntry, forward_decode, partition
+# ``partition`` and ``add`` are not called here, but perfbench/tracing.py
+# wraps ``engines.partition`` and ``engines.add`` by name and fails to
+# install without them.
+from .buckets import (Plan, Sweep, TraceEntry, execute, forward_decode,  # noqa: F401
+                      partition, plan)
 from .errors import EvidenceError, OrderingConstraintError, ZeroMassError
-# ``add`` is no longer called here, but perfbench/tracing.py wraps
-# ``engines.add`` by name and fails to install without it.
 from .factor import DiscreteFactor, add, multiply  # noqa: F401
 from .graph import (Ordering, augmented_graph, constrained_order, moral_graph,
                     observed_suffix)
@@ -89,6 +92,30 @@ def _pinned_ends(model, evidence: Evidence | None, ordering: Ordering | None,
     return evidence, ordering
 
 
+def _plan(model, tables, observed, ordering: Ordering, ops,
+          utilities=()) -> tuple[Plan, list[np.ndarray]]:
+    """The plan of the sweep of ``tables`` and ``utilities`` along
+    ``ordering`` with the ``observed`` buckets scattered, and the arrays it
+    runs on."""
+    tables = [*tables, *utilities]
+    planned = plan([f.scope for f in tables], model.cards, ordering, observed,
+                   ops, len(utilities))
+    return planned, [f.values for f in tables]
+
+
+def _sweep(model, tables, evidence: Evidence, ordering: Ordering, ops,
+           utilities=()) -> tuple[Plan, Sweep]:
+    """Plan the sweep under ``evidence`` and execute it once."""
+    planned, arrays = _plan(model, tables, evidence.assignments, ordering, ops,
+                            utilities)
+    return planned, execute(planned, arrays, evidence.assignments)
+
+
+def _result(kind: str, planned: Plan, **fields) -> QueryResult:
+    return QueryResult(kind=kind, trace=planned.trace,
+                       max_table_scope=planned.max_generated_scope, **fields)
+
+
 def solve_belief(net: BeliefNetwork, query: int, evidence: Evidence | None = None,
                  ordering: Ordering | None = None) -> QueryResult:
     """Posterior over ``query`` by a sum sweep; the query bucket is read, not
@@ -99,27 +126,27 @@ def solve_belief(net: BeliefNetwork, query: int, evidence: Evidence | None = Non
         net, evidence, ordering, moral_graph, prefix=[query],
         misplaced=f"query variable {query} must sit at position 1 of the ordering")
 
-    schedule = partition(net.factor_list(), ordering, evidence)
-    for var in reversed(ordering.sequence[1:]):
-        schedule.process(var, "sum")
-
+    # The query bucket is processed only when it is observed: it scatters
+    # into the scalar.
+    ops = dict.fromkeys(ordering.sequence[1:] if query not in evidence
+                        else ordering.sequence, "sum")
+    planned, sweep = _sweep(net, net.factor_list(), evidence, ordering, ops)
     card = net.cards[query]
-    bucket = schedule.buckets[query]
-    if bucket.observed_value is not None:
-        schedule.process(query, "sum")  # scatters into the scalar
-        mass = schedule.scalar
+    if query in evidence:
+        mass = sweep.scalar
         if mass == 0.0:
             raise ZeroMassError("evidence has probability zero")
-        belief = tuple(1.0 if i == bucket.observed_value else 0.0 for i in range(card))
+        observed = evidence.get(query)
+        belief = tuple(1.0 if i == observed else 0.0 for i in range(card))
     else:
-        pieces = list(bucket.factors) or [DiscreteFactor((query,), (card,), np.ones(card))]
-        pieces.append(DiscreteFactor.scalar(schedule.scalar))
+        pieces = [DiscreteFactor._trusted((query,), (card,), sweep.slots[i])
+                  for i in planned.left.get(query, ())]
+        pieces = pieces or [DiscreteFactor((query,), (card,), np.ones(card))]
+        pieces.append(DiscreteFactor.scalar(sweep.scalar))
         unnormalized = multiply(pieces)
         normalized, mass = unnormalized.normalized()  # raises on zero mass
         belief = tuple(float(x) for x in normalized.values)
-    return QueryResult(kind="bel", belief=belief, evidence_mass=mass,
-                       trace=tuple(schedule.trace),
-                       max_table_scope=schedule.max_generated_scope)
+    return _result("bel", planned, belief=belief, evidence_mass=mass)
 
 
 def solve_mpe(net: BeliefNetwork, evidence: Evidence | None = None,
@@ -128,17 +155,14 @@ def solve_mpe(net: BeliefNetwork, evidence: Evidence | None = None,
     consistent with the evidence."""
     evidence, ordering = _pinned_ends(net, evidence, ordering, moral_graph)
 
-    schedule = partition(net.factor_list(), ordering, evidence)
-    for var in reversed(ordering.sequence):
-        schedule.process(var, "max")
-    value = schedule.scalar
-    assignment = forward_decode(schedule, range(net.n))
+    planned, sweep = _sweep(net, net.factor_list(), evidence, ordering,
+                            dict.fromkeys(ordering.sequence, "max"))
+    value = sweep.scalar
     note = None
     if value == 0.0 and len(evidence):
         note = "no positive-probability completion of the evidence"
-    return QueryResult(kind="mpe", value=value, assignment=assignment, note=note,
-                       trace=tuple(schedule.trace),
-                       max_table_scope=schedule.max_generated_scope)
+    return _result("mpe", planned, value=value, note=note,
+                   assignment=forward_decode(sweep, range(net.n)))
 
 
 def solve_map(net: BeliefNetwork, hypothesis: Sequence[int],
@@ -162,16 +186,12 @@ def solve_map(net: BeliefNetwork, hypothesis: Sequence[int],
         misplaced="hypothesis variables must occupy the first ordering positions")
     hset = set(hyp)
 
-    schedule = partition(net.factor_list(), ordering, evidence)
-    for var in reversed(ordering.sequence):
-        schedule.process(var, "max" if var in hset else "sum")
-    value = schedule.scalar
-    assignment = forward_decode(schedule, hyp)
+    planned, sweep = _sweep(net, net.factor_list(), evidence, ordering,
+                            {v: "max" if v in hset else "sum" for v in ordering})
     overlap = [v for v in sorted(hset) if v in evidence]
     note = f"evidence overrides hypothesis variables {overlap}" if overlap else None
-    return QueryResult(kind="map", value=value, assignment=assignment, note=note,
-                       trace=tuple(schedule.trace),
-                       max_table_scope=schedule.max_generated_scope)
+    return _result("map", planned, value=sweep.scalar, note=note,
+                   assignment=forward_decode(sweep, hyp))
 
 
 def solve_meu(diagram: InfluenceDiagram, evidence: Evidence | None = None,
@@ -188,19 +208,15 @@ def solve_meu(diagram: InfluenceDiagram, evidence: Evidence | None = None,
         diagram, evidence, ordering, augmented_graph, prefix=decisions,
         misplaced="decision variables must occupy the first ordering positions")
 
-    schedule = partition(diagram.chance_factors(), ordering, evidence,
-                         utilities=diagram.utilities)
     dset = set(decisions)
-    for var in reversed(ordering.sequence):
-        schedule.process(var, "decide" if var in dset else "sum")
-    if schedule.scalar == 0.0:
+    planned, sweep = _sweep(diagram, diagram.chance_factors(), evidence, ordering,
+                            {v: "decide" if v in dset else "sum" for v in ordering},
+                            utilities=diagram.utilities)
+    if sweep.scalar == 0.0:
         raise ZeroMassError(
             "the evidence has zero probability under every decision")
-    value = schedule.util_scalar
-    assignment = forward_decode(schedule, decisions)
-    return QueryResult(kind="meu", value=value, assignment=assignment,
-                       trace=tuple(schedule.trace),
-                       max_table_scope=schedule.max_generated_scope)
+    return _result("meu", planned, value=sweep.util_scalar,
+                   assignment=forward_decode(sweep, decisions))
 
 
 def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
@@ -211,11 +227,15 @@ def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
 
     Each cutset assignment is added to the evidence and solved by the max
     sweep; assignments are enumerated lexicographically over the cutset
-    sorted by variable id, and the first maximum wins.  ``parallel`` runs
-    iterations concurrently; the reduction key is unchanged, so output is
-    identical to the serial path.  Combinations are generated lazily and
-    each iteration's result is dropped once reduced; more than
-    ``oracle.CELL_LIMIT`` of them are refused before the first iteration.
+    sorted by variable id, and the first maximum wins.  The sweep is planned
+    once, with the cutset scattered like the evidence, and the plan is
+    executed once per assignment; only a new maximum is decoded.
+    ``parallel`` runs iterations on up to that many threads, but never more
+    than there are combinations or CPUs to run them; the reduction key is
+    unchanged, so output is identical to the serial path.  Combinations are
+    generated lazily and each iteration's result is dropped once reduced;
+    more than ``oracle.CELL_LIMIT`` of them are refused before the first
+    iteration.
     """
     cut = sorted(set(int(v) for v in cutset))
     for v in cut:
@@ -229,26 +249,35 @@ def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
     if count > CELL_LIMIT:
         raise ValueError(f"cutset has {count} value combinations (cap {CELL_LIMIT})")
 
-    def run_one(combo: tuple[int, ...]) -> QueryResult:
-        pinned = dict(evidence.assignments)
-        pinned.update(zip(cut, combo))
-        return solve_mpe(net, Evidence(pinned), ordering)
+    planned, arrays = _plan(net, net.factor_list(), {*evidence.assignments, *cut},
+                            ordering, dict.fromkeys(ordering.sequence, "max"))
 
-    best = None
+    def run_one(combo: tuple[int, ...]) -> Sweep:
+        values = dict(evidence.assignments)
+        values.update(zip(cut, combo))
+        return execute(planned, arrays, values)
+
+    best = assignment = None
     records = []
-    results = _map_in_order(run_one, product(*ranges), parallel)
-    for i, (combo, res) in enumerate(zip(product(*ranges), results)):
-        records.append(IterationRecord(i, tuple(zip(cut, combo)), res.value,
-                                       res.max_table_scope))
-        if best is None or res.value > best.value:
-            best = res
+    workers = min(parallel, count, _cpu_count())
+    sweeps = _map_in_order(run_one, product(*ranges), workers)
+    for i, (combo, sweep) in enumerate(zip(product(*ranges), sweeps)):
+        records.append(IterationRecord(i, tuple(zip(cut, combo)), sweep.scalar,
+                                       planned.max_generated_scope))
+        if best is None or sweep.scalar > best:
+            best, assignment = sweep.scalar, forward_decode(sweep, range(net.n))
     note = None
-    if best.value == 0.0 and len(evidence):
+    if best == 0.0 and len(evidence):
         note = "no positive-probability completion of the evidence"
-    return QueryResult(kind="cond-mpe", value=best.value, assignment=best.assignment,
-                       note=note, trace=best.trace,
-                       max_table_scope=max(r.max_table_scope for r in records),
-                       iterations=tuple(records))
+    return _result("cond-mpe", planned, value=best, assignment=assignment,
+                   note=note, iterations=tuple(records))
+
+
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _map_in_order(fn, items: Iterator, workers: int) -> Iterator:

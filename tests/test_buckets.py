@@ -4,7 +4,10 @@ import gc
 import math
 import weakref
 
-from bucketforge import Evidence, Ordering, partition
+import pytest
+
+from bucketforge import Evidence, Ordering, buckets, partition
+from bucketforge.buckets import FOLD, execute, plan
 
 from conftest import DIAG_BAD_ORDER, DIAG_GOOD_ORDER
 
@@ -104,6 +107,42 @@ def test_a_table_is_freed_once_its_bucket_is_processed(diag_net):
     gc.collect()
     assert sent() is None
     assert schedule.buckets[4].factors == []
+
+
+@pytest.mark.parametrize("evidence", [{}, {4: 0}], ids=["unobserved", "observed mid-order"])
+def test_no_slot_outlives_the_step_that_consumes_it(diag_net, monkeypatch, evidence):
+    # Along the good ordering, bucket 5 sends a table to bucket 4; with 4
+    # observed that table is scattered instead of summed.
+    tables = diag_net.factor_list()
+    planned = plan([f.scope for f in tables], diag_net.cards, Ordering(DIAG_GOOD_ORDER),
+                   evidence, dict.fromkeys(DIAG_GOOD_ORDER, "sum"))
+    made, checked = {}, []
+
+    def watched(kernel):
+        def run(step, ins):
+            # Every generated slot an earlier step consumed is gone by now.
+            gc.collect()
+            for before in planned.steps[:planned.steps.index(step)]:
+                for slot in before.inputs:
+                    if slot in made:
+                        assert made[slot]() is None, slot
+                        checked.append(slot)
+            outs, choices = kernel(step, ins)
+            for (slot, _), out in zip(step.outputs, outs):
+                if slot != FOLD:
+                    made[slot] = weakref.ref(out)
+            return outs, choices
+        return run
+
+    monkeypatch.setattr(buckets, "_KERNELS",
+                        {op: watched(k) for op, k in buckets._KERNELS.items()})
+    sweep = execute(planned, [f.values for f in tables], evidence)
+    (sent,) = planned.steps[0].outputs
+    assert planned.scopes[sent[0]] == (4,)
+    assert sent[0] in checked
+    assert sweep.slots == [None] * len(planned.scopes)
+    mass = 0.324 if evidence else 1.0  # P(X4 = 0) by enumeration
+    assert math.isclose(sweep.scalar, mass, rel_tol=1e-12)
 
 
 def test_full_sum_sweep_reproduces_total_mass(diag_net):

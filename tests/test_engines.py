@@ -2,13 +2,17 @@
 
 import math
 import random
+from collections import Counter
+from concurrent.futures import Future
+from itertools import product
 
 import numpy as np
 import pytest
 
-from bucketforge import (Evidence, Ordering, OrderingConstraintError,
-                         ZeroMassError, parse_network, solve_belief, solve_map,
-                         solve_meu, solve_mpe, solve_mpe_conditioned)
+from bucketforge import (Evidence, IterationRecord, Ordering,
+                         OrderingConstraintError, ZeroMassError, engines,
+                         parse_network, solve_belief, solve_map, solve_meu,
+                         solve_mpe, solve_mpe_conditioned)
 from bucketforge.buckets import TraceEntry, forward_decode, partition
 from bucketforge.factor import ArgTable, DiscreteFactor, add, fold_max, multiply
 from bucketforge.oracle import (oracle_belief, oracle_map, oracle_meu,
@@ -16,7 +20,8 @@ from bucketforge.oracle import (oracle_belief, oracle_map, oracle_meu,
                                 score_hypothesis)
 from bucketforge.engines import _map_in_order
 from bucketforge.randgen import (random_evidence, random_influence_diagram,
-                                 shuffled_ordering, uniform_network)
+                                 random_network, shuffled_ordering,
+                                 uniform_network)
 
 from conftest import DIAG_GOOD_ORDER
 
@@ -470,3 +475,121 @@ def test_conditioning_streams_its_iterations(workers):
         assert len(consumed) - len(out) <= max(1, 2 * workers)
         out.append(result)
     assert out == [i * i for i in range(50)]
+
+
+def _conditioning_by_repeated_sweeps(net, cut, evidence, ordering):
+    """The conditioning loop as one full max sweep per cutset assignment:
+    (best result, iteration records)."""
+    ranges = [[evidence.get(v)] if v in evidence else range(net.cards[v])
+              for v in cut]
+    best, records = None, []
+    for i, combo in enumerate(product(*ranges)):
+        pinned = dict(evidence.assignments)
+        pinned.update(zip(cut, combo))
+        result = solve_mpe(net, Evidence(pinned), ordering)
+        records.append(IterationRecord(i, tuple(zip(cut, combo)), result.value,
+                                       result.max_table_scope))
+        if best is None or result.value > best.value:
+            best = result
+    return best, tuple(records)
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_conditioning_replays_one_plan_exactly_like_repeated_sweeps(parallel):
+    rng = random.Random(80801)
+    seen = Counter()
+    for case in range(120):
+        if case % 10 == 9:  # every assignment ties: the first maximum wins
+            net = uniform_network([rng.randint(2, 3) for _ in range(rng.randint(2, 5))])
+        else:
+            net = random_network(rng, max_vars=7, max_card=3,
+                                 hard_rows=0.3 if case % 3 == 0 else 0.0)
+        evidence = random_evidence(rng, net, max_observed=2)
+        observed = [v for v, _ in evidence.items()]
+        free = [v for v in range(net.n) if v not in observed]
+        shape = case % 4
+        if shape == 0:
+            cut = []
+        elif shape == 1:
+            cut = list(range(net.n))
+        elif shape == 2 and observed:  # a cutset variable that is also observed
+            cut = sorted({observed[0], *rng.sample(range(net.n), 1)})
+        elif free:
+            cut = sorted(rng.sample(free, rng.randint(1, min(3, len(free)))))
+        else:
+            cut = observed
+        seen["empty" if not cut else "every" if len(cut) == net.n else "partial"] += 1
+        seen["observed in cutset"] += bool(set(cut) & set(observed))
+        seen["evidence beside cutset"] += bool(set(observed) - set(cut))
+        # Pinned last as the CLI orders them, or anywhere.
+        suffix = sorted(set(cut) | set(observed)) if case % 2 else []
+        order = shuffled_ordering(rng, net.n, suffix=suffix)
+
+        result = solve_mpe_conditioned(net, cut, evidence, order, parallel=parallel)
+        best, records = _conditioning_by_repeated_sweeps(net, cut, evidence, order)
+        assert result.iterations == records
+        assert [r.value.hex() for r in result.iterations] == \
+            [r.value.hex() for r in records]
+        assert result.value.hex() == best.value.hex()
+        assert result.assignment == best.assignment
+        assert result.trace == best.trace
+        assert result.note == best.note
+        assert result.max_table_scope == max(r.max_table_scope for r in records)
+    assert min(seen.values()) >= 10, seen
+
+
+UTILITY_OVERFLOW = """ID
+2
+2 2
+1 0
+1
+2 0 1
+4 0.2 0.8 0.9 0.1
+2
+1 {var}
+2 1e308 1.0
+1 {var}
+2 1e308 1.0
+"""
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("var", [0, 1], ids=["decision bucket", "chance bucket"])
+def test_meu_rejects_utilities_whose_sum_overflows(var):
+    diagram = parse_network(UTILITY_OVERFLOW.format(var=var))
+    with pytest.raises(ValueError, match="^factor values must be finite$"):
+        solve_meu(diagram, None, None)
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records ``max_workers`` and runs
+    each task when it is submitted, on the calling thread."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("cpus, workers", [(8, [4]), (3, [3]), (1, [])])
+def test_parallel_workers_are_clamped_to_combinations_and_cpus(diag_net, monkeypatch,
+                                                               cpus, workers):
+    monkeypatch.setattr(engines, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(engines.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    serial = solve_mpe_conditioned(diag_net, [1, 2], None, None, parallel=1)
+    wide = solve_mpe_conditioned(diag_net, [1, 2], None, None, parallel=64)
+    assert _RecordingPool.sizes == workers  # 4 combinations
+    assert wide == serial
