@@ -14,14 +14,15 @@ that out once; :func:`execute` runs the plan on arrays, and can run it again
 for other numbers or other observed values.  A table is held in a numbered
 slot and dropped once the step that consumes it has run.
 
-:class:`BucketSchedule` is the step-by-step form for inspecting a sweep: each
-``process`` call plans and executes the one bucket it names.
+:class:`BucketSchedule` is the same sweep advanced one bucket at a time, for
+inspecting it: each ``process`` call plans one bucket with the planner of
+:func:`plan` and runs it with the :meth:`Sweep.run` of :func:`execute`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -29,8 +30,7 @@ import numpy as np
 from .errors import EvidenceError
 # ``multiply`` is not called here, but perfbench/tracing.py wraps
 # ``buckets.multiply`` by name and fails to install without it.
-from .factor import (ArgTable, DiscreteFactor, _merged_scope, fold_max,  # noqa: F401
-                     fold_sum, multiply)
+from .factor import DiscreteFactor, fold_max, fold_sum, multiply  # noqa: F401
 from .graph import Ordering
 from .model import Evidence
 
@@ -101,6 +101,52 @@ class Plan(NamedTuple):
     max_generated_scope: int
 
 
+class _Planner:
+    """Files slots into the buckets of one ordering and plans one bucket at a time.
+
+    Slot ``i`` holds a table over ``scopes[i]``, filed into the bucket of its
+    highest-ordered variable; an empty-scope slot folds into a scalar instead.
+    """
+
+    def __init__(self, ordering: Ordering, cards, observed):
+        self.ordering = ordering
+        self.cards = cards        # cards[v]: the cardinality of variable v
+        self.observed = observed  # the variables whose buckets scatter
+        self.scopes: list[tuple[int, ...]] = []
+        self.filed: dict[int, tuple[list[int], list[int]]] = {v: ([], []) for v in ordering}
+
+    def file(self, scope: tuple[int, ...], utility: bool) -> int:
+        """Number a new slot over ``scope`` and file it; returns the slot, or
+        ``FOLD`` for an empty scope."""
+        bucket = self.filed[max(scope, key=self.ordering.index_of)] if scope else None
+        self.scopes.append(scope)
+        if bucket is None:
+            return FOLD
+        bucket[utility].append(len(self.scopes) - 1)
+        return len(self.scopes) - 1
+
+    def step(self, var: int, op: str) -> Step:
+        """Plan the bucket of ``var`` by rule ``op`` and file its results.
+
+        The bucket of an observed variable is scattered whatever ``op`` is,
+        and an empty one is skipped.
+        """
+        probs, utils = self.filed[var]
+        self.filed[var] = ([], [])
+        inputs = (*probs, *utils)
+        ins = [self.scopes[i] for i in inputs]
+        if var in self.observed:
+            op = "assign"
+        elif not ins:
+            op = "skip"
+        layout, results = _LAYOUTS[op](var, ins, len(utils), self.cards)
+        outputs = tuple((self.file(scope, utility), utility) for scope, utility in results)
+        entry = TraceEntry(var, "max" if op == "decide" else op, tuple(ins),
+                           tuple(scope for scope, _ in results),
+                           sum(_cells(scope, self.cards) for scope, _ in results))
+        return Step(var, op, inputs, len(utils), *layout, outputs, entry)
+
+
 def plan(scopes: Sequence[tuple[int, ...]], cards, ordering: Ordering,
          observed: Iterable[int], ops: Mapping[int, str],
          utilities: int = 0) -> Plan:
@@ -112,54 +158,18 @@ def plan(scopes: Sequence[tuple[int, ...]], cards, ordering: Ordering,
     variables in ``ops`` only, by the rule ``ops`` gives; the bucket of an
     ``observed`` variable is scattered whatever its rule.
     """
-    observed = frozenset(observed)
-    index_of = ordering.index_of
-    slot_scopes = [tuple(s) for s in scopes]
-    filed: dict[int, tuple[list[int], list[int]]] = {v: ([], []) for v in ordering}
+    planner = _Planner(ordering, cards, frozenset(observed))
+    first_utility = len(scopes) - utilities
     folds = []
-
-    def file(slot: int, utility: bool) -> int:
-        scope = slot_scopes[slot]
-        if not scope:
-            return FOLD
-        bucket = filed.get(max(scope, key=index_of))
-        if bucket is None:
-            raise EvidenceError(f"factor scope {scope} not covered by the ordering")
-        bucket[utility].append(slot)
-        return slot
-
-    first_utility = len(slot_scopes) - utilities
-    for slot in range(len(slot_scopes)):
+    for slot, scope in enumerate(scopes):
         utility = slot >= first_utility
-        if file(slot, utility) == FOLD:
+        if planner.file(tuple(scope), utility) == FOLD:
             folds.append((slot, utility))
-
-    steps = []
-    for var in reversed(ordering.sequence):
-        if var not in ops:
-            continue
-        probs, utils = filed[var]
-        filed[var] = ([], [])
-        ins = [slot_scopes[i] for i in (*probs, *utils)]
-        if var in observed:
-            op = "assign"
-        elif not ins:
-            op = "skip"
-        else:
-            op = ops[var]
-        layout, results = _LAYOUTS[op](var, ins, len(utils), cards)
-        outputs = []
-        for scope, utility in results:
-            slot_scopes.append(scope)
-            outputs.append((file(len(slot_scopes) - 1, utility), utility))
-        entry = TraceEntry(var, "max" if op == "decide" else op, tuple(ins),
-                           tuple(scope for scope, _ in results),
-                           sum(_cells(scope, cards) for scope, _ in results))
-        steps.append(Step(var, op, (*probs, *utils), len(utils), *layout,
-                          tuple(outputs), entry))
+    steps = tuple(planner.step(var, ops[var])
+                  for var in reversed(ordering.sequence) if var in ops)
     trace = tuple(step.entry for step in steps)
-    return Plan(ordering, tuple(steps), tuple(slot_scopes), tuple(folds),
-                {v: tuple(probs) for v, (probs, _) in filed.items() if probs},
+    return Plan(ordering, steps, tuple(planner.scopes), tuple(folds),
+                {v: tuple(probs) for v, (probs, _) in planner.filed.items() if probs},
                 trace, max(map(_generated_scope, trace), default=0))
 
 
@@ -222,60 +232,66 @@ _LAYOUTS = {"assign": _assign_layout, "skip": _skip_layout,
             "decide": _decide_layout}
 
 
-class Sweep(NamedTuple):
-    """What executing a plan left: the folded scalars, the choice tables of
-    the maximized variables, and the slots no step consumed."""
+class Sweep:
+    """The running state of a sweep: each slot's array (None once consumed),
+    the observed values, the folded scalars and the choice tables of the
+    maximized variables.  :meth:`run` executes one planned step on it."""
 
-    ordering: Ordering
-    values: Mapping[int, int]             # the observed values it ran with
-    scalar: float                         # product of empty-scope probability results
-    util_scalar: float                    # sum of empty-scope utility results
-    slots: list
-    arg_tables: dict[int, tuple[tuple[int, ...], np.ndarray]]  # var -> (scope, choices)
+    def __init__(self, ordering: Ordering, values: Mapping[int, int], slots: list):
+        self.ordering = ordering
+        self.values = values      # an in-range value for every observed variable
+        self.slots = slots
+        self.scalar = 1.0         # product of empty-scope probability results
+        self.util_scalar = 0.0    # sum of empty-scope utility results
+        self.arg_tables: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}  # var -> (scope, choices)
 
-
-def execute(plan: Plan, arrays: Sequence[np.ndarray], values: Mapping[int, int],
-            scalar: float = 1.0, util_scalar: float = 0.0) -> Sweep:
-    """Run ``plan`` on the tables' value arrays, one per input slot.
-
-    ``values`` holds an in-range value for every observed variable the plan
-    scatters; ``scalar`` and ``util_scalar`` are the running scalars the
-    empty-scope results fold into.  Each step drops its inputs before the
-    next runs, so a table lives only until its bucket is processed.
-    """
-    slots = list(arrays)
-    slots += [None] * (len(plan.scopes) - len(slots))
-    for slot, utility in plan.folds:
+    def fold(self, value, utility: bool) -> None:
+        """Fold an empty-scope result into its running scalar."""
         if utility:
-            util_scalar += float(slots[slot])
+            self.util_scalar += float(value)
         else:
-            scalar *= float(slots[slot])
-        slots[slot] = None
-    arg_tables = {}
-    for step in plan.steps:
+            self.scalar *= float(value)
+
+    def run(self, step: Step) -> None:
+        """Execute ``step``: drop its inputs, then file or fold its results."""
+        slots = self.slots
         ins = [slots[i] for i in step.inputs]
         for i in step.inputs:
             slots[i] = None
         op = step.op
         if op == "assign":
             # Copied, so a slice does not keep the table it came from alive.
-            value = values[step.variable]
+            value = self.values[step.variable]
             outs = [a[pick[value]].copy() for a, pick in zip(ins, step.picks)]
         elif op == "skip":
-            continue
+            return
         else:
             outs, choices = _KERNELS[op](step, ins)
             if choices is not None:
-                arg_tables[step.variable] = (step.entry.output_scopes[0], choices)
+                self.arg_tables[step.variable] = (step.entry.output_scopes[0], choices)
         del ins
         for (slot, utility), out in zip(step.outputs, outs):
-            if slot != FOLD:
-                slots[slot] = out
-            elif utility:
-                util_scalar += float(out)
+            if slot == FOLD:
+                self.fold(out, utility)
             else:
-                scalar *= float(out)
-    return Sweep(plan.ordering, values, scalar, util_scalar, slots, arg_tables)
+                slots[slot] = out
+
+
+def execute(plan: Plan, arrays: Sequence[np.ndarray], values: Mapping[int, int]) -> Sweep:
+    """Run ``plan`` on the tables' value arrays, one per input slot.
+
+    ``values`` holds an in-range value for every observed variable the plan
+    scatters.  Each step drops its inputs before the next runs, so a table
+    lives only until its bucket is processed.
+    """
+    sweep = Sweep(plan.ordering, values,
+                  [*arrays, *[None] * (len(plan.scopes) - len(arrays))])
+    for slot, utility in plan.folds:
+        sweep.fold(sweep.slots[slot], utility)
+        sweep.slots[slot] = None
+    for step in plan.steps:
+        sweep.run(step)
+    return sweep
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -346,7 +362,7 @@ _KERNELS = {"sum": _eliminate, "max": _eliminate, "decide": _decide}
 def forward_decode(sweep, over: Iterable[int]) -> dict[int, int]:
     """Read maximizing values front to back, restricted to ``over``.
 
-    ``sweep`` is a :class:`Sweep` or a :class:`BucketSchedule`.  Observed
+    ``sweep`` is a :class:`Sweep` (a :class:`BucketSchedule` is one).  Observed
     variables take their observed value; a variable whose bucket recorded no
     choice table defaults to value 0.
     """
@@ -368,56 +384,61 @@ def forward_decode(sweep, over: Iterable[int]) -> dict[int, int]:
 
 # -- the step-by-step form -----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Bucket:
+    """The tables filed into one bucket, as a snapshot."""
+
     variable: int
-    factors: list[DiscreteFactor] = field(default_factory=list)
-    utilities: list[DiscreteFactor] = field(default_factory=list)
+    factors: list[DiscreteFactor]
+    utilities: list[DiscreteFactor]
     observed_value: int | None = None
-    arg_table: ArgTable | None = None
 
 
-class BucketSchedule:
-    """Buckets along one ordering, plus the trace of processing them.
+class BucketSchedule(Sweep):
+    """A sweep along one ordering, advanced one planned bucket at a time.
 
-    The step-by-step form of :func:`plan` and :func:`execute`: tables are
-    filed as :class:`~bucketforge.factor.DiscreteFactor` objects, and each
-    :meth:`process` call plans the one bucket it names and executes it.
+    :meth:`place` files a table, and each :meth:`process` call plans the one
+    bucket it names with the planner of :func:`plan`, runs it with
+    :meth:`Sweep.run` and records its trace entry.  :attr:`buckets` shows
+    what is filed.
     """
 
     def __init__(self, ordering: Ordering, evidence: Evidence | None = None):
-        self.ordering = ordering
-        self.buckets: dict[int, Bucket] = {v: Bucket(v) for v in ordering}
-        self.values: dict[int, int] = {}
-        if evidence is not None:
-            for var, val in evidence.items():
-                if var not in self.buckets:
-                    raise EvidenceError(f"unknown variable {var}")
-                self.buckets[var].observed_value = self.values[var] = val
-        self.scalar = 1.0       # product of empty-scope probability results
-        self.util_scalar = 0.0  # sum of empty-scope utility results
+        values = dict(evidence.items() if evidence is not None else ())
+        for var in values:
+            if var not in ordering:
+                raise EvidenceError(f"unknown variable {var}")
+        super().__init__(ordering, values, [])
+        self._planner = _Planner(ordering, {}, values)
         self.trace: list[TraceEntry] = []
         self.max_generated_scope = 0
 
     @property
-    def arg_tables(self) -> dict[int, tuple[tuple[int, ...], np.ndarray]]:
-        return {v: (b.arg_table.scope, b.arg_table.choices)
-                for v, b in self.buckets.items() if b.arg_table is not None}
+    def buckets(self) -> dict[int, Bucket]:
+        """A snapshot of the tables filed into each bucket; file new ones with
+        :meth:`place`."""
+        scopes, slots = self._planner.scopes, self.slots
 
-    def bucket_of(self, f: DiscreteFactor) -> int:
-        return max(f.scope, key=self.ordering.index_of)
+        def tables(filed):
+            return [DiscreteFactor._trusted(scopes[i], slots[i].shape, slots[i])
+                    for i in filed]
+        return {v: Bucket(v, tables(probs), tables(utils), self.values.get(v))
+                for v, (probs, utils) in self._planner.filed.items()}
 
     def place(self, f: DiscreteFactor, utility: bool = False) -> None:
-        if f.is_scalar:
-            if utility:
-                self.util_scalar += float(f.values)
-            else:
-                self.scalar *= float(f.values)
-            return
-        bucket = self.buckets.get(self.bucket_of(f))
-        if bucket is None:
-            raise EvidenceError(f"factor scope {f.scope} not covered by the ordering")
-        (bucket.utilities if utility else bucket.factors).append(f)
+        """File ``f`` into the bucket of its highest-ordered variable; an
+        empty-scope table folds into its running scalar."""
+        cards = self._planner.cards
+        for v, c in zip(f.scope, f.cards):
+            if cards.setdefault(v, c) != c:
+                raise ValueError(f"cardinality conflict for variable {v}")
+            if not 0 <= self.values.get(v, 0) < c:
+                raise ValueError(f"value {self.values[v]} out of range for variable {v}")
+        if self._planner.file(f.scope, utility) == FOLD:
+            self.fold(f.values, utility)
+            self.slots.append(None)
+        else:
+            self.slots.append(f.values)
 
     def record(self, entry: TraceEntry) -> None:
         self.trace.append(entry)
@@ -429,47 +450,24 @@ class BucketSchedule:
 
         Slices are re-filed one by one; nothing is multiplied first.
         """
-        self._run(var, "assign")
+        self._advance(var, "assign")
 
     def process(self, var: int, op: str) -> None:
         """Process the bucket of ``var`` and file what it emits further down.
 
         An observed bucket scatters its slices and an empty one is skipped,
         whatever ``op`` is; otherwise ``op`` names the bucket rule of
-        :class:`Step`.  Afterwards the bucket keeps only its observed value
-        and choice table.
+        :class:`Step`.
         """
-        if self.buckets[var].observed_value is not None:
+        if var in self.values:
             self.scatter(var)
         else:
-            self._run(var, op)
+            self._advance(var, op)
 
-    def _run(self, var: int, op: str) -> None:
-        """Plan the one bucket from the tables filed into it, execute that
-        plan, and file its results as tables."""
-        bucket = self.buckets[var]
-        tables = [*bucket.factors, *bucket.utilities]
-        utilities = len(bucket.utilities)
-        bucket.factors, bucket.utilities = [], []
-        cards = dict(zip(*_merged_scope(tables)))
-        value = bucket.observed_value
-        if value is not None and var in cards and not 0 <= value < cards[var]:
-            raise ValueError(f"value {value} out of range for variable {var}")
-        one = plan([f.scope for f in tables], cards, self.ordering,
-                   () if value is None else (var,), {var: op}, utilities)
-        sweep = execute(one, [f.values for f in tables], self.values,
-                        self.scalar, self.util_scalar)
-        del tables
-        self.scalar, self.util_scalar = sweep.scalar, sweep.util_scalar
-        (step,) = one.steps
-        for slot, utility in step.outputs:
-            if slot != FOLD:
-                out = sweep.slots[slot]
-                self.place(DiscreteFactor._trusted(one.scopes[slot], out.shape, out),
-                           utility)
-        if var in sweep.arg_tables:
-            scope, choices = sweep.arg_tables[var]
-            bucket.arg_table = ArgTable._trusted(var, scope, choices.shape, choices)
+    def _advance(self, var: int, op: str) -> None:
+        step = self._planner.step(var, op)
+        self.slots += [None] * (len(self._planner.scopes) - len(self.slots))
+        self.run(step)
         self.record(step.entry)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import engines, oracle
 from .errors import (ModelError, TooLargeError, UnsatisfiableError,
@@ -343,10 +344,10 @@ def _run_dr(args) -> int:
     if args.oracle:
         sat = int(oracle.oracle_sat(theory))
         out.put("oracle_sat", str(sat), sat)
-    out.flush()
-    if args.extension:
+    if args.extension:  # written first, so a failed write prints no answer
         with open(args.extension, "w", encoding="utf-8") as fh:
             fh.write(extension.to_dimacs())
+    out.flush()
     return 0
 
 
@@ -402,26 +403,29 @@ _COMMANDS = {
 
 def run(argv) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except (_UsageError, ValueError, TooLargeError) as exc:
-        # ValueError covers OrderingConstraintError; TooLargeError is an
-        # --oracle query past the enumeration cap.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ZeroMassError:
-        print("IMPOSSIBLE EVIDENCE")
-        return 3
-    except UnsatisfiableError:
-        print("UNSAT")
-        return 3
+    with warnings.catch_warnings():
+        # Each warning the command raises prints as one stderr line, every
+        # time; a library UserWarning never becomes an error here.
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                         file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+            return _COMMANDS[args.command](args)
+        except (_UsageError, ValueError, TooLargeError) as exc:
+            # ValueError covers OrderingConstraintError; TooLargeError is an
+            # --oracle query past the enumeration cap.
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (ModelError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ZeroMassError:
+            print("IMPOSSIBLE EVIDENCE")
+            return 3
+        except UnsatisfiableError:
+            print("UNSAT")
+            return 3
 
 
 def main() -> None:

@@ -19,13 +19,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# ``partition`` and ``add`` are not called here, but perfbench/tracing.py
-# wraps ``engines.partition`` and ``engines.add`` by name and fails to
+# ``partition``, ``add`` and ``multiply`` are not called here, but
+# perfbench/tracing.py wraps them by name on this module and fails to
 # install without them.
-from .buckets import (Plan, Sweep, TraceEntry, execute, forward_decode,  # noqa: F401
-                      partition, plan)
+from .buckets import (Plan, Sweep, TraceEntry, _finite, execute,  # noqa: F401
+                      forward_decode, partition, plan)
 from .errors import EvidenceError, OrderingConstraintError, ZeroMassError
-from .factor import DiscreteFactor, add, multiply  # noqa: F401
+from .factor import add, multiply  # noqa: F401
 from .graph import (Ordering, augmented_graph, constrained_order, moral_graph,
                     observed_suffix)
 from .model import BeliefNetwork, Evidence, InfluenceDiagram
@@ -139,13 +139,15 @@ def solve_belief(net: BeliefNetwork, query: int, evidence: Evidence | None = Non
         observed = evidence.get(query)
         belief = tuple(1.0 if i == observed else 0.0 for i in range(card))
     else:
-        pieces = [DiscreteFactor._trusted((query,), (card,), sweep.slots[i])
-                  for i in planned.left.get(query, ())]
-        pieces = pieces or [DiscreteFactor((query,), (card,), np.ones(card))]
-        pieces.append(DiscreteFactor.scalar(sweep.scalar))
-        unnormalized = multiply(pieces)
-        normalized, mass = unnormalized.normalized()  # raises on zero mass
-        belief = tuple(float(x) for x in normalized.values)
+        # The query bucket's leftover tables, left to right, then the scalar.
+        tables = [sweep.slots[i] for i in planned.left.get(query, ())] or [np.ones(card)]
+        unnormalized = _finite(math.prod(tables) * sweep.scalar)
+        if (unnormalized < 0).any():  # tables may hold negative entries
+            raise ValueError("cannot normalize a table with negative entries")
+        mass = float(unnormalized.sum())
+        if mass == 0.0:
+            raise ZeroMassError("table has zero total mass")
+        belief = tuple(float(x) for x in unnormalized / mass)
     return _result("bel", planned, belief=belief, evidence_mass=mass)
 
 

@@ -113,12 +113,6 @@ class DiscreteFactor:
     def __repr__(self) -> str:  # compact, for traces and assertion messages
         return f"DiscreteFactor(scope={self.scope}, cards={self.cards})"
 
-    def dumps(self) -> str:
-        """Debug form: scope line then values line, full precision."""
-        head = " ".join(str(v) for v in self.scope)
-        body = " ".join(repr(float(x)) for x in self.values.ravel())
-        return f"{head}\n{body}\n"
-
     # -- algebra ---------------------------------------------------------------
 
     def restrict(self, var: int, value: int) -> "DiscreteFactor":

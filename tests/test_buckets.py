@@ -2,12 +2,17 @@
 
 import gc
 import math
+import random
 import weakref
+from collections import Counter
 
 import pytest
 
-from bucketforge import Evidence, Ordering, buckets, partition
+from bucketforge import Evidence, Ordering, buckets, forward_decode, partition
 from bucketforge.buckets import FOLD, execute, plan
+from bucketforge.factor import DiscreteFactor
+from bucketforge.randgen import (random_evidence, random_influence_diagram,
+                                 random_network, shuffled_ordering)
 
 from conftest import DIAG_BAD_ORDER, DIAG_GOOD_ORDER
 
@@ -99,8 +104,8 @@ def test_empty_bucket_is_skipped(diag_net):
 def test_a_table_is_freed_once_its_bucket_is_processed(diag_net):
     schedule = partition(diag_net.factor_list(), Ordering(DIAG_GOOD_ORDER))
     schedule.process(5, "sum")
-    sent = weakref.ref(schedule.buckets[4].factors[-1])
-    assert sent().scope == (4,)
+    sent = weakref.ref(schedule.buckets[4].factors[-1].values)
+    assert sent().shape == (2,)  # the table over (4,)
     gc.collect()
     assert sent() is not None
     schedule.process(4, "sum")
@@ -174,3 +179,102 @@ def test_decode_breaks_ties_toward_value_zero():
     for var in reversed(order.sequence):
         schedule.process(var, "max")
     assert forward_decode(schedule, range(3)) == {0: 0, 1: 0, 2: 0}
+
+
+def _outcome(fn):
+    """``fn()``, or the type and message of the ValueError it raised."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _step_by_step(tables, utilities, ordering, evidence, ops):
+    schedule = partition(tables, ordering, evidence, utilities)
+    for var in reversed(ordering.sequence):
+        if var in ops:
+            schedule.process(var, ops[var])
+    return schedule
+
+
+def _planned(tables, utilities, cards, ordering, evidence, ops):
+    everything = [*tables, *utilities]
+    planned = plan([f.scope for f in everything], cards, ordering,
+                   evidence.assignments, ops, len(utilities))
+    return planned, execute(planned, [f.values for f in everything],
+                            evidence.assignments)
+
+
+def _assert_same_sweep(schedule, planned, sweep, n):
+    assert tuple(schedule.trace) == planned.trace
+    assert schedule.max_generated_scope == planned.max_generated_scope
+    # Bit for bit: float.hex tells -0.0 from 0.0 and every last bit apart.
+    assert schedule.scalar.hex() == sweep.scalar.hex()
+    assert schedule.util_scalar.hex() == sweep.util_scalar.hex()
+    assert schedule.arg_tables.keys() == sweep.arg_tables.keys()
+    for var, (scope, choices) in schedule.arg_tables.items():
+        other_scope, other = sweep.arg_tables[var]
+        assert scope == other_scope
+        assert choices.dtype == other.dtype and choices.tobytes() == other.tobytes()
+    assert forward_decode(schedule, range(n)) == forward_decode(sweep, range(n))
+    # What no step consumed: the query bucket of a belief sweep.
+    for var, slots in planned.left.items():
+        left = schedule.buckets[var].factors
+        assert [f.values.tobytes() for f in left] == [sweep.slots[i].tobytes()
+                                                      for i in slots]
+
+
+def test_step_by_step_and_planned_sweeps_agree_bit_for_bit():
+    rng = random.Random(90901)
+    kinds = Counter()
+    for case in range(150):
+        hard = 0.3 if case % 3 == 0 else 0.0
+        if case % 2:
+            model = random_influence_diagram(rng, max_vars=8, max_card=3, hard_rows=hard)
+            tables, utilities = model.chance_factors(), model.utilities
+            prefix = list(model.decisions)
+            rule = "decide"
+        else:
+            model = random_network(rng, max_vars=8, max_card=3, hard_rows=hard)
+            tables, utilities = model.factor_list(), ()
+            prefix = rng.sample(range(model.n), rng.randint(1, model.n))
+            rule = "max"
+        if case % 4 < 2:
+            # Empty-scope tables fold into the scalars before any bucket runs.
+            tables = [*tables, DiscreteFactor.scalar(rng.uniform(0.5, 2.0))]
+            if utilities:
+                utilities = [*utilities, DiscreteFactor.scalar(rng.uniform(-5.0, 10.0))]
+        evidence = random_evidence(rng, model, max_observed=3, exclude=prefix)
+        observed = [v for v, _ in evidence.items()]
+        for suffix in ([], observed):
+            # Without a pinned suffix the observed variables land anywhere
+            # after the prefix, mid-order included.
+            order = shuffled_ordering(rng, model.n, prefix=prefix, suffix=suffix)
+            if observed:
+                first = min(order.index_of(v) for v in observed)
+                kinds["observed mid-order"] += any(v not in evidence
+                                                   for v in order.sequence[first:])
+            head = set(prefix)
+            sweeps = {"mixed": {v: rule if v in head else "sum" for v in order}}
+            if not utilities:
+                sweeps["sum"] = dict.fromkeys(order, "sum")
+                sweeps["max"] = dict.fromkeys(order, "max")
+                # The belief sweep leaves the first bucket unprocessed.
+                sweeps["belief"] = dict.fromkeys(order.sequence[1:], "sum")
+            for name, ops in sweeps.items():
+                for ev in (Evidence.empty(), evidence):
+                    schedule = _outcome(lambda: _step_by_step(
+                        tables, utilities, order, ev, ops))
+                    both = _outcome(lambda: _planned(
+                        tables, utilities, model.cards, order, ev, ops))
+                    if isinstance(both, tuple) and isinstance(both[0], type):
+                        assert schedule == both  # the same ValueError
+                        kinds["refused"] += 1
+                        continue
+                    _assert_same_sweep(schedule, *both, model.n)
+                    kinds[name if rule == "max" else "meu"] += 1
+                    kinds["hard rows"] += bool(hard)
+                    kinds["zero mass"] += both[1].scalar == 0.0
+    assert min(kinds[k] for k in ("sum", "max", "mixed", "belief", "meu")) >= 300
+    assert kinds["observed mid-order"] >= 40
+    assert kinds["hard rows"] >= 400 and kinds["zero mass"] > 0

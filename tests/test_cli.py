@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,35 @@ def test_lax_mode_renormalizes_off_rows(tmp_path, capsys):
     assert out[0].startswith("belief=0.666666666667 0.333333333333")
 
 
+def test_warnings_print_as_one_stderr_line_each_time(tmp_path, capsys):
+    net = write(tmp_path, "off.net", OFF_ROW_TEXT)
+    assert run(["bel", net, "--query", "0", "--lax"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: renormalized conditional table of variable 0\n")
+    cnf = write(tmp_path, "taut.cnf", "p cnf 2 2\n1 -1 0\n2 0\n")
+    for command in ("dr", "stats", "dr", "stats"):  # not once per location
+        assert run([command, cnf]) == 0
+        assert capsys.readouterr().err == (
+            "warning: dropped tautological clause near line 2\n")
+    twice = write(tmp_path, "twice.cnf", "p cnf 2 3\n1 -1 0\n2 -2 0\n2 0\n")
+    assert run(["dr", twice]) == 0
+    assert capsys.readouterr().err == (
+        "warning: dropped tautological clause near line 2\n"
+        "warning: dropped tautological clause near line 3\n")
+
+
+def test_runtime_warnings_stay_errors_inside_the_cli(tmp_path, monkeypatch):
+    net = write(tmp_path, "chain.net", CHAIN_TEXT)
+
+    def overflowing(*args, **kwargs):
+        warnings.warn("overflow encountered in multiply", RuntimeWarning)
+    monkeypatch.setattr(bucketforge.engines, "solve_mpe", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning):
+            run(["mpe", net])
+
+
 def test_usage_and_model_error_exit_codes(tmp_path, capsys):
     net = write(tmp_path, "chain.net", CHAIN_TEXT)
     bad = write(tmp_path, "bad.net", "BAYES\n1\n2\n1\n1 0\n3 0.5 0.5\n")
@@ -289,6 +319,21 @@ def test_dr_model_satisfies_the_theory(tmp_path, capsys):
     assert extension.num_props == 3
     assert len(extension.clauses) == int(got["clauses"])
     assert sum(1 for line in out if line.startswith("trace prop=")) == 3
+
+
+def test_dr_writes_the_extension_before_printing(tmp_path, capsys):
+    cnf = write(tmp_path, "theory.cnf", SAT_CNF)
+    assert run(["dr", cnf]) == 0
+    answer = capsys.readouterr().out
+    out_path = tmp_path / "extension.cnf"
+    assert run(["dr", cnf, "--extension", str(out_path)]) == 0
+    assert capsys.readouterr().out == answer
+    assert parse_cnf(out_path.read_text()).num_props == 3
+    missing = str(tmp_path / "missing" / "extension.cnf")
+    assert run(["dr", cnf, "--extension", missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_dr_evidence_pins_unit_clauses(tmp_path, capsys):

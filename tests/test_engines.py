@@ -14,7 +14,7 @@ from bucketforge import (Evidence, IterationRecord, Ordering,
                          parse_network, solve_belief, solve_map, solve_meu,
                          solve_mpe, solve_mpe_conditioned)
 from bucketforge.buckets import TraceEntry, forward_decode, partition
-from bucketforge.factor import ArgTable, DiscreteFactor, add, fold_max, multiply
+from bucketforge.factor import DiscreteFactor, add, fold_max, multiply
 from bucketforge.oracle import (oracle_belief, oracle_map, oracle_meu,
                                 oracle_mpe, score_assignment, score_decisions,
                                 score_hypothesis)
@@ -342,7 +342,7 @@ def _reference_maximize_decision(schedule, var):
     theta_out = DiscreteFactor._trusted(out_scope, out_cards, best)
     support_out = DiscreteFactor._trusted(out_scope, out_cards,
                                           support.astype(np.float64))
-    bucket.arg_table = ArgTable._trusted(var, out_scope, out_cards, choices)
+    schedule.arg_tables[var] = (out_scope, choices)
     schedule.place(theta_out, utility=True)
     schedule.place(support_out)
     ins = (tuple(f.scope for f in bucket.factors)
