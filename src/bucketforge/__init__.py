@@ -20,7 +20,7 @@ from .graph import (GraphView, Ordering, WidthReport, augmented_graph,
                     cutset_heuristic, induced_width, interaction_graph,
                     moral_graph, order_heuristic)
 from .model import (BeliefNetwork, CnfTheory, Evidence, InfluenceDiagram,
-                    Variable, parse_cnf, parse_cnf_evidence, parse_evidence,
+                    parse_cnf, parse_cnf_evidence, parse_evidence,
                     parse_network, serialize_cnf, serialize_evidence,
                     serialize_network)
 from .resolution import (DirectionalExtension, directional_resolution,
@@ -51,7 +51,6 @@ __all__ = [
     "TooLargeError",
     "TraceEntry",
     "UnsatisfiableError",
-    "Variable",
     "WidthReport",
     "ZeroMassError",
     "add",

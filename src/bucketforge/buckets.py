@@ -118,7 +118,12 @@ class _Planner:
     def file(self, scope: tuple[int, ...], utility: bool) -> int:
         """Number a new slot over ``scope`` and file it; returns the slot, or
         ``FOLD`` for an empty scope."""
-        bucket = self.filed[max(scope, key=self.ordering.index_of)] if scope else None
+        try:
+            bucket = self.filed[max(scope, key=self.ordering.index_of)] if scope else None
+        except KeyError:
+            missing = [v for v in scope if v not in self.ordering]
+            raise ValueError(f"table over scope {scope} names variables {missing} "
+                             "that the ordering lacks") from None
         self.scopes.append(scope)
         if bucket is None:
             return FOLD
@@ -415,13 +420,12 @@ class BucketSchedule(Sweep):
 
     @property
     def buckets(self) -> dict[int, Bucket]:
-        """A snapshot of the tables filed into each bucket; file new ones with
-        :meth:`place`."""
+        """A snapshot of the tables filed into each bucket, as copies; file
+        new ones with :meth:`place`."""
         scopes, slots = self._planner.scopes, self.slots
 
         def tables(filed):
-            return [DiscreteFactor._trusted(scopes[i], slots[i].shape, slots[i])
-                    for i in filed]
+            return [DiscreteFactor(scopes[i], slots[i].shape, slots[i]) for i in filed]
         return {v: Bucket(v, tables(probs), tables(utils), self.values.get(v))
                 for v, (probs, utils) in self._planner.filed.items()}
 

@@ -129,14 +129,14 @@ def _resolve_ordering(spec, n, graph, names=(), base=0, prefix=(), observed=()):
     """Ordering from a file, a heuristic name, or an inline given: list.
 
     Ids in a file or a list count from ``base`` (1 for DIMACS propositions);
-    the ordering holds them 0-based.  A heuristic ordering pins ``prefix``
-    first and the ``observed`` variables outside it last
-    (``graph.observed_suffix``).
+    the ordering holds them 0-based.  A heuristic ordering runs on the graph
+    ``graph()`` returns, called only then, and pins ``prefix`` first and the
+    ``observed`` variables outside it last (``graph.observed_suffix``).
     """
     if spec is None:
         spec = "min-fill"
     if spec in HEURISTICS:
-        return constrained_order(graph, HEURISTICS[spec], prefix=prefix,
+        return constrained_order(graph(), HEURISTICS[spec], prefix=prefix,
                                  suffix=observed_suffix(observed, prefix))
     if spec.startswith("given:"):
         return Ordering(tuple(_parse_id_list(spec[len("given:"):], n, names, base)))
@@ -235,7 +235,7 @@ def _run_bel(args) -> int:
     query = _parse_id_list(args.query, net.n, net.names)
     if len(query) != 1:
         raise _UsageError(f"--query takes one variable, got {args.query!r}")
-    ordering = _resolve_ordering(args.order, net.n, moral_graph(net), net.names,
+    ordering = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net.names,
                                  prefix=query, observed=_observed(evidence))
     result = engines.solve_belief(net, query[0], evidence, ordering)
     out = _Output(args.json)
@@ -251,7 +251,7 @@ def _run_bel(args) -> int:
 
 def _run_mpe(args) -> int:
     net, evidence = _load(args, args.network, "bayes")
-    ordering = _resolve_ordering(args.order, net.n, moral_graph(net), net.names,
+    ordering = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net.names,
                                  observed=_observed(evidence))
     result = engines.solve_mpe(net, evidence, ordering)
     out = _Output(args.json)
@@ -265,7 +265,7 @@ def _run_mpe(args) -> int:
 def _run_map(args) -> int:
     net, evidence = _load(args, args.network, "bayes")
     hyp = _parse_id_list(args.hyp, net.n, net.names)
-    ordering = _resolve_ordering(args.order, net.n, moral_graph(net), net.names,
+    ordering = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net.names,
                                  prefix=hyp, observed=_observed(evidence))
     result = engines.solve_map(net, hyp, evidence, ordering)
     out = _Output(args.json)
@@ -278,7 +278,7 @@ def _run_map(args) -> int:
 
 def _run_meu(args) -> int:
     diagram, evidence = _load(args, args.diagram, "id")
-    ordering = _resolve_ordering(args.order, diagram.n, augmented_graph(diagram),
+    ordering = _resolve_ordering(args.order, diagram.n, lambda: augmented_graph(diagram),
                                  diagram.names, prefix=list(diagram.decisions),
                                  observed=_observed(evidence))
     result = engines.solve_meu(diagram, evidence, ordering)
@@ -304,7 +304,7 @@ def _run_cond_mpe(args) -> int:
         cut = sorted(cutset_heuristic(graph.without(observed), args.wbound))
     if args.parallel < 1:
         raise _UsageError("--parallel must be >= 1")
-    ordering = _resolve_ordering(args.order, net.n, graph, net.names,
+    ordering = _resolve_ordering(args.order, net.n, lambda: graph, net.names,
                                  observed=sorted(set(cut) | set(observed)))
     result = engines.solve_mpe_conditioned(net, cut, evidence, ordering,
                                            parallel=args.parallel)
@@ -321,7 +321,7 @@ def _run_cond_mpe(args) -> int:
 def _run_dr(args) -> int:
     theory = _load_cnf(args, _read(args.cnf))
     ordering = _resolve_ordering(args.order, theory.num_props,
-                                 interaction_graph(theory), base=1)
+                                 lambda: interaction_graph(theory), base=1)
     extension = directional_resolution(theory, ordering)
     if not extension.satisfiable:
         if args.json:
@@ -385,7 +385,7 @@ def _run_stats(args) -> int:
         label = (args.order if args.order in HEURISTICS else
                  "given" if args.order.startswith("given:") else "file")
         _stats_block(out, label, g,
-                     _resolve_ordering(args.order, n, g, names, base), base)
+                     _resolve_ordering(args.order, n, lambda: g, names, base), base)
     out.flush()
     return 0
 

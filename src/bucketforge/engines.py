@@ -142,8 +142,6 @@ def solve_belief(net: BeliefNetwork, query: int, evidence: Evidence | None = Non
         # The query bucket's leftover tables, left to right, then the scalar.
         tables = [sweep.slots[i] for i in planned.left.get(query, ())] or [np.ones(card)]
         unnormalized = _finite(math.prod(tables) * sweep.scalar)
-        if (unnormalized < 0).any():  # tables may hold negative entries
-            raise ValueError("cannot normalize a table with negative entries")
         mass = float(unnormalized.sum())
         if mass == 0.0:
             raise ZeroMassError("table has zero total mass")

@@ -19,7 +19,7 @@ class ParseError(ModelError):
 
 
 class NormalizationError(ModelError):
-    """A conditional table row does not sum to one."""
+    """A conditional table has a negative entry or a row that does not sum to one."""
 
 
 class CycleError(ModelError):

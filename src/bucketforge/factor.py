@@ -6,11 +6,8 @@ comparable entrywise, and ``values`` carries one axis per scope variable in
 that order.  Empty-scope factors are ordinary scalars and participate in
 every operation.
 
-Tables built by the algebra below come from already validated factors, so
-they go through :meth:`DiscreteFactor._trusted`, which keeps only the checks
-an operation can break (finiteness) and the write lock.  The public
-constructor, :meth:`DiscreteFactor.from_table` and the model parsers validate
-everything.
+Every factor, an algebra result included, is built by the validating
+constructor, which copies its values and write-locks the copy.
 """
 
 from __future__ import annotations
@@ -51,21 +48,6 @@ class DiscreteFactor:
         object.__setattr__(self, "values", values)
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def _trusted(cls, scope: tuple[int, ...], cards: tuple[int, ...],
-                 values) -> "DiscreteFactor":
-        """Wrap an algebra result without copying it.
-
-        ``scope`` and ``cards`` must be sorted int tuples taken from validated
-        factors and ``values`` a float64 array of shape ``cards`` that no one
-        else writes to.  Finiteness is still checked: a product of finite
-        tables can overflow to inf, and inf times 0 is NaN.
-        """
-        values = np.asarray(values)
-        if not np.isfinite(values).all():
-            raise ValueError("factor values must be finite")
-        return _frozen(cls, scope=scope, cards=cards, values=values)
 
     @classmethod
     def scalar(cls, value: float) -> "DiscreteFactor":
@@ -122,8 +104,7 @@ class DiscreteFactor:
             raise ValueError(f"value {value} out of range for variable {var}")
         rest = self.scope[:axis] + self.scope[axis + 1:]
         cards = self.cards[:axis] + self.cards[axis + 1:]
-        return DiscreteFactor._trusted(rest, cards,
-                                       np.take(self.values, value, axis=axis))
+        return DiscreteFactor(rest, cards, np.take(self.values, value, axis=axis))
 
     def eliminate(self, var: int, op: str) -> tuple["DiscreteFactor", "ArgTable | None"]:
         """Remove ``var`` by summing or maximizing over its values.
@@ -135,11 +116,10 @@ class DiscreteFactor:
         rest = self.scope[:axis] + self.scope[axis + 1:]
         cards = self.cards[:axis] + self.cards[axis + 1:]
         if op == "sum":
-            return DiscreteFactor._trusted(rest, cards, fold_sum(self.values, axis)), None
+            return DiscreteFactor(rest, cards, fold_sum(self.values, axis)), None
         if op == "max":
             reduced, choices = fold_max(self.values, axis)
-            table = ArgTable._trusted(var, rest, cards, choices)
-            return DiscreteFactor._trusted(rest, cards, reduced), table
+            return DiscreteFactor(rest, cards, reduced), ArgTable(var, rest, cards, choices)
         raise ValueError(f"unknown elimination operator {op!r}")
 
     def normalized(self) -> tuple["DiscreteFactor", float]:
@@ -149,7 +129,7 @@ class DiscreteFactor:
         mass = float(self.values.sum())
         if mass == 0.0:
             raise ZeroMassError("table has zero total mass")
-        return DiscreteFactor._trusted(self.scope, self.cards, self.values / mass), mass
+        return DiscreteFactor(self.scope, self.cards, self.values / mass), mass
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,25 +146,8 @@ class ArgTable:
         choices.setflags(write=False)
         object.__setattr__(self, "choices", choices)
 
-    @classmethod
-    def _trusted(cls, variable: int, scope: tuple[int, ...], cards: tuple[int, ...],
-                 choices: np.ndarray) -> "ArgTable":
-        """Wrap a fresh int64 choice array of shape ``cards`` without copying."""
-        return _frozen(cls, variable=variable, scope=scope, cards=cards, choices=choices)
-
     def choice_at(self, assignment: Mapping[int, int]) -> int:
         return int(self.choices[tuple(assignment[v] for v in self.scope)])
-
-
-def _frozen(cls, **fields):
-    """Instance of a frozen dataclass with its fields set as given and its
-    array field locked, skipping ``__post_init__``."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    for value in fields.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    return obj
 
 
 def _slices(values: np.ndarray, axis: int) -> list[np.ndarray]:
@@ -250,7 +213,7 @@ def multiply(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
         acc = acc * f.aligned_values(scope)
     # Every scope variable has its full extent in some factor, so the
     # broadcast product already has the full shape.
-    return DiscreteFactor._trusted(scope, cards, acc)
+    return DiscreteFactor(scope, cards, acc)
 
 
 def add(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
@@ -261,4 +224,4 @@ def add(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
     acc = factors[0].aligned_values(scope)
     for f in factors[1:]:
         acc = acc + f.aligned_values(scope)
-    return DiscreteFactor._trusted(scope, cards, acc)
+    return DiscreteFactor(scope, cards, acc)

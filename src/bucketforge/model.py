@@ -23,7 +23,6 @@ import re
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,39 +34,31 @@ from .factor import DiscreteFactor
 ROW_SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class Variable:
-    id: int
-    name: str
-    cardinality: int
-
-    def __post_init__(self):
-        if self.cardinality < 1:
-            raise ModelError(f"variable {self.name!r} has cardinality {self.cardinality}")
+def _check_nonnegative(values: np.ndarray, child: int) -> None:
+    if (values < 0).any():
+        raise NormalizationError(f"table for variable {child} has a negative entry")
 
 
 @dataclass(frozen=True)
 class BeliefNetwork:
     """A DAG of discrete variables with one conditional table per variable.
 
+    The i-th variable has ``cards[i]`` values and the name ``X{i}``.
     ``cpts[i]`` may be None only when the network underlies an influence
     diagram and variable i is a decision.
     """
 
-    variables: tuple[Variable, ...]
+    cards: tuple[int, ...]
     parents: tuple[tuple[int, ...], ...]
     cpts: tuple[DiscreteFactor | None, ...]
 
     def __post_init__(self):
-        n = len(self.variables)
+        n = len(self.cards)
         if len(self.parents) != n or len(self.cpts) != n:
-            raise ModelError("variables, parents, and tables must align")
-        for i, v in enumerate(self.variables):
-            if v.id != i:
-                raise ModelError(f"variable ids must be dense 0..n-1, found {v.id} at {i}")
-        names = [v.name for v in self.variables]
-        if len(set(names)) != n:
-            raise ModelError("variable names are not unique")
+            raise ModelError("cardinalities, parents, and tables must align")
+        for i, c in enumerate(self.cards):
+            if c < 1:
+                raise ModelError(f"variable {i} has cardinality {c}")
         for i, ps in enumerate(self.parents):
             if len(set(ps)) != len(ps):
                 raise ModelError(f"variable {i} lists a parent twice")
@@ -88,10 +79,11 @@ class BeliefNetwork:
             sums = cpt.values.sum(axis=cpt.scope.index(i))
             if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOLERANCE:
                 raise NormalizationError(f"rows of the table for variable {i} do not sum to 1")
+            _check_nonnegative(cpt.values, i)
         self._check_acyclic()  # after the tables: an off row is named before a cycle
 
     def _check_acyclic(self) -> None:
-        n = len(self.variables)
+        n = self.n
         children: dict[int, list[int]] = {i: [] for i in range(n)}
         indeg = [len(ps) for ps in self.parents]
         for i, ps in enumerate(self.parents):
@@ -112,15 +104,11 @@ class BeliefNetwork:
 
     @property
     def n(self) -> int:
-        return len(self.variables)
-
-    @cached_property
-    def cards(self) -> tuple[int, ...]:
-        return tuple(v.cardinality for v in self.variables)
+        return len(self.cards)
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+        return tuple(f"X{i}" for i in range(self.n))
 
     def family(self, i: int) -> tuple[int, ...]:
         return tuple(sorted((*self.parents[i], i)))
@@ -172,10 +160,6 @@ class InfluenceDiagram:
     @property
     def cards(self) -> tuple[int, ...]:
         return self.network.cards
-
-    @property
-    def variables(self) -> tuple[Variable, ...]:
-        return self.network.variables
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -384,6 +368,8 @@ def parse_network(text: str, kind: str | None = None, strict: bool = True):
         child = ids[-1]
         raw = _read_table(ts, ids, cards)
         if not strict:  # BeliefNetwork makes the strict check
+            # Renormalizing would turn an all-negative row positive.
+            _check_nonnegative(raw, child)
             row_sums = raw.sum(axis=-1)  # the child is the fastest-running axis
             if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOLERANCE:
                 if np.any(row_sums == 0.0):
@@ -404,8 +390,7 @@ def parse_network(text: str, kind: str | None = None, strict: bool = True):
             utilities.append(DiscreteFactor.from_table(ids, [cards[v] for v in ids], raw))
     ts.expect_end()
 
-    variables = tuple(Variable(i, f"X{i}", c) for i, c in enumerate(cards))
-    net = BeliefNetwork(variables, tuple(parents), tuple(cpts))
+    net = BeliefNetwork(tuple(cards), tuple(parents), tuple(cpts))
     if header == "bayes":
         return net
     return InfluenceDiagram(net, tuple(decisions), tuple(utilities))

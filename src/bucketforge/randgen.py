@@ -9,7 +9,7 @@ import numpy as np
 
 from .factor import DiscreteFactor
 from .graph import Ordering
-from .model import BeliefNetwork, CnfTheory, Evidence, InfluenceDiagram, Variable
+from .model import BeliefNetwork, CnfTheory, Evidence, InfluenceDiagram
 
 
 def _random_cpt(rng: random.Random, scope: Sequence[int], cards: Sequence[int],
@@ -32,8 +32,7 @@ def _random_cpt(rng: random.Random, scope: Sequence[int], cards: Sequence[int],
 def random_network(rng: random.Random, max_vars: int = 8, max_card: int = 3,
                    hard_rows: float = 0.0) -> BeliefNetwork:
     n = rng.randint(2, max_vars)
-    cards = [rng.randint(2, max_card) for _ in range(n)]
-    variables = tuple(Variable(i, f"X{i}", cards[i]) for i in range(n))
+    cards = tuple(rng.randint(2, max_card) for _ in range(n))
     parents = []
     cpts = []
     for i in range(n):
@@ -42,29 +41,27 @@ def random_network(rng: random.Random, max_vars: int = 8, max_card: int = 3,
         ps = tuple(sorted(rng.sample(pool, count)))
         parents.append(ps)
         cpts.append(_random_cpt(rng, [*ps, i], cards, hard_rows))
-    return BeliefNetwork(variables, tuple(parents), tuple(cpts))
+    return BeliefNetwork(cards, tuple(parents), tuple(cpts))
 
 
 def uniform_network(cards: Sequence[int]) -> BeliefNetwork:
     """Independent variables, every value equally likely: the all-ties model."""
-    variables = tuple(Variable(i, f"X{i}", c) for i, c in enumerate(cards))
     cpts = tuple(
         DiscreteFactor.from_table([i], [c], np.full(c, 1.0 / c))
         for i, c in enumerate(cards))
-    return BeliefNetwork(variables, tuple(() for _ in cards), cpts)
+    return BeliefNetwork(tuple(cards), tuple(() for _ in cards), cpts)
 
 
 def random_tree_network(rng: random.Random, max_vars: int = 30) -> BeliefNetwork:
     n = rng.randint(2, max_vars)
-    cards = [rng.randint(2, 3) for _ in range(n)]
-    variables = tuple(Variable(i, f"X{i}", cards[i]) for i in range(n))
+    cards = tuple(rng.randint(2, 3) for _ in range(n))
     parents: list[tuple[int, ...]] = [()]
     cpts = [_random_cpt(rng, [0], cards)]
     for i in range(1, n):
         p = rng.randrange(i)
         parents.append((p,))
         cpts.append(_random_cpt(rng, [p, i], cards))
-    return BeliefNetwork(variables, tuple(parents), tuple(cpts))
+    return BeliefNetwork(cards, tuple(parents), tuple(cpts))
 
 
 def random_evidence(rng: random.Random, net, max_observed: int = 2,
@@ -83,7 +80,7 @@ def random_influence_diagram(rng: random.Random, max_vars: int = 8,
     k = rng.randint(1, min(2, len(roots)))
     decisions = tuple(sorted(rng.sample(roots, k)))
     cpts = tuple(None if i in decisions else base.cpts[i] for i in range(base.n))
-    net = BeliefNetwork(base.variables, base.parents, cpts)
+    net = BeliefNetwork(base.cards, base.parents, cpts)
     utilities = []
     for _ in range(rng.randint(1, 3)):
         size = rng.randint(1, min(3, net.n))

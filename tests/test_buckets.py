@@ -101,10 +101,28 @@ def test_empty_bucket_is_skipped(diag_net):
     assert {v: b.factors for v, b in schedule.buckets.items()} == before
 
 
+def test_the_bucket_snapshot_copies_and_leaves_the_slots_writable(diag_net):
+    schedule = partition(diag_net.factor_list(), Ordering(DIAG_GOOD_ORDER))
+    schedule.process(5, "sum")
+    sent = schedule.buckets[4].factors[-1]
+    assert sent.values is not schedule.slots[-1]
+    assert (sent.values == schedule.slots[-1]).all()
+    assert not sent.values.flags.writeable
+    assert schedule.slots[-1].flags.writeable
+
+
+def test_a_table_outside_the_ordering_is_a_value_error():
+    message = r"table over scope \(3, 7\) names variables \[7\] that the ordering lacks"
+    with pytest.raises(ValueError, match=message):
+        partition([DiscreteFactor((3, 7), (2, 2), [1.0] * 4)], Ordering((0, 3)))
+    with pytest.raises(ValueError, match=message):
+        plan([(3, 7)], {3: 2, 7: 2}, Ordering((0, 3)), (), {})
+
+
 def test_a_table_is_freed_once_its_bucket_is_processed(diag_net):
     schedule = partition(diag_net.factor_list(), Ordering(DIAG_GOOD_ORDER))
     schedule.process(5, "sum")
-    sent = weakref.ref(schedule.buckets[4].factors[-1].values)
+    sent = weakref.ref(schedule.slots[-1])
     assert sent().shape == (2,)  # the table over (4,)
     gc.collect()
     assert sent() is not None

@@ -558,3 +558,55 @@ def test_stats_cnf_reads_evidence_like_dr(tmp_path, capsys):
         assert err in captured.err
         assert run(["dr", cnf, "--evidence", path]) == 2
         assert err in capsys.readouterr().err
+
+
+NEGATIVE_TEXT = """BAYES
+2
+2 2
+2
+1 0
+2 0 1
+2 0.5 0.5
+4 1.5 -0.5 0.5 0.5
+"""
+
+
+@pytest.mark.parametrize("row, argv", [
+    ("1.5 -0.5", ["bel", "--query", "1"]),
+    ("1.5 -0.5", ["mpe"]),
+    ("1.5 -0.5", ["mpe", "--lax"]),
+    ("1.5 -0.5", ["stats"]),
+    ("-1 -3", ["mpe", "--lax"]),  # renormalizing would make this row valid
+], ids=["bel", "mpe", "mpe-lax", "stats", "all-negative-row-lax"])
+def test_negative_table_entry_is_a_model_error(tmp_path, capsys, row, argv):
+    net = write(tmp_path, "neg.net", NEGATIVE_TEXT.replace("1.5 -0.5", row))
+    assert run([argv[0], net, *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", "error: table for variable 1 has a negative entry\n")
+
+
+def test_negative_utilities_still_solve(tmp_path, capsys):
+    diagram = write(tmp_path, "decide.id", DIAGRAM_TEXT.replace("10.0 1.0", "-10.0 -1.0"))
+    assert run(["meu", diagram, "--oracle"]) == 0
+    got = dict(line.split("=", 1) for line in lines_of(capsys))
+    assert got["value"] == got["oracle_value"]
+    assert got["assignment"] == got["oracle_assignment"] == "0=0"
+
+
+@pytest.mark.parametrize("command, text, extra, ids, builder", [
+    ("bel", CHAIN_TEXT, ["--query", "0"], "0,1,2", "moral_graph"),
+    ("mpe", CHAIN_TEXT, [], "0,1,2", "moral_graph"),
+    ("map", CHAIN_TEXT, ["--hyp", "0"], "0,1,2", "moral_graph"),
+    ("meu", DIAGRAM_TEXT, [], "0,1", "augmented_graph"),
+    ("dr", SAT_CNF, [], "1,2,3", "interaction_graph"),
+], ids=["bel", "mpe", "map", "meu", "dr"])
+def test_a_given_ordering_builds_no_graph(tmp_path, capsys, monkeypatch, command, text,
+                                          extra, ids, builder):
+    path = write(tmp_path, "model", text)
+    order_file = write(tmp_path, "model.ord", ids.replace(",", " ") + "\n")
+
+    def refuse(*args):
+        raise AssertionError("the graph was built")
+    monkeypatch.setattr(bucketforge.cli, builder, refuse)
+    for order in ("given:" + ids, order_file):
+        assert run([command, path, *extra, "--order", order]) == 0
+    capsys.readouterr()

@@ -287,7 +287,7 @@ def _reference_divide_where_positive(numer, denom):
     d = denom.aligned_values(numer.scope)
     d = np.broadcast_to(d, numer.values.shape)
     out = np.divide(numer.values, d, out=np.zeros_like(numer.values), where=d != 0)
-    return DiscreteFactor._trusted(numer.scope, numer.cards, out)
+    return DiscreteFactor(numer.scope, numer.cards, out)
 
 
 def _reference_average_out_chance(schedule, var):
@@ -339,9 +339,8 @@ def _reference_maximize_decision(schedule, var):
     best = np.where(support, best, 0.0)
     out_scope = tuple(v for v in scope if v != var)
     out_cards = tuple(cards_map[v] for v in out_scope)
-    theta_out = DiscreteFactor._trusted(out_scope, out_cards, best)
-    support_out = DiscreteFactor._trusted(out_scope, out_cards,
-                                          support.astype(np.float64))
+    theta_out = DiscreteFactor(out_scope, out_cards, best)
+    support_out = DiscreteFactor(out_scope, out_cards, support.astype(np.float64))
     schedule.arg_tables[var] = (out_scope, choices)
     schedule.place(theta_out, utility=True)
     schedule.place(support_out)

@@ -6,9 +6,9 @@ import warnings
 
 import pytest
 
-from bucketforge import (CnfTheory, CycleError, Evidence, EvidenceError,
-                         InfluenceDiagram, ModelError, NormalizationError,
-                         ParseError, parse_cnf, parse_cnf_evidence,
+from bucketforge import (BeliefNetwork, CnfTheory, CycleError, DiscreteFactor,
+                         Evidence, EvidenceError, InfluenceDiagram, ModelError,
+                         NormalizationError, ParseError, parse_cnf, parse_cnf_evidence,
                          parse_evidence, parse_network, serialize_cnf,
                          serialize_evidence, serialize_network)
 from bucketforge.randgen import (random_cnf, random_evidence,
@@ -149,6 +149,24 @@ def test_cycle_is_rejected():
 """
     with pytest.raises(CycleError):
         parse_network(text)
+
+
+def test_a_network_is_its_cards_parents_and_tables():
+    prior = DiscreteFactor.from_table([0], [2], [0.4, 0.6])
+    net = BeliefNetwork((2, 3), ((), ()), (prior, None))
+    assert net.n == 2 and net.cards == (2, 3)
+    assert net.names == ("X0", "X1")
+    with pytest.raises(ModelError, match="variable 1 has cardinality 0"):
+        BeliefNetwork((2, 0), ((), ()), (prior, None))
+    with pytest.raises(ModelError, match="must align"):
+        BeliefNetwork((2,), ((), ()), (prior, None))
+
+
+def test_a_negative_conditional_entry_is_rejected():
+    tables = [DiscreteFactor.from_table([0], [2], [0.5, 0.5]),
+              DiscreteFactor.from_table([0, 1], [2, 2], [1.5, -0.5, 0.5, 0.5])]
+    with pytest.raises(NormalizationError, match="table for variable 1 has a negative entry"):
+        BeliefNetwork((2, 2), ((), (0,)), tuple(tables))
 
 
 def test_decision_with_parents_is_rejected():
