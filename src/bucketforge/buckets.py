@@ -136,7 +136,11 @@ class _Planner:
         The bucket of an observed variable is scattered whatever ``op`` is,
         and an empty one is skipped.
         """
-        probs, utils = self.filed[var]
+        try:
+            probs, utils = self.filed[var]
+        except KeyError:
+            raise ValueError(f"no bucket for variable {var}: "
+                             "the ordering lacks it") from None
         self.filed[var] = ([], [])
         inputs = (*probs, *utils)
         ins = [self.scopes[i] for i in inputs]

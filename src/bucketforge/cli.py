@@ -46,14 +46,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bucketforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, oracle_flag=True):
+    def common(p, trace=True, lax=True, oracle_flag=True):
+        """The common flags, less those the command does not read."""
         p.add_argument("--evidence", metavar="FILE", help="evidence file")
         p.add_argument("--order", metavar="SPEC",
                        help="ordering file, min-fill, min-degree, or given:ids")
-        p.add_argument("--trace", action="store_true", help="print bucket traces")
+        if trace:
+            p.add_argument("--trace", action="store_true", help="print bucket traces")
         p.add_argument("--json", action="store_true", help="emit one JSON object")
-        p.add_argument("--lax", action="store_true",
-                       help="renormalize off rows instead of rejecting them")
+        if lax:
+            p.add_argument("--lax", action="store_true",
+                           help="renormalize off rows instead of rejecting them")
         if oracle_flag:
             p.add_argument("--oracle", action="store_true",
                            help="also print enumeration-oracle results")
@@ -88,11 +91,11 @@ def build_parser() -> _Parser:
     p.add_argument("cnf")
     p.add_argument("--extension", metavar="FILE",
                    help="write the resulting clause set as DIMACS")
-    common(p)
+    common(p, lax=False)
 
     p = sub.add_parser("stats", help="graph widths per ordering heuristic")
     p.add_argument("path")
-    common(p, oracle_flag=False)
+    common(p, trace=False, oracle_flag=False)
     return parser
 
 

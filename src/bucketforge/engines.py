@@ -13,7 +13,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -152,17 +152,10 @@ def solve_belief(net: BeliefNetwork, query: int, evidence: Evidence | None = Non
 def solve_mpe(net: BeliefNetwork, evidence: Evidence | None = None,
               ordering: Ordering | None = None) -> QueryResult:
     """Most probable complete assignment; value is the maximal joint mass
-    consistent with the evidence."""
-    evidence, ordering = _pinned_ends(net, evidence, ordering, moral_graph)
-
-    planned, sweep = _sweep(net, net.factor_list(), evidence, ordering,
-                            dict.fromkeys(ordering.sequence, "max"))
-    value = sweep.scalar
-    note = None
-    if value == 0.0 and len(evidence):
-        note = "no positive-probability completion of the evidence"
-    return _result("mpe", planned, value=value, note=note,
-                   assignment=forward_decode(sweep, range(net.n)))
+    consistent with the evidence.  This is the conditioned max sweep with an
+    empty cutset, without its one iteration record."""
+    return replace(_max_sweep(net, [], evidence, ordering, 1), kind="mpe",
+                   iterations=None)
 
 
 def solve_map(net: BeliefNetwork, hypothesis: Sequence[int],
@@ -241,6 +234,13 @@ def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
     for v in cut:
         if not 0 <= v < net.n:
             raise ValueError(f"unknown cutset variable {v}")
+    return _max_sweep(net, cut, evidence, ordering, parallel)
+
+
+def _max_sweep(net: BeliefNetwork, cut: list[int], evidence: Evidence | None,
+               ordering: Ordering | None, parallel: int) -> QueryResult:
+    """The max sweep of :func:`solve_mpe_conditioned` over the sorted,
+    checked ``cut``: planned once, executed per cutset combination."""
     evidence, ordering = _pinned_ends(net, evidence, ordering, moral_graph,
                                       pinned=cut)
 

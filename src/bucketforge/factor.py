@@ -180,7 +180,8 @@ def fold_max(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     A strictly greater slice value moves the choice to that slice's index,
     so ties keep the lowest value.  The index grows with each slice, so the
     running choice is updated by a maximum instead of a masked write, in
-    the smallest integer type that holds it.
+    the smallest integer type that holds it, which is also the type
+    returned.
     """
     slices = _slices(values, axis)
     best = np.array(slices[0])
@@ -190,7 +191,7 @@ def fold_max(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
         better = s > best
         np.maximum(best, s, out=best)
         np.maximum(choices, better * index(i), out=choices)
-    return best, choices.astype(np.int64)
+    return best, choices
 
 
 def _merged_scope(factors: Sequence[DiscreteFactor]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -26,23 +26,40 @@ def _guard(cards: Sequence[int]) -> None:
         raise TooLargeError(f"joint table would hold {cells} cells (cap {CELL_LIMIT})")
 
 
-def joint_table(net: BeliefNetwork) -> np.ndarray:
-    """Product of all conditional tables, one axis per variable id."""
-    _guard(net.cards)
-    scope = list(range(net.n))
-    acc = np.ones(net.cards)
-    for f in net.factor_list():
-        acc = acc * f.aligned_values(scope)
+def _table(model, factors, op: np.ufunc) -> np.ndarray:
+    """``op`` (``np.multiply`` or ``np.add``) folded over the tables, from its
+    identity, with one axis per variable id of ``model``."""
+    _guard(model.cards)
+    scope = list(range(model.n))
+    acc = np.full(model.cards, float(op.identity))
+    for f in factors:
+        acc = op(acc, f.aligned_values(scope))
     return acc
 
 
-def _collapse_evidence(arr: np.ndarray, remaining: list[int],
-                       evidence: Evidence) -> np.ndarray:
+def joint_table(net: BeliefNetwork) -> np.ndarray:
+    """Product of all conditional tables, one axis per variable id."""
+    return _table(net, net.factor_list(), np.multiply)
+
+
+def _sliced(arr: np.ndarray, evidence) -> tuple[np.ndarray, list[int]]:
+    """``arr``, one axis per variable id, with each observed variable's axis
+    taken at its value; and the variables of the axes that remain."""
+    remaining = list(range(arr.ndim))
     for var, val in evidence.items():
         if var in remaining:
             arr = arr.take(val, axis=remaining.index(var))
             remaining.remove(var)
-    return arr
+    return arr, remaining
+
+
+def _meu_tables(diagram: InfluenceDiagram, evidence: Evidence):
+    """The joint probability and the summed utility, both sliced by
+    ``evidence``, and the variables of their remaining axes."""
+    probs, remaining = _sliced(_table(diagram, diagram.chance_factors(), np.multiply),
+                               evidence)
+    utils, _ = _sliced(_table(diagram, diagram.utilities, np.add), evidence)
+    return probs, utils, remaining
 
 
 def _lex_argmax(arr: np.ndarray, remaining: list[int],
@@ -60,9 +77,7 @@ def oracle_belief(net: BeliefNetwork, query: int,
                   evidence: Evidence | None = None) -> tuple[tuple[float, ...], float]:
     """Posterior over ``query`` and the evidence mass."""
     evidence = evidence if evidence is not None else Evidence.empty()
-    arr = joint_table(net)
-    remaining = list(range(net.n))
-    arr = _collapse_evidence(arr, remaining, evidence)
+    arr, remaining = _sliced(joint_table(net), evidence)
     mass = float(arr.sum())
     if mass == 0.0:
         raise ZeroMassError("evidence has probability zero")
@@ -77,15 +92,11 @@ def oracle_belief(net: BeliefNetwork, query: int,
 
 def oracle_mpe(net: BeliefNetwork, evidence: Evidence | None = None,
                tie_order: Sequence[int] | None = None) -> tuple[float, dict[int, int]]:
-    """Maximal joint mass consistent with the evidence, plus its assignment."""
-    evidence = evidence if evidence is not None else Evidence.empty()
-    tie_order = tie_order if tie_order is not None else range(net.n)
-    arr = joint_table(net)
-    remaining = list(range(net.n))
-    arr = _collapse_evidence(arr, remaining, evidence)
-    assignment = dict(evidence.assignments)
-    assignment.update(_lex_argmax(arr, remaining, tie_order))
-    return float(arr.max()), assignment
+    """Maximal joint mass consistent with the evidence, plus its assignment:
+    :func:`oracle_map` with every variable, in ``tie_order``, as the
+    hypothesis."""
+    return oracle_map(net, tie_order if tie_order is not None else range(net.n),
+                      evidence)
 
 
 def oracle_map(net: BeliefNetwork, hypothesis: Sequence[int],
@@ -96,9 +107,7 @@ def oracle_map(net: BeliefNetwork, hypothesis: Sequence[int],
     Observed hypothesis variables are pinned to their observed value.
     """
     evidence = evidence if evidence is not None else Evidence.empty()
-    arr = joint_table(net)
-    remaining = list(range(net.n))
-    arr = _collapse_evidence(arr, remaining, evidence)
+    arr, remaining = _sliced(joint_table(net), evidence)
     hset = set(hypothesis)
     others = tuple(i for i, v in enumerate(remaining) if v not in hset)
     summed = arr.sum(axis=others) if others else arr
@@ -119,20 +128,7 @@ def oracle_meu(diagram: InfluenceDiagram, evidence: Evidence | None = None,
     evidence = evidence if evidence is not None else Evidence.empty()
     decision_order = (decision_order if decision_order is not None
                       else diagram.decisions)
-    _guard(diagram.cards)
-    scope = list(range(diagram.n))
-    probs = np.ones(diagram.cards)
-    for f in diagram.chance_factors():
-        probs = probs * f.aligned_values(scope)
-    utils = np.zeros(diagram.cards)
-    for f in diagram.utilities:
-        utils = utils + f.aligned_values(scope)
-
-    remaining = list(range(diagram.n))
-    probs = _collapse_evidence(probs, remaining, evidence)
-    utils_remaining = list(range(diagram.n))
-    utils = _collapse_evidence(utils, utils_remaining, evidence)
-
+    probs, utils, remaining = _meu_tables(diagram, evidence)
     dset = set(diagram.decisions)
     chance_axes = tuple(i for i, v in enumerate(remaining) if v not in dset)
     mass = probs.sum(axis=chance_axes) if chance_axes else probs
@@ -162,15 +158,9 @@ def score_hypothesis(net: BeliefNetwork, pinned: dict[int, int],
     """Mass of (pinned, evidence) with all other variables summed out."""
     evidence = evidence if evidence is not None else Evidence.empty()
     arr = joint_table(net)
-    remaining = list(range(net.n))
-    arr = _collapse_evidence(arr, remaining, evidence)
-    for v, val in sorted(pinned.items()):
-        if v in evidence:
-            if evidence.get(v) != val:
-                return 0.0
-            continue
-        arr = np.take(arr, val, axis=remaining.index(v))
-        remaining.remove(v)
+    if any(v in evidence and evidence.get(v) != val for v, val in pinned.items()):
+        return 0.0
+    arr, _ = _sliced(arr, {**pinned, **evidence.assignments})
     return float(arr.sum())
 
 
@@ -178,21 +168,8 @@ def score_decisions(diagram: InfluenceDiagram, decisions: dict[int, int],
                     evidence: Evidence | None = None) -> float:
     """Conditional expected utility of one decision tuple."""
     evidence = evidence if evidence is not None else Evidence.empty()
-    merged = dict(evidence.assignments)
-    merged.update(decisions)
-    pinned = Evidence(merged)
-    _guard(diagram.cards)
-    scope = list(range(diagram.n))
-    probs = np.ones(diagram.cards)
-    for f in diagram.chance_factors():
-        probs = probs * f.aligned_values(scope)
-    utils = np.zeros(diagram.cards)
-    for f in diagram.utilities:
-        utils = utils + f.aligned_values(scope)
-    remaining = list(range(diagram.n))
-    probs = _collapse_evidence(probs, remaining, pinned)
-    utils_remaining = list(range(diagram.n))
-    utils = _collapse_evidence(utils, utils_remaining, pinned)
+    probs, utils, _ = _meu_tables(diagram, Evidence({**evidence.assignments,
+                                                     **decisions}))
     mass = probs.sum()
     if mass == 0.0:
         raise ZeroMassError("the decision tuple gives the evidence zero probability")

@@ -6,6 +6,7 @@ import random
 import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from bucketforge import Evidence, Ordering, buckets, forward_decode, partition
@@ -117,6 +118,26 @@ def test_a_table_outside_the_ordering_is_a_value_error():
         partition([DiscreteFactor((3, 7), (2, 2), [1.0] * 4)], Ordering((0, 3)))
     with pytest.raises(ValueError, match=message):
         plan([(3, 7)], {3: 2, 7: 2}, Ordering((0, 3)), (), {})
+
+
+@pytest.mark.parametrize("advance", [lambda s: s.process(7, "sum"), lambda s: s.scatter(7)],
+                         ids=["process", "scatter"])
+def test_a_bucket_outside_the_ordering_is_a_value_error(advance):
+    schedule = partition([], Ordering((0, 1)))
+    with pytest.raises(ValueError, match="no bucket for variable 7: the ordering lacks it"):
+        advance(schedule)
+    assert schedule.trace == []
+
+
+def test_a_binary_max_sweep_keeps_one_byte_choice_tables(diag_net):
+    tables = diag_net.factor_list()
+    planned = plan([f.scope for f in tables], diag_net.cards, Ordering(DIAG_GOOD_ORDER),
+                   (), dict.fromkeys(DIAG_GOOD_ORDER, "max"))
+    sweep = execute(planned, [f.values for f in tables], {})
+    assert len(sweep.arg_tables) == 6
+    for scope, choices in sweep.arg_tables.values():
+        assert choices.dtype == np.uint8
+        assert choices.shape == tuple(diag_net.cards[v] for v in scope)
 
 
 def test_a_table_is_freed_once_its_bucket_is_processed(diag_net):

@@ -247,6 +247,19 @@ def test_seed_flag_is_gone(tmp_path, capsys):
     assert "--seed" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["dr", "theory.cnf", "--lax"],
+                                  ["stats", "chain.net", "--trace"]],
+                         ids=["dr-lax", "stats-trace"])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    write(tmp_path, "theory.cnf", SAT_CNF)
+    write(tmp_path, "chain.net", CHAIN_TEXT)
+    assert run([argv[0], str(tmp_path / argv[1]), argv[2]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert argv[2] in captured.err
+
+
 def test_stats_given_order_with_a_repeated_node_is_a_usage_error(tmp_path, capsys):
     net = write(tmp_path, "chain.net", CHAIN_TEXT)
     assert run(["stats", net, "--order", "given:0,0,1,2"]) == 1
@@ -315,7 +328,7 @@ def test_dr_model_satisfies_the_theory(tmp_path, capsys):
         model[int(prop)] = bool(int(val))
     for clause in parse_cnf(SAT_CNF).clauses:
         assert any(model[abs(lit)] == (lit > 0) for lit in clause)
-    extension = parse_cnf(open(out_path).read())
+    extension = parse_cnf(Path(out_path).read_text())
     assert extension.num_props == 3
     assert len(extension.clauses) == int(got["clauses"])
     assert sum(1 for line in out if line.startswith("trace prop=")) == 3
