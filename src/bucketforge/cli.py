@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Line-oriented ``key=value`` output, decimals at 12 significant digits,
-byte-identical across repeated runs.  Exit codes: 0 success, 1 usage error,
-2 model error, 3 impossible evidence or unsatisfiable theory.
+byte-identical across repeated runs.  Exit codes: 0 success, 1 usage error
+or out of memory, 2 model error, 3 impossible evidence or unsatisfiable
+theory.
 """
 
 from __future__ import annotations
@@ -419,6 +420,10 @@ def run(argv) -> int:
             # ValueError covers OrderingConstraintError; TooLargeError is an
             # --oracle query past the enumeration cap.
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:  # numpy's _ArrayMemoryError included
+            detail = f": {exc}" if str(exc) else ""
+            print(f"error: out of memory{detail}", file=sys.stderr)
             return 1
         except (ModelError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,10 @@ that order.  Empty-scope factors are ordinary scalars and participate in
 every operation.
 
 Every factor, an algebra result included, is built by the validating
-constructor, which copies its values and write-locks the copy.
+constructor, which copies its values and write-locks the copy.  The copy is
+skipped only for a float64 array of the factor's shape that no writable
+array shares memory with: a read-only array whose bases are read-only down
+to the array that owns the memory.
 """
 
 from __future__ import annotations
@@ -20,6 +23,20 @@ import numpy as np
 from .errors import ZeroMassError
 
 
+def _locked(values: np.ndarray) -> bool:
+    """Whether ``values`` and every array it views are read-only, down to
+    the array that owns the memory.  Memory from another kind of buffer
+    does not count as locked.  A writable view taken before its owner was
+    locked is not seen."""
+    while isinstance(values, np.ndarray):
+        if values.flags.writeable:
+            return False
+        if values.base is None:
+            return True
+        values = values.base
+    return False
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteFactor:
     """Immutable real-valued table over a sorted tuple of variable ids."""
@@ -29,20 +46,23 @@ class DiscreteFactor:
     values: np.ndarray
 
     def __post_init__(self):
-        scope = tuple(int(v) for v in self.scope)
-        cards = tuple(int(c) for c in self.cards)
+        scope = tuple(map(int, self.scope))
+        cards = tuple(map(int, self.cards))
         if len(scope) != len(cards):
             raise ValueError("scope and cardinalities differ in length")
         if len(set(scope)) != len(scope):
             raise ValueError(f"duplicate variables in scope {scope}")
         if list(scope) != sorted(scope):
             raise ValueError(f"scope must be sorted by variable id, got {scope}")
-        if any(c < 1 for c in cards):
+        if cards and min(cards) < 1:
             raise ValueError("cardinalities must be >= 1")
-        values = np.array(self.values, dtype=np.float64).reshape(cards)
-        if not np.all(np.isfinite(values)):
+        values = self.values
+        if not (type(values) is np.ndarray and values.dtype == np.float64
+                and values.shape == cards and _locked(values)):
+            values = np.array(values, dtype=np.float64).reshape(cards)
+            values.setflags(write=False)
+        if not np.isfinite(values).all():
             raise ValueError("factor values must be finite")
-        values.setflags(write=False)
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "cards", cards)
         object.__setattr__(self, "values", values)

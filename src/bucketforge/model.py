@@ -19,8 +19,10 @@ CNF theories use standard DIMACS (``p cnf V C``).
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -34,9 +36,8 @@ from .factor import DiscreteFactor
 ROW_SUM_TOLERANCE = 1e-9
 
 
-def _check_nonnegative(values: np.ndarray, child: int) -> None:
-    if (values < 0).any():
-        raise NormalizationError(f"table for variable {child} has a negative entry")
+def _negative_entry(child: int) -> NormalizationError:
+    return NormalizationError(f"table for variable {child} has a negative entry")
 
 
 @dataclass(frozen=True)
@@ -67,20 +68,47 @@ class BeliefNetwork:
                     raise ModelError(f"variable {i} has unknown parent {p}")
                 if p == i:
                     raise ModelError(f"variable {i} is its own parent")
+        self._check_tables()
+        self._check_acyclic()  # after the tables: an off row is named before a cycle
+
+    def _check_tables(self) -> None:
+        """Each table's scope and cardinalities, then its rows and signs.
+
+        Rows and signs are checked once per group of tables of one shape
+        and one child axis.  The lowest failing variable is named; for one
+        variable, a wrong scope or cardinality comes first, then a row
+        that does not sum to 1, then a negative entry.
+        """
+        groups: dict[tuple, list[int]] = {}
+        failure = None
         for i, cpt in enumerate(self.cpts):
             if cpt is None:
                 continue
             if cpt.scope != self.family(i):
-                raise ModelError(
+                failure = ModelError(
                     f"table scope {cpt.scope} differs from the family of variable {i}")
-            for v, c in zip(cpt.scope, cpt.cards):
-                if c != self.cards[v]:
-                    raise ModelError(f"table for variable {i} disagrees on cardinality of {v}")
-            sums = cpt.values.sum(axis=cpt.scope.index(i))
-            if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOLERANCE:
-                raise NormalizationError(f"rows of the table for variable {i} do not sum to 1")
-            _check_nonnegative(cpt.values, i)
-        self._check_acyclic()  # after the tables: an off row is named before a cycle
+                break
+            if cpt.cards != tuple(map(self.cards.__getitem__, cpt.scope)):
+                v = next(v for v, c in zip(cpt.scope, cpt.cards) if c != self.cards[v])
+                failure = ModelError(f"table for variable {i} disagrees on cardinality of {v}")
+                break
+            groups.setdefault((cpt.cards, cpt.scope.index(i)), []).append(i)
+        first = failing = None  # the lowest variable failing below ``failure``
+        for (_, axis), members in groups.items():
+            block = np.stack([self.cpts[i].values for i in members])
+            g = len(members)
+            off = np.abs(block.sum(axis=1 + axis) - 1.0).reshape(g, -1).max(axis=1)
+            off = off > ROW_SUM_TOLERANCE
+            negative = (block < 0).reshape(g, -1).any(axis=1)
+            bad = np.flatnonzero(off | negative)
+            if bad.size and (first is None or members[bad[0]] < first):
+                first, failing = members[bad[0]], off[bad[0]]
+        if first is not None:
+            if failing:
+                raise NormalizationError(f"rows of the table for variable {first} do not sum to 1")
+            raise _negative_entry(first)
+        if failure is not None:
+            raise failure
 
     def _check_acyclic(self) -> None:
         n = self.n
@@ -252,6 +280,41 @@ class _TokenStream:
         self._i += 1
         return self._toks[self._i - 1]
 
+    def next_ids(self, count: int, n: int) -> list[int] | None:
+        """The next ``count`` tokens as integers in ``0 .. n - 1``; None, and
+        nothing read, unless all ``count`` are there and are such integers."""
+        try:
+            ids = list(map(int, self._toks[self._i:self._i + count]))
+        except ValueError:
+            return None
+        if len(ids) < count or not all(0 <= v < n for v in ids):
+            return None
+        self._i += count
+        return ids
+
+    @property
+    def position(self) -> int:
+        """Index of the next token."""
+        return self._i
+
+    def token(self, index: int) -> str:
+        return self._toks[index]
+
+    def floats(self, start: int, stop: int) -> tuple[np.ndarray, int | None]:
+        """Tokens ``start`` to ``stop`` as floats, and the index of the first
+        one that is not a float (None if there is none), before which the
+        conversion stops."""
+        toks = self._toks[start:stop]
+        try:
+            return np.array(toks, dtype=np.float64), None
+        except ValueError:
+            for j, tok in enumerate(toks):
+                try:
+                    float(tok)
+                except ValueError:
+                    return np.array(toks[:j], dtype=np.float64), start + j
+            raise
+
     def next_int(self, expect: str, minimum: int | None = None) -> int:
         tok = self.next(expect)
         try:
@@ -262,26 +325,21 @@ class _TokenStream:
             raise self.error(f"{expect} must be >= {minimum}, found {value}")
         return value
 
-    def next_table(self, count: int) -> np.ndarray:
-        """The next ``count`` tokens as finite floats, read as one slice.  Errors
-        come as a token-by-token reader meets them: bad token, end, non-finite."""
-        start = self._i
-        toks = self._toks[start:start + count]
-        try:
-            values = np.fromiter(map(float, toks), dtype=np.float64, count=len(toks))
-        except ValueError:
-            for j, tok in enumerate(toks):
-                try:
-                    float(tok)
-                except ValueError:
-                    raise self.error(f"expected table entry, found {tok!r}", start + j)
-        if len(toks) < count:
-            raise ParseError("unexpected end of input, expected table entry")
-        if not np.isfinite(values).all():
-            j = int(np.argmin(np.isfinite(values)))
-            raise self.error(f"table entry must be finite, found {toks[j]!r}", start + j)
+    def skip_table(self, scope: Sequence[int], cards: Sequence[int]) -> int:
+        """Read a table's entry count, check it against ``scope``, and step
+        over the entries unread.  Returns the index of the first entry; the
+        stream may end inside the table, which ``overran`` then reports."""
+        expected = math.prod(map(cards.__getitem__, scope))
+        count = self.next_int("entry count", minimum=1)
+        if count != expected:
+            raise ParseError(f"table over scope {list(scope)} needs {expected} entries, "
+                             f"file declares {count}")
         self._i += count
-        return values
+        return self._i - count
+
+    @property
+    def overran(self) -> bool:
+        return self._i > len(self._toks)
 
     def expect_end(self) -> None:
         if self._i < len(self._toks):
@@ -292,32 +350,132 @@ class _TokenStream:
 
 def _read_scope(ts: _TokenStream, n: int, what: str, minimum: int = 1) -> list[int]:
     k = ts.next_int(f"{what} scope size", minimum=minimum)
-    ids = []
-    for _ in range(k):
-        v = ts.next_int(f"{what} scope variable")
-        if not 0 <= v < n:
-            raise ParseError(f"{what} scope names unknown variable {v}")
-        ids.append(v)
+    ids = ts.next_ids(k, n)
+    if ids is None:  # read one id at a time, to raise the error met first
+        ids = []
+        for _ in range(k):
+            v = ts.next_int(f"{what} scope variable")
+            if not 0 <= v < n:
+                raise ParseError(f"{what} scope names unknown variable {v}")
+            ids.append(v)
     if len(set(ids)) != len(ids):
         raise ParseError(f"{what} scope lists a variable twice: {ids}")
     return ids
 
 
-def _read_table(ts: _TokenStream, scope: Sequence[int], cards: Sequence[int]) -> np.ndarray:
-    shape = tuple(cards[v] for v in scope)
-    expected = int(np.prod(shape)) if shape else 1
-    count = ts.next_int("entry count", minimum=1)
-    if count != expected:
-        raise ParseError(f"table over scope {list(scope)} needs {expected} entries, "
-                         f"file declares {count}")
-    return ts.next_table(count).reshape(shape)
+def _read_tables(ts: _TokenStream, n: int, cards: Sequence[int],
+                 scopes: list[list[int]], diagram: bool):
+    """Every table block after the scope lines, then a diagram's utility
+    section, then the end of the text.
+
+    The entry counts are walked first, which places every table without
+    reading its entries; the region they span is then converted to floats
+    at once.  The error raised is the first one a table-by-table reader
+    meets: in the first table that has one, a bad entry count, then a
+    malformed entry, then the end of the text, then a non-finite entry;
+    after the tables, a bad utility section or a trailing token.
+
+    Returns the scopes of all tables in file order (the utilities' last),
+    the index of each table's first entry in the values, and the values.
+    """
+    scopes = list(scopes)
+    first = ts.position
+    starts: list[int] = []
+    ends: list[int] = []
+    # A problem is (table, rank, error), and the least one is raised.  The
+    # ranks within a table: 0 its entry count (or utility scope), 1 a
+    # malformed entry, 2 the text ending inside it, 3 a non-finite entry.
+    failure = None
+
+    def table(ids):
+        starts.append(ts.skip_table(ids, cards))
+        ends.append(ts.position)
+        if ts.overran:
+            raise ParseError("unexpected end of input, expected table entry")
+
+    try:
+        for ids in scopes:
+            table(ids)
+        if diagram:
+            for _ in range(ts.next_int("utility count", minimum=0)):
+                scopes.append(_read_scope(ts, n, "utility", minimum=0))
+                table(scopes[-1])
+        ts.expect_end()
+    except ParseError as exc:
+        failure = (len(starts) - 1, 2, exc) if ts.overran else (len(starts), 0, exc)
+
+    values, bad = ts.floats(first, ends[-1] if ends else first)
+    problems = [] if failure is None else [failure]
+    if bad is not None:
+        problems.append((bisect_right(starts, bad) - 1, 1,
+                         ts.error(f"expected table entry, found {ts.token(bad)!r}", bad)))
+    finite = np.isfinite(values)
+    if not finite.all():
+        for j in np.flatnonzero(~finite).tolist():
+            t = bisect_right(starts, first + j) - 1
+            if t >= 0 and first + j < ends[t]:  # an entry, not a count or scope token
+                problems.append((t, 3, ts.error("table entry must be finite, found "
+                                                f"{ts.token(first + j)!r}", first + j)))
+                break
+    if problems:
+        raise min(problems, key=lambda p: p[:2])[2]
+    return scopes, np.asarray(starts, dtype=np.intp) - first, values
+
+
+def _tables(scopes: list[list[int]], cards: Sequence[int], starts: np.ndarray,
+            values: np.ndarray, lax: bool = False):
+    """One factor per table of ``values``, built group by group.
+
+    The tables of one file shape and one permutation to sorted scope are
+    gathered by one index into a block, which is write-locked; each factor
+    gets its slice of the block, transposed into canonical layout, not a
+    copy.  With ``lax``, the tables are conditional ones and each block is
+    first passed through :func:`_renormalize`, whose flags are returned
+    per table (all false without ``lax``).
+    """
+    groups: dict[tuple, list[int]] = {}
+    for t, ids in enumerate(scopes):
+        order = tuple(sorted(range(len(ids)), key=ids.__getitem__))
+        groups.setdefault((tuple(map(cards.__getitem__, ids)), order), []).append(t)
+    factors = [None] * len(scopes)
+    flags = np.zeros((len(scopes), 3), dtype=bool)
+    for (shape, order), members in groups.items():
+        at = starts[members][:, np.newaxis] + np.arange(math.prod(shape))
+        block = values[at.reshape(len(members), *shape)]
+        if lax:
+            flags[members] = _renormalize(block)
+        block.setflags(write=False)
+        canonical = block.transpose(0, *(1 + a for a in order))
+        sorted_cards = canonical.shape[1:]
+        for k, t in enumerate(members):
+            factors[t] = DiscreteFactor(tuple(sorted(scopes[t])), sorted_cards,
+                                        canonical[k, ...])
+    return factors, flags
+
+
+def _renormalize(block: np.ndarray) -> np.ndarray:
+    """Divide the off rows of each conditional table in ``block`` (one
+    table per leading index, in file layout) by their sums, unless the
+    table has a negative entry or an all-zero row: renormalizing would
+    turn an all-negative row positive.  Returns per table whether it has
+    a negative entry, an off row and an all-zero row."""
+    g = len(block)
+    sums = block.sum(axis=-1)  # the child is the fastest-running axis
+    negative = (block < 0).reshape(g, -1).any(axis=1)
+    off = np.abs(sums - 1.0).reshape(g, -1).max(axis=1) > ROW_SUM_TOLERANCE
+    zero = (sums == 0.0).reshape(g, -1).any(axis=1)
+    fix = off & ~negative & ~zero
+    block[fix] /= sums[fix][..., np.newaxis]
+    return np.stack([negative, off, zero], axis=1)
 
 
 def parse_network(text: str, kind: str | None = None, strict: bool = True):
     """Parse ``BAYES``/``ID`` text into a BeliefNetwork or InfluenceDiagram.
 
     Under ``strict`` (the default) BeliefNetwork rejects a table row that does
-    not sum to one; otherwise rows are renormalized with a warning.
+    not sum to one; otherwise rows are renormalized with a warning.  Either
+    way, a syntax error anywhere in the text is reported before any table's
+    contents.
     """
     ts = _TokenStream(text)
     tok = ts.next("model header")
@@ -362,37 +520,27 @@ def parse_network(text: str, kind: str | None = None, strict: bool = True):
     if missing:
         raise ParseError(f"no conditional table for variables {missing}")
 
+    scopes, starts, values = _read_tables(ts, n, cards, scopes, header == "id")
+    factors, flags = _tables(scopes[:table_count], cards, starts[:table_count], values,
+                             lax=not strict)
     cpts: list[DiscreteFactor | None] = [None] * n
     parents: list[tuple[int, ...]] = [()] * n
-    for ids in scopes:
+    for ids, factor, (negative, off, zero) in zip(scopes[:table_count], factors,
+                                                  flags.tolist()):
         child = ids[-1]
-        raw = _read_table(ts, ids, cards)
-        if not strict:  # BeliefNetwork makes the strict check
-            # Renormalizing would turn an all-negative row positive.
-            _check_nonnegative(raw, child)
-            row_sums = raw.sum(axis=-1)  # the child is the fastest-running axis
-            if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOLERANCE:
-                if np.any(row_sums == 0.0):
-                    raise NormalizationError(
-                        f"table for variable {child} has an all-zero row")
-                raw = raw / row_sums[..., np.newaxis]
-                warnings.warn(f"renormalized conditional table of variable {child}",
-                              stacklevel=2)
+        if negative:  # BeliefNetwork makes the strict checks
+            raise _negative_entry(child)
+        if off:
+            if zero:
+                raise NormalizationError(f"table for variable {child} has an all-zero row")
+            warnings.warn(f"renormalized conditional table of variable {child}",
+                          stacklevel=2)
         parents[child] = tuple(sorted(ids[:-1]))
-        cpts[child] = DiscreteFactor.from_table(ids, [cards[v] for v in ids], raw)
-
-    utilities: list[DiscreteFactor] = []
-    if header == "id":
-        m = ts.next_int("utility count", minimum=0)
-        for _ in range(m):
-            ids = _read_scope(ts, n, "utility", minimum=0)
-            raw = _read_table(ts, ids, cards)
-            utilities.append(DiscreteFactor.from_table(ids, [cards[v] for v in ids], raw))
-    ts.expect_end()
-
+        cpts[child] = factor
     net = BeliefNetwork(tuple(cards), tuple(parents), tuple(cpts))
     if header == "bayes":
         return net
+    utilities, _ = _tables(scopes[table_count:], cards, starts[table_count:], values)
     return InfluenceDiagram(net, tuple(decisions), tuple(utilities))
 
 

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bucketforge
@@ -218,6 +219,32 @@ def test_runtime_warnings_stay_errors_inside_the_cli(tmp_path, monkeypatch):
             run(["mpe", net])
 
 
+def _array_memory_error():
+    """numpy's own MemoryError for a 2^40-cell float64 array, made without
+    allocating anything."""
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy < 2
+        from numpy.core._exceptions import _ArrayMemoryError
+    return _ArrayMemoryError((2 ** 20, 2 ** 20), np.dtype(np.float64))
+
+
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError(), "error: out of memory\n"),
+    (_array_memory_error(), "error: out of memory: Unable to allocate "),
+], ids=["bare", "numpy"])
+def test_running_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, exc, err):
+    net = write(tmp_path, "chain.net", CHAIN_TEXT)
+
+    def exhausted(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(bucketforge.engines, "execute", exhausted)
+    assert run(["mpe", net]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(err) and captured.err.count("\n") == 1
+
+
 def test_usage_and_model_error_exit_codes(tmp_path, capsys):
     net = write(tmp_path, "chain.net", CHAIN_TEXT)
     bad = write(tmp_path, "bad.net", "BAYES\n1\n2\n1\n1 0\n3 0.5 0.5\n")
@@ -394,7 +421,7 @@ def test_cond_mpe_refuses_too_many_combinations_up_front(tmp_path, capsys, monke
 
     def no_iteration(*args, **kwargs):
         raise AssertionError("an iteration ran")
-    monkeypatch.setattr(bucketforge.engines, "solve_mpe", no_iteration)
+    monkeypatch.setattr(bucketforge.engines, "execute", no_iteration)
     cutset = ",".join(str(v) for v in range(n))
     assert run(["cond-mpe", net, "--cutset", cutset]) == 1
     captured = capsys.readouterr()

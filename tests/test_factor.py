@@ -197,6 +197,40 @@ def test_values_are_write_locked():
         f.values[0] = 1.0
 
 
+def test_a_read_only_view_of_a_writable_array_is_copied():
+    owner = np.array([[0.5, 0.5], [0.25, 0.75]])
+    view = owner.view()
+    view.setflags(write=False)
+    f = DiscreteFactor((0, 1), (2, 2), view)
+    assert not np.shares_memory(f.values, owner)
+    owner[0, 0] = 9.0
+    assert f.values[0, 0] == 0.5
+
+
+@pytest.mark.parametrize("values, copied", [
+    (np.zeros((2, 2), dtype=np.float32), True),  # another dtype
+    (np.zeros(4), True),  # another shape
+    (np.frombuffer(np.zeros(4).tobytes(), dtype=np.float64).reshape(2, 2), True),
+    (np.zeros((2, 2)), False),
+], ids=["float32", "flat", "foreign-buffer", "locked-owner"])
+def test_only_a_locked_float64_array_of_the_right_shape_is_kept(values, copied):
+    values.setflags(write=False)
+    f = DiscreteFactor((0, 1), (2, 2), values)
+    assert np.shares_memory(f.values, values) != copied
+    assert not f.values.flags.writeable
+
+
+def test_a_kept_array_still_passes_every_check():
+    values = np.array([[0.5, np.inf], [0.25, 0.75]])
+    values.setflags(write=False)
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteFactor((0, 1), (2, 2), values)
+    with pytest.raises(ValueError, match="sorted"):
+        DiscreteFactor((1, 0), (2, 2), values)
+    with pytest.raises(ValueError, match="duplicate"):
+        DiscreteFactor((0, 0), (2, 2), values)
+
+
 def test_non_finite_entries_are_rejected():
     with pytest.raises(ValueError):
         DiscreteFactor.from_table([0], [2], [float("nan"), 0.5])
