@@ -141,13 +141,16 @@ class _Planner:
         except KeyError:
             raise ValueError(f"no bucket for variable {var}: "
                              "the ordering lacks it") from None
+        if var in self.observed:
+            op = "assign"
+        elif not (probs or utils):
+            # Most buckets of a pruned belief or MAP sweep are empty, so
+            # this path builds no layout.
+            return Step(var, "skip", (), 0, (), 0, (), (), (),
+                        TraceEntry(var, "skip", (), (), 0))
         self.filed[var] = ([], [])
         inputs = (*probs, *utils)
         ins = [self.scopes[i] for i in inputs]
-        if var in self.observed:
-            op = "assign"
-        elif not ins:
-            op = "skip"
         layout, results = _LAYOUTS[op](var, ins, len(utils), self.cards)
         outputs = tuple((self.file(scope, utility), utility) for scope, utility in results)
         entry = TraceEntry(var, "max" if op == "decide" else op, tuple(ins),
@@ -206,10 +209,6 @@ def _assign_layout(var, ins, utilities, cards):
     return ((), 0, (), picks), results
 
 
-def _skip_layout(var, ins, utilities, cards):
-    return ((), 0, (), ()), []
-
-
 def _eliminate_layout(var, ins, utilities, cards):
     probs = ins[:len(ins) - utilities]
     if not probs:
@@ -236,9 +235,8 @@ def _decide_layout(var, ins, utilities, cards):
     return (shapes, scope.index(var), mix, ()), [(rest, True), (rest, False)]
 
 
-_LAYOUTS = {"assign": _assign_layout, "skip": _skip_layout,
-            "sum": _eliminate_layout, "max": _eliminate_layout,
-            "decide": _decide_layout}
+_LAYOUTS = {"assign": _assign_layout, "sum": _eliminate_layout,
+            "max": _eliminate_layout, "decide": _decide_layout}
 
 
 class Sweep:

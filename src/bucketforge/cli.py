@@ -268,7 +268,8 @@ def _run_mpe(args) -> int:
 
 def _run_map(args) -> int:
     net, evidence = _load(args, args.network, "bayes")
-    hyp = _parse_id_list(args.hyp, net.n, net.names)
+    # Checked before the ordering, whose resolver has its own duplicate check.
+    hyp = engines.check_hypothesis(net, _parse_id_list(args.hyp, net.n, net.names))
     ordering = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net.names,
                                  prefix=hyp, observed=_observed(evidence))
     result = engines.solve_map(net, hyp, evidence, ordering)

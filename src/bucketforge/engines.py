@@ -15,7 +15,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ import numpy as np
 from .buckets import (Plan, Sweep, TraceEntry, _finite, execute,  # noqa: F401
                       forward_decode, partition, plan)
 from .errors import EvidenceError, OrderingConstraintError, ZeroMassError
-from .factor import add, multiply  # noqa: F401
+from .factor import DiscreteFactor, add, multiply  # noqa: F401
 from .graph import (Ordering, augmented_graph, constrained_order, moral_graph,
                     observed_suffix)
 from .model import BeliefNetwork, Evidence, InfluenceDiagram
@@ -111,6 +111,27 @@ def _sweep(model, tables, evidence: Evidence, ordering: Ordering, ops,
     return planned, execute(planned, arrays, evidence.assignments)
 
 
+def _ancestral_tables(net: BeliefNetwork, targets: Iterable[int],
+                      evidence: Evidence) -> list[DiscreteFactor]:
+    """The tables of ``targets``, of the observed variables and of their
+    ancestors, in variable order; a variable counts as its own ancestor.
+
+    Every other variable is barren, and so are its descendants: summed
+    out, their tables give the constant 1.  Their tables are dropped, and
+    their buckets, left empty, are skipped.  This holds for sum buckets
+    only; in a max sweep a barren bucket still chooses a value.
+    """
+    tables = net.factor_list()
+    keep = [False] * net.n
+    stack = [*targets, *(v for v, _ in evidence.items())]
+    while stack:
+        v = stack.pop()
+        if not keep[v]:
+            keep[v] = True
+            stack.extend(net.parents[v])
+    return [f for f, k in zip(tables, keep) if k]
+
+
 def _result(kind: str, planned: Plan, **fields) -> QueryResult:
     return QueryResult(kind=kind, trace=planned.trace,
                        max_table_scope=planned.max_generated_scope, **fields)
@@ -130,7 +151,8 @@ def solve_belief(net: BeliefNetwork, query: int, evidence: Evidence | None = Non
     # into the scalar.
     ops = dict.fromkeys(ordering.sequence[1:] if query not in evidence
                         else ordering.sequence, "sum")
-    planned, sweep = _sweep(net, net.factor_list(), evidence, ordering, ops)
+    planned, sweep = _sweep(net, _ancestral_tables(net, [query], evidence),
+                            evidence, ordering, ops)
     card = net.cards[query]
     if query in evidence:
         mass = sweep.scalar
@@ -158,14 +180,9 @@ def solve_mpe(net: BeliefNetwork, evidence: Evidence | None = None,
                    iterations=None)
 
 
-def solve_map(net: BeliefNetwork, hypothesis: Sequence[int],
-              evidence: Evidence | None = None,
-              ordering: Ordering | None = None) -> QueryResult:
-    """Best assignment to the hypothesis variables after summing out the rest.
-
-    The hypothesis set must occupy the first ordering positions, so every
-    maximization happens after every summation.
-    """
+def check_hypothesis(net: BeliefNetwork, hypothesis: Sequence[int]) -> list[int]:
+    """The hypothesis ids as ints.  ValueError unless there is at least one
+    and they are distinct variables of ``net``."""
     hyp = [int(v) for v in hypothesis]
     if not hyp:
         raise ValueError("hypothesis set is empty")
@@ -174,13 +191,25 @@ def solve_map(net: BeliefNetwork, hypothesis: Sequence[int],
     for v in hyp:
         if not 0 <= v < net.n:
             raise ValueError(f"unknown hypothesis variable {v}")
+    return hyp
+
+
+def solve_map(net: BeliefNetwork, hypothesis: Sequence[int],
+              evidence: Evidence | None = None,
+              ordering: Ordering | None = None) -> QueryResult:
+    """Best assignment to the hypothesis variables after summing out the rest.
+
+    The hypothesis set must occupy the first ordering positions, so every
+    maximization happens after every summation.
+    """
+    hyp = check_hypothesis(net, hypothesis)
     evidence, ordering = _pinned_ends(
         net, evidence, ordering, moral_graph, prefix=hyp,
         misplaced="hypothesis variables must occupy the first ordering positions")
     hset = set(hyp)
 
-    planned, sweep = _sweep(net, net.factor_list(), evidence, ordering,
-                            {v: "max" if v in hset else "sum" for v in ordering})
+    planned, sweep = _sweep(net, _ancestral_tables(net, hyp, evidence), evidence,
+                            ordering, {v: "max" if v in hset else "sum" for v in ordering})
     overlap = [v for v in sorted(hset) if v in evidence]
     note = f"evidence overrides hypothesis variables {overlap}" if overlap else None
     return _result("map", planned, value=sweep.scalar, note=note,

@@ -582,6 +582,17 @@ def test_bel_query_follows_the_one_id_rule(tmp_path, capsys, order):
     assert capsys.readouterr().out == by_id
 
 
+@pytest.mark.parametrize("order", [None, "min-degree", "given:1,0,2", "chain.ord"])
+def test_a_repeated_hypothesis_id_is_one_error_under_every_ordering(tmp_path, capsys,
+                                                                     order):
+    net = write(tmp_path, "chain.net", CHAIN_TEXT)
+    write(tmp_path, "chain.ord", "1 0 2\n")
+    tail = [] if order is None else ["--order", str(tmp_path / order) if "." in order else order]
+    for hyp in ("1,1", "X1,1"):
+        assert run(["map", net, "--hyp", hyp, *tail]) == 1
+        assert capsys.readouterr() == ("", "error: hypothesis lists a variable twice\n")
+
+
 def test_stats_cnf_reads_evidence_like_dr(tmp_path, capsys):
     cnf = write(tmp_path, "theory.cnf", SAT_CNF)
     ev = write(tmp_path, "obs.ev", "1 1 1\n")

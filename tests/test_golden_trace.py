@@ -1,5 +1,7 @@
 """CLI stdout, traces included, against output recorded before the sweep
-was split into a plan and an executor.
+was split into a plan and an executor.  The ``bel`` and ``map`` cases whose
+traces pass through barren buckets were recorded again when those sweeps
+began to skip them; their answer lines did not change.
 
 ``data/golden_trace.json`` holds, for each command, its argv (file names
 relative to ``data/``), exit code and stdout; the commands cover ``bel``,
