@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,31 +63,15 @@ def _generated_scope(entry: TraceEntry) -> int:
 
 
 class Step(NamedTuple):
-    """One planned bucket.
-
-    ``op`` is the bucket rule: ``"sum"`` or ``"max"`` eliminate the variable
-    from the product of the probability inputs (a bucket that holds
-    utilities also emits their probability-weighted average), ``"decide"``
-    is the decision rule of :func:`_decide`, ``"assign"`` scatters an
-    observed bucket and ``"skip"`` passes an empty one.
-    """
+    """One planned bucket.  ``run(arrays, values) -> (results, choices)`` is
+    its rule with the shapes bound; ``choices`` is a maximizing rule's choice
+    table, else None.  An empty bucket has no ``run``."""
 
     variable: int
-    op: str
-    inputs: tuple[int, ...]               # slots consumed: probability tables, then utilities
-    utilities: int                        # how many of the inputs are utilities
-    # Each input's broadcast shape: probability tables over the scope of
-    # their product, utilities over the whole bucket scope (decide: every
-    # input over the bucket scope); the variable's axis in that product.
-    shapes: tuple[tuple[int, ...], ...]
-    axis: int
-    # sum/max with utilities: (the product's shape over the bucket scope, the
-    # variable's axis there, the marginal's shape over the rest); decide: the
-    # bucket scope's shape.
-    mix: tuple
-    picks: tuple[tuple[tuple, ...], ...]  # assign: each input's index, per observed value
+    inputs: tuple[int, ...]                # slots consumed: probability tables, then utilities
     outputs: tuple[tuple[int, bool], ...]  # (slot or FOLD, is a utility) per result
     entry: TraceEntry
+    run: Callable | None
 
 
 class Plan(NamedTuple):
@@ -134,7 +119,8 @@ class _Planner:
         """Plan the bucket of ``var`` by rule ``op`` and file its results.
 
         The bucket of an observed variable is scattered whatever ``op`` is,
-        and an empty one is skipped.
+        and an empty one is skipped.  The bucket is emptied only once its
+        rule is planned, so a refused step leaves it as it was.
         """
         try:
             probs, utils = self.filed[var]
@@ -143,20 +129,23 @@ class _Planner:
                              "the ordering lacks it") from None
         if var in self.observed:
             op = "assign"
-        elif not (probs or utils):
+        elif op not in _RULES:
+            raise ValueError(f"no bucket rule {op!r} for unobserved variable {var}: "
+                             f"the rules are {', '.join(map(repr, _RULES))}")
+        if not (probs or utils):
             # Most buckets of a pruned belief or MAP sweep are empty, so
-            # this path builds no layout.
-            return Step(var, "skip", (), 0, (), 0, (), (), (),
-                        TraceEntry(var, "skip", (), (), 0))
-        self.filed[var] = ([], [])
+            # this path plans no rule.
+            return Step(var, (), (), TraceEntry(var, "skip", (), (), 0), None)
         inputs = (*probs, *utils)
         ins = [self.scopes[i] for i in inputs]
-        layout, results = _LAYOUTS[op](var, ins, len(utils), self.cards)
+        rule = _assign if op == "assign" else _RULES[op]
+        results, run = rule(var, ins, len(utils), self.cards)
+        self.filed[var] = ([], [])
         outputs = tuple((self.file(scope, utility), utility) for scope, utility in results)
         entry = TraceEntry(var, "max" if op == "decide" else op, tuple(ins),
                            tuple(scope for scope, _ in results),
                            sum(_cells(scope, self.cards) for scope, _ in results))
-        return Step(var, op, inputs, len(utils), *layout, outputs, entry)
+        return Step(var, inputs, outputs, entry, run)
 
 
 def plan(scopes: Sequence[tuple[int, ...]], cards, ordering: Ordering,
@@ -199,44 +188,112 @@ def _aligned(scope: Sequence[int], over: Sequence[int], cards) -> tuple[int, ...
     return tuple(cards[v] if v in own else 1 for v in over)
 
 
-# Each layout function returns the step's (shapes, axis, mix, picks) and its
-# results as (scope, is a utility), in filing order.
-
-def _assign_layout(var, ins, utilities, cards):
-    picks = tuple(tuple((slice(None),) * s.index(var) + (value, Ellipsis)
-                        for value in range(cards[var])) for s in ins)
-    results = [(_without(s, var), i >= len(ins) - utilities) for i, s in enumerate(ins)]
-    return ((), 0, (), picks), results
+def _finite(values: np.ndarray) -> np.ndarray:
+    # A product of finite tables can overflow to inf, and inf times 0 is NaN.
+    if not np.isfinite(values).all():
+        raise ValueError("factor values must be finite")
+    return values
 
 
-def _eliminate_layout(var, ins, utilities, cards):
-    probs = ins[:len(ins) - utilities]
-    if not probs:
+def _fold(arrays, shapes, op):
+    """Left fold of ``op`` over the arrays, each viewed in its broadcast shape;
+    checked for finiteness when it combined anything."""
+    acc = arrays[0].reshape(shapes[0])
+    for a, shape in zip(arrays[1:], shapes[1:]):
+        acc = op(acc, a.reshape(shape))
+    return _finite(acc) if len(arrays) > 1 else acc
+
+
+# Each bucket rule is called once per step, at plan time, with the variable,
+# the input scopes (the last ``utilities`` of them utilities) and the cards;
+# it returns the results as (scope, is a utility), in filing order, and ``run``.
+
+def _assign(var, ins, utilities, cards):
+    """Observation rule: slice each input at the observed value; nothing is
+    multiplied."""
+    picks = [tuple((slice(None),) * s.index(var) + (value, Ellipsis)
+                   for value in range(cards[var])) for s in ins]
+
+    def run(arrays, values):
+        value = values[var]
+        # Copied, so a slice does not keep the table it came from alive.
+        return [a[pick[value]].copy() for a, pick in zip(arrays, picks)], None
+    return [(_without(s, var), i >= len(ins) - utilities) for i, s in enumerate(ins)], run
+
+
+def _eliminate(var, ins, utilities, cards, reduce):
+    """Sum or max rule: eliminate the variable from the probability product
+    by ``reduce(product, axis) -> (marginal, choices)``.
+
+    The bucket's utilities are averaged out as well: their sum weighted by
+    the product, summed over the variable and divided by the marginal where
+    it is positive.
+    """
+    k = len(ins) - utilities
+    if not k:
         raise ValueError("multiply needs at least one factor")
-    scope = tuple(sorted({v for s in probs for v in s}))
-    shapes = [_aligned(s, scope, cards) for s in probs]
+    scope = tuple(sorted({v for s in ins[:k] for v in s}))
+    shapes = [_aligned(s, scope, cards) for s in ins[:k]]
+    axis = scope.index(var)
     results = [(_without(scope, var), False)]
-    mix = ()
     if utilities:
         joint = tuple(sorted({v for s in ins for v in s}))
-        shapes += [_aligned(s, joint, cards) for s in ins[len(probs):]]
         rest = _without(joint, var)
-        mix = (_aligned(scope, joint, cards), joint.index(var),
-               _aligned(results[0][0], rest, cards))
+        totals = [_aligned(s, joint, cards) for s in ins[k:]]
+        shape, joint_axis = _aligned(scope, joint, cards), joint.index(var)
+        denom = _aligned(results[0][0], rest, cards)
         results.append((rest, True))
-    return (tuple(shapes), scope.index(var), mix, ()), results
+
+    def run(arrays, values):
+        product = _fold(arrays[:k], shapes, np.multiply)
+        marginal, choices = reduce(product, axis)
+        if not utilities:
+            return [marginal], choices
+        total = _fold(arrays[k:], totals, np.add)
+        numer = _finite(fold_sum(_finite(product.reshape(shape) * total), joint_axis))
+        # Cells the probability part rules out contribute no utility.
+        d = marginal.reshape(denom)
+        average = np.divide(numer, d, out=np.zeros_like(numer), where=d != 0)
+        return [marginal, _finite(average)], choices
+    return results, run
 
 
-def _decide_layout(var, ins, utilities, cards):
+def _decide(var, ins, utilities, cards):
+    """Decision rule: maximize the bucket's additive utility sum over the
+    decision values its probability factors leave possible.
+
+    Probability magnitudes cancel out of the conditional expected utility,
+    but their zeros mark decision values under which the evidence cannot
+    occur; those cells are excluded from the maximization.  Contexts with no
+    supported value are passed down dead (support 0, utility 0) so later
+    buckets exclude them too.
+    """
+    k = len(ins) - utilities
     scope = tuple(sorted({v for s in ins for v in s}))
     rest = _without(scope, var)
-    shapes = tuple(_aligned(s, scope, cards) for s in ins)
-    mix = tuple(cards[v] for v in scope)
-    return (shapes, scope.index(var), mix, ()), [(rest, True), (rest, False)]
+    shapes = [_aligned(s, scope, cards) for s in ins]
+    full, axis = tuple(cards[v] for v in scope), scope.index(var)
+
+    def run(arrays, values):
+        theta = np.zeros(full)
+        if utilities:
+            theta = theta + _fold(arrays[k:], shapes[k:], np.add)
+        alive = np.ones(full, dtype=bool)
+        for a, shape in zip(arrays[:k], shapes[:k]):
+            alive &= a.reshape(shape) > 0
+        best, choices = fold_max(np.where(alive, theta, -np.inf), axis)
+        support = alive.any(axis=axis)
+        return [np.where(support, best, 0.0), support.astype(np.float64)], choices
+    return [(rest, True), (rest, False)], run
 
 
-_LAYOUTS = {"assign": _assign_layout, "sum": _eliminate_layout,
-            "max": _eliminate_layout, "decide": _decide_layout}
+def _sum_out(product, axis):
+    return _finite(fold_sum(product, axis)), None
+
+
+# The rules an unobserved bucket may apply; an observed one applies _assign.
+_RULES = {"sum": partial(_eliminate, reduce=_sum_out),
+          "max": partial(_eliminate, reduce=fold_max), "decide": _decide}
 
 
 class Sweep:
@@ -260,23 +317,17 @@ class Sweep:
             self.scalar *= float(value)
 
     def run(self, step: Step) -> None:
-        """Execute ``step``: drop its inputs, then file or fold its results."""
+        """Execute ``step``: drop its inputs, run its rule, keep any choice
+        table, then file or fold its results."""
+        if step.run is None:
+            return
         slots = self.slots
         ins = [slots[i] for i in step.inputs]
         for i in step.inputs:
             slots[i] = None
-        op = step.op
-        if op == "assign":
-            # Copied, so a slice does not keep the table it came from alive.
-            value = self.values[step.variable]
-            outs = [a[pick[value]].copy() for a, pick in zip(ins, step.picks)]
-        elif op == "skip":
-            return
-        else:
-            outs, choices = _KERNELS[op](step, ins)
-            if choices is not None:
-                self.arg_tables[step.variable] = (step.entry.output_scopes[0], choices)
-        del ins
+        outs, choices = step.run(ins, self.values)
+        if choices is not None:
+            self.arg_tables[step.variable] = (step.entry.output_scopes[0], choices)
         for (slot, utility), out in zip(step.outputs, outs):
             if slot == FOLD:
                 self.fold(out, utility)
@@ -299,71 +350,6 @@ def execute(plan: Plan, arrays: Sequence[np.ndarray], values: Mapping[int, int])
     for step in plan.steps:
         sweep.run(step)
     return sweep
-
-
-def _finite(values: np.ndarray) -> np.ndarray:
-    # A product of finite tables can overflow to inf, and inf times 0 is NaN.
-    if not np.isfinite(values).all():
-        raise ValueError("factor values must be finite")
-    return values
-
-
-def _fold(arrays, shapes, op):
-    """Left fold of ``op`` over the arrays, each viewed in its broadcast shape;
-    checked for finiteness when it combined anything."""
-    acc = arrays[0].reshape(shapes[0])
-    for a, shape in zip(arrays[1:], shapes[1:]):
-        acc = op(acc, a.reshape(shape))
-    return _finite(acc) if len(arrays) > 1 else acc
-
-
-def _eliminate(step: Step, ins: list) -> tuple[list, np.ndarray | None]:
-    """Sum or max rule: eliminate the variable from the probability product.
-
-    Under ``"sum"``, the bucket's utilities are averaged out as well: their
-    sum weighted by the product, summed over the variable and divided by
-    the marginal where it is positive.
-    """
-    k = len(ins) - step.utilities
-    product = _fold(ins[:k], step.shapes[:k], np.multiply)
-    if step.op == "sum":
-        marginal, choices = _finite(fold_sum(product, step.axis)), None
-    else:
-        marginal, choices = fold_max(product, step.axis)
-    if not step.utilities:
-        return [marginal], choices
-    shape, axis, denom = step.mix
-    total = _fold(ins[k:], step.shapes[k:], np.add)
-    numer = _finite(fold_sum(_finite(product.reshape(shape) * total), axis))
-    # Cells the probability part rules out contribute no utility.
-    d = marginal.reshape(denom)
-    average = np.divide(numer, d, out=np.zeros_like(numer), where=d != 0)
-    return [marginal, _finite(average)], choices
-
-
-def _decide(step: Step, ins: list) -> tuple[list, np.ndarray]:
-    """Decision rule: maximize the bucket's additive utility sum over the
-    decision values its probability factors leave possible.
-
-    Probability magnitudes cancel out of the conditional expected utility,
-    but their zeros mark decision values under which the evidence cannot
-    occur; those cells are excluded from the maximization.  Contexts with no
-    supported value are passed down dead (support 0, utility 0) so later
-    buckets exclude them too.
-    """
-    k = len(ins) - step.utilities
-    theta = np.zeros(step.mix)
-    if step.utilities:
-        theta = theta + _fold(ins[k:], step.shapes[k:], np.add)
-    alive = np.ones(step.mix, dtype=bool)
-    for a, shape in zip(ins[:k], step.shapes[:k]):
-        alive &= a.reshape(shape) > 0
-    best, choices = fold_max(np.where(alive, theta, -np.inf), step.axis)
-    support = alive.any(axis=step.axis)
-    return [np.where(support, best, 0.0), support.astype(np.float64)], choices
-
-
-_KERNELS = {"sum": _eliminate, "max": _eliminate, "decide": _decide}
 
 
 def forward_decode(sweep, over: Iterable[int]) -> dict[int, int]:
@@ -452,18 +438,16 @@ class BucketSchedule(Sweep):
                                        _generated_scope(entry))
 
     def scatter(self, var: int) -> None:
-        """Observation rule: restrict each bucket member individually.
-
-        Slices are re-filed one by one; nothing is multiplied first.
-        """
+        """Observation rule: re-file a slice of each bucket member, one by
+        one; nothing is multiplied first."""
         self._advance(var, "assign")
 
     def process(self, var: int, op: str) -> None:
         """Process the bucket of ``var`` and file what it emits further down.
 
-        An observed bucket scatters its slices and an empty one is skipped,
-        whatever ``op`` is; otherwise ``op`` names the bucket rule of
-        :class:`Step`.
+        An observed bucket scatters its slices whatever ``op`` is; otherwise
+        ``op`` is ``"sum"``, ``"max"`` or ``"decide"``, and an empty bucket
+        is skipped.
         """
         if var in self.values:
             self.scatter(var)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -422,6 +423,8 @@ def run(argv) -> int:
             # --oracle query past the enumeration cap.
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        except BrokenPipeError:
+            raise  # stdout was closed, not an input file: see main
         except MemoryError as exc:  # numpy's _ArrayMemoryError included
             detail = f": {exc}" if str(exc) else ""
             print(f"error: out of memory{detail}", file=sys.stderr)
@@ -438,7 +441,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout: send the rest to devnull, so that the
+        # flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

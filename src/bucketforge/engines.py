@@ -200,7 +200,8 @@ def solve_map(net: BeliefNetwork, hypothesis: Sequence[int],
     """Best assignment to the hypothesis variables after summing out the rest.
 
     The hypothesis set must occupy the first ordering positions, so every
-    maximization happens after every summation.
+    maximization happens after every summation.  Evidence of probability
+    zero raises :class:`ZeroMassError`.
     """
     hyp = check_hypothesis(net, hypothesis)
     evidence, ordering = _pinned_ends(
@@ -210,6 +211,9 @@ def solve_map(net: BeliefNetwork, hypothesis: Sequence[int],
 
     planned, sweep = _sweep(net, _ancestral_tables(net, hyp, evidence), evidence,
                             ordering, {v: "max" if v in hset else "sum" for v in ordering})
+    # Without evidence, a best value of 0 can only be underflow.
+    if sweep.scalar == 0.0 and len(evidence):
+        raise ZeroMassError("evidence has probability zero")
     overlap = [v for v in sorted(hset) if v in evidence]
     note = f"evidence overrides hypothesis variables {overlap}" if overlap else None
     return _result("map", planned, value=sweep.scalar, note=note,

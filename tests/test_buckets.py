@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bucketforge import Evidence, Ordering, buckets, forward_decode, partition
+from bucketforge import Evidence, Ordering, forward_decode, partition
 from bucketforge.buckets import FOLD, execute, plan
 from bucketforge.factor import DiscreteFactor
 from bucketforge.randgen import (random_evidence, random_influence_diagram,
@@ -129,6 +129,41 @@ def test_a_bucket_outside_the_ordering_is_a_value_error(advance):
     assert schedule.trace == []
 
 
+def snapshot(schedule):
+    return {v: (b.factors, b.utilities) for v, b in schedule.buckets.items()}
+
+
+def test_an_unknown_rule_is_refused_and_the_bucket_kept(diag_net):
+    message = (r"no bucket rule 'mean' for unobserved variable 5: "
+               r"the rules are 'sum', 'max', 'decide'")
+    schedule = partition(diag_net.factor_list(), Ordering(DIAG_GOOD_ORDER))
+    before = snapshot(schedule)
+    with pytest.raises(ValueError, match=message):
+        schedule.process(5, "mean")
+    assert snapshot(schedule) == before and schedule.trace == []
+    # Only an observed bucket scatters.
+    with pytest.raises(ValueError, match="no bucket rule 'assign' for unobserved variable 5"):
+        schedule.scatter(5)
+    assert snapshot(schedule) == before and schedule.trace == []
+    schedule.process(5, "sum")
+    assert schedule.trace[-1].render() == "var=5 op=sum in=4,5 out=4 cells=2"
+    tables = diag_net.factor_list()
+    with pytest.raises(ValueError, match="no bucket rule 'avg' for unobserved variable 5"):
+        plan([f.scope for f in tables], diag_net.cards, Ordering(DIAG_GOOD_ORDER), (),
+             {5: "avg"})
+
+
+def test_a_utility_only_sum_bucket_is_refused_and_kept():
+    utility = DiscreteFactor((0, 1), (2, 2), [1.0, 2.0, 3.0, 4.0])
+    schedule = partition([DiscreteFactor((0,), (2,), [0.5, 0.5])], Ordering((0, 1)),
+                         utilities=[utility])
+    before = snapshot(schedule)
+    assert before[1] == ([], [utility])
+    with pytest.raises(ValueError, match="multiply needs at least one factor"):
+        schedule.process(1, "sum")
+    assert snapshot(schedule) == before and schedule.trace == []
+
+
 def test_a_binary_max_sweep_keeps_one_byte_choice_tables(diag_net):
     tables = diag_net.factor_list()
     planned = plan([f.scope for f in tables], diag_net.cards, Ordering(DIAG_GOOD_ORDER),
@@ -154,7 +189,7 @@ def test_a_table_is_freed_once_its_bucket_is_processed(diag_net):
 
 
 @pytest.mark.parametrize("evidence", [{}, {4: 0}], ids=["unobserved", "observed mid-order"])
-def test_no_slot_outlives_the_step_that_consumes_it(diag_net, monkeypatch, evidence):
+def test_no_slot_outlives_the_step_that_consumes_it(diag_net, evidence):
     # Along the good ordering, bucket 5 sends a table to bucket 4; with 4
     # observed that table is scattered instead of summed.
     tables = diag_net.factor_list()
@@ -162,25 +197,25 @@ def test_no_slot_outlives_the_step_that_consumes_it(diag_net, monkeypatch, evide
                    evidence, dict.fromkeys(DIAG_GOOD_ORDER, "sum"))
     made, checked = {}, []
 
-    def watched(kernel):
-        def run(step, ins):
+    def watched(index, step):
+        def run(arrays, values):
             # Every generated slot an earlier step consumed is gone by now.
             gc.collect()
-            for before in planned.steps[:planned.steps.index(step)]:
+            for before in planned.steps[:index]:
                 for slot in before.inputs:
                     if slot in made:
                         assert made[slot]() is None, slot
                         checked.append(slot)
-            outs, choices = kernel(step, ins)
+            outs, choices = step.run(arrays, values)
             for (slot, _), out in zip(step.outputs, outs):
                 if slot != FOLD:
                     made[slot] = weakref.ref(out)
             return outs, choices
-        return run
+        return step._replace(run=run)
 
-    monkeypatch.setattr(buckets, "_KERNELS",
-                        {op: watched(k) for op, k in buckets._KERNELS.items()})
-    sweep = execute(planned, [f.values for f in tables], evidence)
+    watching = planned._replace(steps=tuple(
+        watched(i, step) for i, step in enumerate(planned.steps)))
+    sweep = execute(watching, [f.values for f in tables], evidence)
     (sent,) = planned.steps[0].outputs
     assert planned.scopes[sent[0]] == (4,)
     assert sent[0] in checked

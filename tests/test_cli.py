@@ -342,6 +342,19 @@ def test_impossible_evidence_exit_codes(tmp_path, capsys):
     assert "note" in got
 
 
+@pytest.mark.parametrize("hyp, order", [("0", []), ("0", ["--order", "given:0,1"]),
+                                       ("1", ["--order", "given:1,0"])],
+                         ids=["default", "given", "given, hypothesis observed"])
+def test_map_under_impossible_evidence_exits_3(tmp_path, capsys, hyp, order):
+    net = write(tmp_path, "copy.net", COPY_TEXT)
+    ev = write(tmp_path, "conflict.ev", "2 0 0 1 1\n")
+    assert run(["map", net, "--hyp", hyp, "--evidence", ev, *order]) == 3
+    assert capsys.readouterr() == ("IMPOSSIBLE EVIDENCE\n", "")
+    # Without evidence a best value cannot be 0 but through underflow.
+    assert run(["map", net, "--hyp", hyp, *order]) == 0
+    assert lines_of(capsys)[0] == "value=0.5"
+
+
 def test_dr_model_satisfies_the_theory(tmp_path, capsys):
     cnf = write(tmp_path, "theory.cnf", SAT_CNF)
     out_path = str(tmp_path / "extension.cnf")
@@ -550,6 +563,27 @@ def test_console_script_is_installed(tmp_path):
     _assert_cli_process([sys.executable, "-c", wrapper], net, env, tmp_path)
     _assert_cli_process([sys.executable, "-m", "bucketforge.cli"], net, env,
                         tmp_path)
+
+
+@pytest.mark.parametrize("command, flags", [("mpe", ["--trace"]),
+                                            ("bel", ["--query", "0", "--evidence"])],
+                         ids=["answer", "impossible evidence"])
+def test_a_closed_stdout_exits_1_quietly(tmp_path, command, flags):
+    """A reader that closed the pipe is not an input error (exit 2), and
+    Python's flush at exit prints no ``Exception ignored`` line."""
+    src = Path(bucketforge.__file__).resolve().parent.parent
+    argv = [command, write(tmp_path, "copy.net", COPY_TEXT), *flags]
+    if "--evidence" in flags:
+        argv.append(write(tmp_path, "conflict.ev", "2 0 0 1 1\n"))
+    read, written = os.pipe()
+    os.close(read)  # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bucketforge.cli", *argv],
+                              stdout=written, stderr=subprocess.PIPE, text=True,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(written)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 @pytest.mark.skipif(shutil.which("bucketforge") is None,
