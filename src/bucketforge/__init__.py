@@ -14,7 +14,7 @@ from .engines import (IterationRecord, QueryResult, solve_belief, solve_map,
 from .errors import (CycleError, EvidenceError, ModelError, NormalizationError,
                      OrderingConstraintError, ParseError, TooLargeError,
                      UnsatisfiableError, ZeroMassError)
-from .factor import ArgTable, DiscreteFactor, add, multiply
+from .factor import DiscreteFactor, add, multiply
 from .graph import (GraphView, Ordering, WidthReport, augmented_graph,
                     conditional_induced_width, constrained_order,
                     cutset_heuristic, induced_width, interaction_graph,
@@ -29,7 +29,6 @@ from .resolution import (DirectionalExtension, directional_resolution,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgTable",
     "BeliefNetwork",
     "Bucket",
     "BucketSchedule",

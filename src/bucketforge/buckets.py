@@ -31,7 +31,8 @@ import numpy as np
 from .errors import EvidenceError
 # ``multiply`` is not called here, but perfbench/tracing.py wraps
 # ``buckets.multiply`` by name and fails to install without it.
-from .factor import DiscreteFactor, fold_max, fold_sum, multiply  # noqa: F401
+from .factor import (DiscreteFactor, _aligned, _finite, _fold, fold_max,  # noqa: F401
+                     fold_sum, multiply)
 from .graph import Ordering
 from .model import Evidence
 
@@ -180,28 +181,6 @@ def _cells(scope: Sequence[int], cards) -> int:
 
 def _without(scope: tuple[int, ...], var: int) -> tuple[int, ...]:
     return tuple(v for v in scope if v != var)
-
-
-def _aligned(scope: Sequence[int], over: Sequence[int], cards) -> tuple[int, ...]:
-    """Shape of a table over ``scope`` broadcast over the sorted superset ``over``."""
-    own = set(scope)
-    return tuple(cards[v] if v in own else 1 for v in over)
-
-
-def _finite(values: np.ndarray) -> np.ndarray:
-    # A product of finite tables can overflow to inf, and inf times 0 is NaN.
-    if not np.isfinite(values).all():
-        raise ValueError("factor values must be finite")
-    return values
-
-
-def _fold(arrays, shapes, op):
-    """Left fold of ``op`` over the arrays, each viewed in its broadcast shape;
-    checked for finiteness when it combined anything."""
-    acc = arrays[0].reshape(shapes[0])
-    for a, shape in zip(arrays[1:], shapes[1:]):
-        acc = op(acc, a.reshape(shape))
-    return _finite(acc) if len(arrays) > 1 else acc
 
 
 # Each bucket rule is called once per step, at plan time, with the variable,
@@ -419,14 +398,17 @@ class BucketSchedule(Sweep):
 
     def place(self, f: DiscreteFactor, utility: bool = False) -> None:
         """File ``f`` into the bucket of its highest-ordered variable; an
-        empty-scope table folds into its running scalar."""
+        empty-scope table folds into its running scalar.  A refused table
+        leaves the schedule as it was."""
         cards = self._planner.cards
         for v, c in zip(f.scope, f.cards):
-            if cards.setdefault(v, c) != c:
+            if cards.get(v, c) != c:
                 raise ValueError(f"cardinality conflict for variable {v}")
             if not 0 <= self.values.get(v, 0) < c:
                 raise ValueError(f"value {self.values[v]} out of range for variable {v}")
-        if self._planner.file(f.scope, utility) == FOLD:
+        slot = self._planner.file(f.scope, utility)
+        cards.update(zip(f.scope, f.cards))
+        if slot == FOLD:
             self.fold(f.values, utility)
             self.slots.append(None)
         else:

@@ -15,8 +15,7 @@ import sys
 import warnings
 
 from . import engines, oracle
-from .errors import (ModelError, TooLargeError, UnsatisfiableError,
-                     ZeroMassError)
+from .errors import ModelError, TooLargeError, ZeroMassError
 from .graph import (Ordering, augmented_graph, constrained_order,
                     cutset_heuristic, induced_width, interaction_graph,
                     moral_graph, observed_suffix, order_heuristic)
@@ -198,6 +197,13 @@ class _Output:
                 print(line)
 
 
+def _refuse(args, line: str, obj: dict) -> int:
+    """Print a refusal, as its plain line or under ``--json`` as one object;
+    exit code 3."""
+    print(json.dumps(obj, sort_keys=True) if args.json else line)
+    return 3
+
+
 def _put_choice(out: _Output, prefix: str, value, assignment) -> None:
     """The value and assignment lines of an engine or ``--oracle`` answer."""
     if value is not None:
@@ -299,17 +305,17 @@ def _run_meu(args) -> int:
 
 
 def _run_cond_mpe(args) -> int:
+    if args.wbound is not None and args.wbound < 0:
+        raise _UsageError("--wbound must be >= 0")
+    if args.parallel < 1:
+        raise _UsageError("--parallel must be >= 1")
     net, evidence = _load(args, args.network, "bayes")
     observed = _observed(evidence)
     graph = moral_graph(net)
     if args.cutset is not None:
         cut = sorted(set(_parse_id_list(args.cutset, net.n, net.names)))
     else:
-        if args.wbound < 0:
-            raise _UsageError("--wbound must be >= 0")
         cut = sorted(cutset_heuristic(graph.without(observed), args.wbound))
-    if args.parallel < 1:
-        raise _UsageError("--parallel must be >= 1")
     ordering = _resolve_ordering(args.order, net.n, lambda: graph, net.names,
                                  observed=sorted(set(cut) | set(observed)))
     result = engines.solve_mpe_conditioned(net, cut, evidence, ordering,
@@ -330,11 +336,7 @@ def _run_dr(args) -> int:
                                  lambda: interaction_graph(theory), base=1)
     extension = directional_resolution(theory, ordering)
     if not extension.satisfiable:
-        if args.json:
-            print(json.dumps({"sat": 0}, sort_keys=True))
-        else:
-            print("UNSAT")
-        return 3
+        return _refuse(args, "UNSAT", {"sat": 0})
     model = generate_model(extension)
     out = _Output(args.json)
     if args.trace:
@@ -433,11 +435,7 @@ def run(argv) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except ZeroMassError:
-            print("IMPOSSIBLE EVIDENCE")
-            return 3
-        except UnsatisfiableError:
-            print("UNSAT")
-            return 3
+            return _refuse(args, "IMPOSSIBLE EVIDENCE", {"impossible_evidence": 1})
 
 
 def main() -> None:

@@ -22,10 +22,10 @@ import numpy as np
 # ``partition``, ``add`` and ``multiply`` are not called here, but
 # perfbench/tracing.py wraps them by name on this module and fails to
 # install without them.
-from .buckets import (Plan, Sweep, TraceEntry, _finite, execute,  # noqa: F401
-                      forward_decode, partition, plan)
+from .buckets import (Plan, Sweep, TraceEntry, execute, forward_decode,  # noqa: F401
+                      partition, plan)
 from .errors import EvidenceError, OrderingConstraintError, ZeroMassError
-from .factor import DiscreteFactor, add, multiply  # noqa: F401
+from .factor import DiscreteFactor, _finite, add, multiply  # noqa: F401
 from .graph import (Ordering, augmented_graph, constrained_order, moral_graph,
                     observed_suffix)
 from .model import BeliefNetwork, Evidence, InfluenceDiagram
@@ -256,13 +256,15 @@ def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
     sorted by variable id, and the first maximum wins.  The sweep is planned
     once, with the cutset scattered like the evidence, and the plan is
     executed once per assignment; only a new maximum is decoded.
-    ``parallel`` runs iterations on up to that many threads, but never more
-    than there are combinations or CPUs to run them; the reduction key is
-    unchanged, so output is identical to the serial path.  Combinations are
-    generated lazily and each iteration's result is dropped once reduced;
-    more than ``oracle.CELL_LIMIT`` of them are refused before the first
-    iteration.
+    ``parallel`` (at least 1) runs iterations on up to that many threads,
+    but never more than there are combinations or CPUs to run them; the
+    reduction key is unchanged, so output is identical to the serial path.
+    Combinations are generated lazily and each iteration's result is
+    dropped once reduced; more than ``oracle.CELL_LIMIT`` of them are
+    refused before the first iteration.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     cut = sorted(set(int(v) for v in cutset))
     for v in cut:
         if not 0 <= v < net.n:

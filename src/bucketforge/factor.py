@@ -1,4 +1,10 @@
-"""Dense table algebra over discrete variable scopes.
+"""Dense tables over discrete variable scopes, and the kernels on them.
+
+The kernels are the one home of the table rules: ``_fold`` combines arrays
+viewed in their broadcast shapes (``_aligned``), ``fold_sum`` and
+``fold_max`` eliminate an axis, and ``_finite`` rejects a non-finite table.
+The bucket sweep runs them on bare arrays; the factor algebra
+(``multiply``, ``add``, ``eliminate``, ``restrict``) runs them on factors.
 
 A factor holds one real value per joint assignment of its scope.  The scope
 is always kept sorted by variable id, so factors over the same variables are
@@ -19,8 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-
-from .errors import ZeroMassError
 
 
 def _locked(values: np.ndarray) -> bool:
@@ -61,8 +65,7 @@ class DiscreteFactor:
                 and values.shape == cards and _locked(values)):
             values = np.array(values, dtype=np.float64).reshape(cards)
             values.setflags(write=False)
-        if not np.isfinite(values).all():
-            raise ValueError("factor values must be finite")
+        _finite(values)
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "cards", cards)
         object.__setattr__(self, "values", values)
@@ -126,11 +129,12 @@ class DiscreteFactor:
         cards = self.cards[:axis] + self.cards[axis + 1:]
         return DiscreteFactor(rest, cards, np.take(self.values, value, axis=axis))
 
-    def eliminate(self, var: int, op: str) -> tuple["DiscreteFactor", "ArgTable | None"]:
+    def eliminate(self, var: int, op: str) -> tuple["DiscreteFactor", np.ndarray | None]:
         """Remove ``var`` by summing or maximizing over its values.
 
-        For ``op == "max"`` also returns the table of maximizing values;
-        ties go to the lowest value index.
+        For ``op == "max"`` also returns the write-locked table of maximizing
+        values, as :func:`fold_max` gives it; ties go to the lowest value
+        index.
         """
         axis = self.scope.index(var)
         rest = self.scope[:axis] + self.scope[axis + 1:]
@@ -139,35 +143,9 @@ class DiscreteFactor:
             return DiscreteFactor(rest, cards, fold_sum(self.values, axis)), None
         if op == "max":
             reduced, choices = fold_max(self.values, axis)
-            return DiscreteFactor(rest, cards, reduced), ArgTable(var, rest, cards, choices)
+            choices.setflags(write=False)
+            return DiscreteFactor(rest, cards, reduced), choices
         raise ValueError(f"unknown elimination operator {op!r}")
-
-    def normalized(self) -> tuple["DiscreteFactor", float]:
-        """Scale entries to total mass one; returns (factor, original mass)."""
-        if np.any(self.values < 0):
-            raise ValueError("cannot normalize a table with negative entries")
-        mass = float(self.values.sum())
-        if mass == 0.0:
-            raise ZeroMassError("table has zero total mass")
-        return DiscreteFactor(self.scope, self.cards, self.values / mass), mass
-
-
-@dataclass(frozen=True, eq=False)
-class ArgTable:
-    """Maximizing value of one eliminated variable, per remaining cell."""
-
-    variable: int
-    scope: tuple[int, ...]
-    cards: tuple[int, ...]
-    choices: np.ndarray
-
-    def __post_init__(self):
-        choices = np.array(self.choices, dtype=np.int64).reshape(self.cards)
-        choices.setflags(write=False)
-        object.__setattr__(self, "choices", choices)
-
-    def choice_at(self, assignment: Mapping[int, int]) -> int:
-        return int(self.choices[tuple(assignment[v] for v in self.scope)])
 
 
 def _slices(values: np.ndarray, axis: int) -> list[np.ndarray]:
@@ -214,6 +192,28 @@ def fold_max(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return best, choices
 
 
+def _aligned(scope: Sequence[int], over: Sequence[int], cards) -> tuple[int, ...]:
+    """Shape of a table over ``scope`` broadcast over the sorted superset ``over``."""
+    own = set(scope)
+    return tuple(cards[v] if v in own else 1 for v in over)
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    # A product of finite tables can overflow to inf, and inf times 0 is NaN.
+    if not np.isfinite(values).all():
+        raise ValueError("factor values must be finite")
+    return values
+
+
+def _fold(arrays, shapes, op):
+    """Left fold of ``op`` over the arrays, each viewed in its broadcast shape;
+    checked for finiteness when it combined anything."""
+    acc = arrays[0].reshape(shapes[0])
+    for a, shape in zip(arrays[1:], shapes[1:]):
+        acc = op(acc, a.reshape(shape))
+    return _finite(acc) if len(arrays) > 1 else acc
+
+
 def _merged_scope(factors: Sequence[DiscreteFactor]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     cards: dict[int, int] = {}
     for f in factors:
@@ -224,25 +224,24 @@ def _merged_scope(factors: Sequence[DiscreteFactor]) -> tuple[tuple[int, ...], t
     return scope, tuple(cards[v] for v in scope)
 
 
+def _combine(factors: Sequence[DiscreteFactor], op, name: str) -> DiscreteFactor:
+    """``op`` folded over the factors on the sorted union of their scopes."""
+    if not factors:
+        raise ValueError(f"{name} needs at least one factor")
+    scope, cards = _merged_scope(factors)
+    by_var = dict(zip(scope, cards))
+    # Every scope variable has its full extent in some factor, so the
+    # broadcast result already has the full shape.
+    return DiscreteFactor(scope, cards, _fold([f.values for f in factors],
+                                              [_aligned(f.scope, scope, by_var)
+                                               for f in factors], op))
+
+
 def multiply(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
     """Pointwise product; output scope is the sorted union of input scopes."""
-    if not factors:
-        raise ValueError("multiply needs at least one factor")
-    scope, cards = _merged_scope(factors)
-    acc = factors[0].aligned_values(scope)
-    for f in factors[1:]:
-        acc = acc * f.aligned_values(scope)
-    # Every scope variable has its full extent in some factor, so the
-    # broadcast product already has the full shape.
-    return DiscreteFactor(scope, cards, acc)
+    return _combine(factors, np.multiply, "multiply")
 
 
 def add(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
     """Pointwise sum over the sorted union of input scopes."""
-    if not factors:
-        raise ValueError("add needs at least one factor")
-    scope, cards = _merged_scope(factors)
-    acc = factors[0].aligned_values(scope)
-    for f in factors[1:]:
-        acc = acc + f.aligned_values(scope)
-    return DiscreteFactor(scope, cards, acc)
+    return _combine(factors, np.add, "add")

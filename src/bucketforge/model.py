@@ -31,13 +31,25 @@ import numpy as np
 
 from .errors import (CycleError, EvidenceError, ModelError, NormalizationError,
                      ParseError)
-from .factor import DiscreteFactor
+from .factor import DiscreteFactor, _finite
 
 ROW_SUM_TOLERANCE = 1e-9
 
 
 def _negative_entry(child: int) -> NormalizationError:
     return NormalizationError(f"table for variable {child} has a negative entry")
+
+
+def _row_faults(block: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row sums of a group of conditional tables, one table per leading
+    index of ``block`` with its child along ``axis``, and per table whether
+    a row is off 1 by more than ``ROW_SUM_TOLERANCE`` and whether an entry
+    is negative."""
+    g = len(block)
+    sums = block.sum(axis=axis)
+    off = np.abs(sums - 1.0).reshape(g, -1).max(axis=1) > ROW_SUM_TOLERANCE
+    negative = (block < 0).reshape(g, -1).any(axis=1)
+    return sums, off, negative
 
 
 @dataclass(frozen=True)
@@ -96,10 +108,7 @@ class BeliefNetwork:
         first = failing = None  # the lowest variable failing below ``failure``
         for (_, axis), members in groups.items():
             block = np.stack([self.cpts[i].values for i in members])
-            g = len(members)
-            off = np.abs(block.sum(axis=1 + axis) - 1.0).reshape(g, -1).max(axis=1)
-            off = off > ROW_SUM_TOLERANCE
-            negative = (block < 0).reshape(g, -1).any(axis=1)
+            _, off, negative = _row_faults(block, 1 + axis)
             bad = np.flatnonzero(off | negative)
             if bad.size and (first is None or members[bad[0]] < first):
                 first, failing = members[bad[0]], off[bad[0]]
@@ -409,9 +418,10 @@ def _read_tables(ts: _TokenStream, n: int, cards: Sequence[int],
     if bad is not None:
         problems.append((bisect_right(starts, bad) - 1, 1,
                          ts.error(f"expected table entry, found {ts.token(bad)!r}", bad)))
-    finite = np.isfinite(values)
-    if not finite.all():
-        for j in np.flatnonzero(~finite).tolist():
+    try:
+        _finite(values)
+    except ValueError:  # locate the first non-finite entry
+        for j in (j for j, x in enumerate(values.tolist()) if not math.isfinite(x)):
             t = bisect_right(starts, first + j) - 1
             if t >= 0 and first + j < ends[t]:  # an entry, not a count or scope token
                 problems.append((t, 3, ts.error("table entry must be finite, found "
@@ -459,11 +469,8 @@ def _renormalize(block: np.ndarray) -> np.ndarray:
     table has a negative entry or an all-zero row: renormalizing would
     turn an all-negative row positive.  Returns per table whether it has
     a negative entry, an off row and an all-zero row."""
-    g = len(block)
-    sums = block.sum(axis=-1)  # the child is the fastest-running axis
-    negative = (block < 0).reshape(g, -1).any(axis=1)
-    off = np.abs(sums - 1.0).reshape(g, -1).max(axis=1) > ROW_SUM_TOLERANCE
-    zero = (sums == 0.0).reshape(g, -1).any(axis=1)
+    sums, off, negative = _row_faults(block, -1)  # the child runs fastest
+    zero = (sums == 0.0).reshape(len(block), -1).any(axis=1)
     fix = off & ~negative & ~zero
     block[fix] /= sums[fix][..., np.newaxis]
     return np.stack([negative, off, zero], axis=1)

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bucketforge import Evidence, Ordering, forward_decode, partition
+from bucketforge import BucketSchedule, Evidence, Ordering, forward_decode, partition
 from bucketforge.buckets import FOLD, execute, plan
 from bucketforge.factor import DiscreteFactor
 from bucketforge.randgen import (random_evidence, random_influence_diagram,
@@ -131,6 +131,23 @@ def test_a_bucket_outside_the_ordering_is_a_value_error(advance):
 
 def snapshot(schedule):
     return {v: (b.factors, b.utilities) for v, b in schedule.buckets.items()}
+
+
+@pytest.mark.parametrize("refused, message", [
+    (DiscreteFactor((0, 2), (2, 5), [0.1] * 10), r"names variables \[2\] that the ordering lacks"),
+    (DiscreteFactor((0, 1), (2, 2), [0.25] * 4), "value 2 out of range for variable 1"),
+], ids=["variable outside the ordering", "observed value out of range"])
+def test_a_refused_table_leaves_the_schedule_as_it_was(refused, message):
+    schedule = BucketSchedule(Ordering((0, 1)), Evidence({1: 2}))
+    before = snapshot(schedule)
+    with pytest.raises(ValueError, match=message):
+        schedule.place(refused)
+    assert snapshot(schedule) == before and schedule._planner.cards == {}
+    # Variable 0 was not recorded with the refused table's cardinality 2.
+    accepted = DiscreteFactor((0,), (3,), [0.2, 0.3, 0.5])
+    schedule.place(accepted)
+    assert schedule.buckets[0].factors == [accepted]
+    assert schedule._planner.cards == {0: 3}
 
 
 def test_an_unknown_rule_is_refused_and_the_bucket_kept(diag_net):

@@ -60,6 +60,19 @@ DIAGRAM_TEXT = """ID
 2 10.0 1.0
 """
 
+# The chance variable never takes value 1, whatever the decision.
+NEVER_ONE_DIAGRAM = """ID
+2
+2 2
+1 0
+1
+2 0 1
+4 1 0 1 0
+1
+1 1
+2 10.0 1.0
+"""
+
 SAT_CNF = """p cnf 3 2
 1 2 0
 -1 3 0
@@ -342,6 +355,20 @@ def test_impossible_evidence_exit_codes(tmp_path, capsys):
     assert "note" in got
 
 
+@pytest.mark.parametrize("command, text, ev", [
+    (["bel", "--query", "0"], COPY_TEXT, "2 0 0 1 1\n"),
+    (["map", "--hyp", "0"], COPY_TEXT, "2 0 0 1 1\n"),
+    (["meu"], NEVER_ONE_DIAGRAM, "1 1 1\n"),
+], ids=["bel", "map", "meu"])
+def test_impossible_evidence_is_one_object_under_json(tmp_path, capsys, command, text, ev):
+    model = write(tmp_path, "model.txt", text)
+    argv = [command[0], model, *command[1:], "--evidence", write(tmp_path, "conflict.ev", ev)]
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("IMPOSSIBLE EVIDENCE\n", "")
+    assert run([*argv, "--json"]) == 3
+    assert capsys.readouterr() == ('{"impossible_evidence": 1}\n', "")
+
+
 @pytest.mark.parametrize("hyp, order", [("0", []), ("0", ["--order", "given:0,1"]),
                                        ("1", ["--order", "given:1,0"])],
                          ids=["default", "given", "given, hypothesis observed"])
@@ -423,6 +450,21 @@ def test_dr_bad_order_file_is_an_invalid_input_file(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ordering ")
+
+
+@pytest.mark.parametrize("flags, err", [
+    (["--wbound", "4", "--parallel", "0"], "error: --parallel must be >= 1\n"),
+    (["--cutset", "0", "--parallel", "-3"], "error: --parallel must be >= 1\n"),
+    (["--wbound", "-1"], "error: --wbound must be >= 0\n"),
+], ids=["parallel 0", "parallel -3", "wbound -1"])
+def test_cond_mpe_checks_its_flags_before_reading_the_network(tmp_path, capsys,
+                                                              monkeypatch, flags, err):
+    def refuse(*_):
+        raise AssertionError("the cutset heuristic ran")
+    monkeypatch.setattr(bucketforge.cli, "cutset_heuristic", refuse)
+    for net in (write(tmp_path, "chain.net", CHAIN_TEXT), str(tmp_path / "missing.net")):
+        assert run(["cond-mpe", net, *flags]) == 1
+        assert capsys.readouterr() == ("", err)
 
 
 def test_cond_mpe_refuses_too_many_combinations_up_front(tmp_path, capsys, monkeypatch):

@@ -581,6 +581,12 @@ class _RecordingPool:
         return future
 
 
+@pytest.mark.parametrize("parallel", [0, -3])
+def test_conditioning_refuses_fewer_than_one_worker(diag_net, parallel):
+    with pytest.raises(ValueError, match=f"parallel must be >= 1, got {parallel}"):
+        solve_mpe_conditioned(diag_net, [1, 2], parallel=parallel)
+
+
 @pytest.mark.parametrize("cpus, workers", [(8, [4]), (3, [3]), (1, [])])
 def test_parallel_workers_are_clamped_to_combinations_and_cpus(diag_net, monkeypatch,
                                                                cpus, workers):

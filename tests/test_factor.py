@@ -7,8 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from bucketforge import ArgTable, DiscreteFactor, ZeroMassError, add, multiply
-from bucketforge.buckets import partition
+from bucketforge import DiscreteFactor, add, multiply
+from bucketforge.buckets import execute, partition, plan
 from bucketforge.graph import Ordering
 
 
@@ -135,20 +135,19 @@ def test_eliminate_max_matches_loop_and_records_choices():
         f = random_factor(rng)
         var = rng.choice(f.scope)
         best, table = f.eliminate(var, "max")
-        assert isinstance(table, ArgTable)
-        assert table.variable == var
+        assert table.shape == best.cards
         for cell in cells(best.scope, dict(zip(f.scope, f.cards))):
             at = dict(zip(best.scope, cell))
             column = [f.value_at({**at, var: k}) for k in range(f.card_of(var))]
             assert best.value_at(at) == max(column)
-            assert table.choice_at(at) == column.index(max(column))
+            assert table[cell] == column.index(max(column))
 
 
 def test_eliminate_max_breaks_ties_toward_the_lowest_value():
     f = DiscreteFactor.from_table([0, 1], [2, 3], [5, 5, 1, 5, 2, 5])
     _, table = f.eliminate(1, "max")
-    assert table.choice_at({0: 0}) == 0  # 5 appears at values 0 and 1
-    assert table.choice_at({0: 1}) == 0  # 5 appears at values 0 and 2
+    assert table[0] == 0  # 5 appears at values 0 and 1
+    assert table[1] == 0  # 5 appears at values 0 and 2
 
 
 def test_eliminate_mean_never_exceeds_max():
@@ -160,20 +159,6 @@ def test_eliminate_mean_never_exceeds_max():
         best, _ = f.eliminate(var, "max")
         card = f.card_of(var)
         assert np.all(summed.values / card <= best.values + 1e-15)
-
-
-def test_normalized_returns_mass_and_unit_total():
-    f = DiscreteFactor.from_table([2], [4], [1.0, 3.0, 0.0, 4.0])
-    unit, mass = f.normalized()
-    assert mass == 8.0
-    assert math.isclose(float(unit.values.sum()), 1.0, rel_tol=1e-12)
-    assert unit.value_at({2: 1}) == 3.0 / 8.0
-
-
-def test_normalized_rejects_zero_mass():
-    f = DiscreteFactor.from_table([0], [3], [0.0, 0.0, 0.0])
-    with pytest.raises(ZeroMassError):
-        f.normalized()
 
 
 def test_scalar_multiplication_folds_into_tables():
@@ -303,13 +288,30 @@ def test_slice_folds_match_numpy_reductions_on_random_buckets():
             ref, ref_choices = reference_eliminate(want, axis, "max")
             assert got.values.shape == ref.shape
             assert got.values.tobytes() == ref.tobytes()  # bitwise
-            assert table.choices.dtype == np.int64
-            assert np.array_equal(table.choices, ref_choices)
+            assert table.dtype == np.min_scalar_type(combined.card_of(var) - 1)
+            assert np.array_equal(table, ref_choices)
             empty_results += got.is_scalar
             column_max = want.max(axis=axis, keepdims=True)
             tied_cells += int(((want == column_max).sum(axis=axis) > 1).sum())
     assert empty_results > 20
     assert tied_cells > 1000
+
+
+def test_eliminate_max_keeps_the_choice_table_a_max_sweep_stores():
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        factors = random_bucket(rng)
+        f = factors[-1]
+        var = f.scope[int(rng.integers(len(f.scope)))]
+        _, table = f.eliminate(var, "max")
+        # Last in the ordering, ``var`` is the bucket the table is filed in.
+        ordering = Ordering((*(v for v in f.scope if v != var), var))
+        cards = dict(zip(f.scope, f.cards))
+        sweep = execute(plan([f.scope], cards, ordering, (), {var: "max"}), [f.values], {})
+        scope, choices = sweep.arg_tables[var]
+        assert scope == tuple(v for v in f.scope if v != var)
+        assert table.dtype == choices.dtype
+        assert np.array_equal(table, choices)
 
 
 def bucket_of(*factors):
@@ -343,9 +345,11 @@ def test_algebra_results_are_write_locked():
     summed, _ = f.eliminate(1, "sum")
     best, table = f.eliminate(1, "max")
     results = [f.restrict(1, 2), summed, best, multiply([f, g]), multiply([g]),
-               add([f, g]), f.normalized()[0], point.eliminate(0, "sum")[0]]
+               add([f, g]), point.eliminate(0, "sum")[0]]
     for r in results:
         assert not r.values.flags.writeable
         with pytest.raises(ValueError):
             r.values[(0,) * r.values.ndim] = 9.0
-    assert not table.choices.flags.writeable
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
