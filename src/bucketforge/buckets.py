@@ -14,6 +14,14 @@ that out once; :func:`execute` runs the plan on arrays, and can run it again
 for other numbers or other observed values.  A table is held in a numbered
 slot and dropped once the step that consumes it has run.
 
+A plan can also run a batch of observed values at once.  Its ``varying``
+variables take one value per combination of the batch, and every array that
+depends on them carries a leading batch axis: a slot is batched when it
+comes out of a varying variable's bucket or from a step with a batched
+input.  Products and slice folds are elementwise, so each row of a batched
+sweep is bit for bit the sweep of its combination alone, and a step with no
+batched input runs once for the whole batch.
+
 :class:`BucketSchedule` is the same sweep advanced one bucket at a time, for
 inspecting it: each ``process`` call plans one bucket with the planner of
 :func:`plan` and runs it with the :meth:`Sweep.run` of :func:`execute`.
@@ -94,14 +102,16 @@ class _Planner:
     highest-ordered variable; an empty-scope slot folds into a scalar instead.
     """
 
-    def __init__(self, ordering: Ordering, cards, observed):
+    def __init__(self, ordering: Ordering, cards, observed, varying=frozenset()):
         self.ordering = ordering
         self.cards = cards        # cards[v]: the cardinality of variable v
         self.observed = observed  # the variables whose buckets scatter
+        self.varying = varying    # the observed variables with one value per batch row
         self.scopes: list[tuple[int, ...]] = []
+        self.batched: list[bool] = []  # whether slot i has a leading batch axis
         self.filed: dict[int, tuple[list[int], list[int]]] = {v: ([], []) for v in ordering}
 
-    def file(self, scope: tuple[int, ...], utility: bool) -> int:
+    def file(self, scope: tuple[int, ...], utility: bool, batched: bool = False) -> int:
         """Number a new slot over ``scope`` and file it; returns the slot, or
         ``FOLD`` for an empty scope."""
         try:
@@ -111,6 +121,7 @@ class _Planner:
             raise ValueError(f"table over scope {scope} names variables {missing} "
                              "that the ordering lacks") from None
         self.scopes.append(scope)
+        self.batched.append(batched)
         if bucket is None:
             return FOLD
         bucket[utility].append(len(self.scopes) - 1)
@@ -139,28 +150,39 @@ class _Planner:
             return Step(var, (), (), TraceEntry(var, "skip", (), (), 0), None)
         inputs = (*probs, *utils)
         ins = [self.scopes[i] for i in inputs]
-        rule = _assign if op == "assign" else _RULES[op]
-        results, run = rule(var, ins, len(utils), self.cards)
+        batched = tuple(self.batched[i] for i in inputs)
+        if op == "assign":
+            rule = _gather if var in self.varying else _assign
+        elif any(batched) and (utils or op == "decide"):
+            raise ValueError(f"the bucket of {var} would batch utilities or a decision: "
+                             "only probability sweeps run in batches")
+        else:
+            rule = _RULES[op]
+        results, run = rule(var, ins, len(utils), self.cards, batched)
         self.filed[var] = ([], [])
-        outputs = tuple((self.file(scope, utility), utility) for scope, utility in results)
+        outputs = tuple((self.file(scope, utility, b), utility) for scope, utility, b in results)
         entry = TraceEntry(var, "max" if op == "decide" else op, tuple(ins),
-                           tuple(scope for scope, _ in results),
-                           sum(_cells(scope, self.cards) for scope, _ in results))
+                           tuple(scope for scope, _, _ in results),
+                           sum(_cells(scope, self.cards) for scope, _, _ in results))
         return Step(var, inputs, outputs, entry, run)
 
 
 def plan(scopes: Sequence[tuple[int, ...]], cards, ordering: Ordering,
          observed: Iterable[int], ops: Mapping[int, str],
-         utilities: int = 0) -> Plan:
+         utilities: int = 0, varying: Iterable[int] = ()) -> Plan:
     """Plan the sweep of tables with the given sorted ``scopes``.
 
     The last ``utilities`` scopes belong to utility tables; table ``i`` is
     slot ``i``.  ``cards[v]`` is the cardinality of variable ``v``.  Buckets
     are processed from the last ordering position to the first, those of
     variables in ``ops`` only, by the rule ``ops`` gives; the bucket of an
-    ``observed`` variable is scattered whatever its rule.
+    ``observed`` variable is scattered whatever its rule.  A ``varying``
+    variable is observed too, with one value per combination of a batch:
+    ``execute`` then takes an index vector for it, and only a sweep without
+    utilities or decisions may have one.
     """
-    planner = _Planner(ordering, cards, frozenset(observed))
+    varying = frozenset(varying)
+    planner = _Planner(ordering, cards, frozenset(observed) | varying, varying)
     first_utility = len(scopes) - utilities
     folds = []
     for slot, scope in enumerate(scopes):
@@ -184,44 +206,73 @@ def _without(scope: tuple[int, ...], var: int) -> tuple[int, ...]:
 
 
 # Each bucket rule is called once per step, at plan time, with the variable,
-# the input scopes (the last ``utilities`` of them utilities) and the cards;
-# it returns the results as (scope, is a utility), in filing order, and ``run``.
+# the input scopes (the last ``utilities`` of them utilities), the cards and
+# whether each input is batched; it returns the results as (scope, is a
+# utility, is batched), in filing order, and ``run``.
 
-def _assign(var, ins, utilities, cards):
+def _batched_shapes(ins, over, cards, batched) -> list[tuple[int, ...]]:
+    """Each input's shape broadcast over the sorted superset ``over``.  When
+    an input is batched, every shape gets a leading batch axis: the batch
+    (-1) for a batched input, 1 for the others."""
+    shapes = [_aligned(s, over, cards) for s in ins]
+    if any(batched):
+        return [(-1 if b else 1, *shape) for b, shape in zip(batched, shapes)]
+    return shapes
+
+
+def _assign(var, ins, utilities, cards, batched):
     """Observation rule: slice each input at the observed value; nothing is
-    multiplied."""
-    picks = [tuple((slice(None),) * s.index(var) + (value, Ellipsis)
-                   for value in range(cards[var])) for s in ins]
+    multiplied.  A batched input keeps its batch axis."""
+    picks = [tuple((slice(None),) * (s.index(var) + b) + (value, Ellipsis)
+                   for value in range(cards[var])) for s, b in zip(ins, batched)]
 
     def run(arrays, values):
         value = values[var]
         # Copied, so a slice does not keep the table it came from alive.
         return [a[pick[value]].copy() for a, pick in zip(arrays, picks)], None
-    return [(_without(s, var), i >= len(ins) - utilities) for i, s in enumerate(ins)], run
+    return [(_without(s, var), i >= len(ins) - utilities, b)
+            for i, (s, b) in enumerate(zip(ins, batched))], run
 
 
-def _eliminate(var, ins, utilities, cards, reduce):
+def _gather(var, ins, utilities, cards, batched):
+    """Observation rule for a varying variable: ``values[var]`` is an index
+    vector with one value per batch row, and row ``r`` of each result is its
+    input (row ``r`` of it, if batched) sliced at value ``values[var][r]``.
+    Every result is batched."""
+    axes = [s.index(var) + b for s, b in zip(ins, batched)]
+
+    def run(arrays, values):
+        index = values[var]
+        rows = np.arange(len(index))
+        # Indexing by arrays copies, so no result keeps its table alive.
+        return [np.moveaxis(a, axis, 1)[rows, index] if b else np.moveaxis(a, axis, 0)[index]
+                for a, axis, b in zip(arrays, axes, batched)], None
+    return [(_without(s, var), i >= len(ins) - utilities, True) for i, s in enumerate(ins)], run
+
+
+def _eliminate(var, ins, utilities, cards, batched, reduce):
     """Sum or max rule: eliminate the variable from the probability product
     by ``reduce(product, axis) -> (marginal, choices)``.
 
     The bucket's utilities are averaged out as well: their sum weighted by
     the product, summed over the variable and divided by the marginal where
-    it is positive.
+    it is positive.  A bucket with utilities is never batched.
     """
     k = len(ins) - utilities
     if not k:
         raise ValueError("multiply needs at least one factor")
     scope = tuple(sorted({v for s in ins[:k] for v in s}))
-    shapes = [_aligned(s, scope, cards) for s in ins[:k]]
-    axis = scope.index(var)
-    results = [(_without(scope, var), False)]
+    shapes = _batched_shapes(ins[:k], scope, cards, batched[:k])
+    lead = any(batched)  # the batch axis comes first
+    axis = scope.index(var) + lead
+    results = [(_without(scope, var), False, lead)]
     if utilities:
         joint = tuple(sorted({v for s in ins for v in s}))
         rest = _without(joint, var)
         totals = [_aligned(s, joint, cards) for s in ins[k:]]
         shape, joint_axis = _aligned(scope, joint, cards), joint.index(var)
         denom = _aligned(results[0][0], rest, cards)
-        results.append((rest, True))
+        results.append((rest, True, False))
 
     def run(arrays, values):
         product = _fold(arrays[:k], shapes, np.multiply)
@@ -237,7 +288,7 @@ def _eliminate(var, ins, utilities, cards, reduce):
     return results, run
 
 
-def _decide(var, ins, utilities, cards):
+def _decide(var, ins, utilities, cards, batched):
     """Decision rule: maximize the bucket's additive utility sum over the
     decision values its probability factors leave possible.
 
@@ -245,7 +296,7 @@ def _decide(var, ins, utilities, cards):
     but their zeros mark decision values under which the evidence cannot
     occur; those cells are excluded from the maximization.  Contexts with no
     supported value are passed down dead (support 0, utility 0) so later
-    buckets exclude them too.
+    buckets exclude them too.  A decision bucket is never batched.
     """
     k = len(ins) - utilities
     scope = tuple(sorted({v for s in ins for v in s}))
@@ -263,7 +314,7 @@ def _decide(var, ins, utilities, cards):
         best, choices = fold_max(np.where(alive, theta, -np.inf), axis)
         support = alive.any(axis=axis)
         return [np.where(support, best, 0.0), support.astype(np.float64)], choices
-    return [(rest, True), (rest, False)], run
+    return [(rest, True, False), (rest, False, False)], run
 
 
 def _sum_out(product, axis):
@@ -289,11 +340,25 @@ class Sweep:
         self.arg_tables: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}  # var -> (scope, choices)
 
     def fold(self, value, utility: bool) -> None:
-        """Fold an empty-scope result into its running scalar."""
+        """Fold an empty-scope result into its running scalar.  A batched
+        result, one value per batch row, makes the scalar a vector."""
+        value = value if np.ndim(value) else float(value)
         if utility:
-            self.util_scalar += float(value)
+            self.util_scalar = self.util_scalar + value
         else:
-            self.scalar *= float(value)
+            self.scalar = self.scalar * value
+
+    def row(self, r: int) -> "Sweep":
+        """Row ``r`` of a batched sweep: its observed values, scalars and
+        choice tables, as the sweep of that combination alone."""
+        def at(x):
+            return x[r] if np.ndim(x) else x
+        picked = Sweep(self.ordering, {v: int(at(x)) for v, x in self.values.items()}, [])
+        picked.scalar, picked.util_scalar = float(at(self.scalar)), float(at(self.util_scalar))
+        # A batched choice table has one axis more than its scope.
+        picked.arg_tables = {v: (scope, choices[r] if choices.ndim > len(scope) else choices)
+                             for v, (scope, choices) in self.arg_tables.items()}
+        return picked
 
     def run(self, step: Step) -> None:
         """Execute ``step``: drop its inputs, run its rule, keep any choice
@@ -318,7 +383,8 @@ def execute(plan: Plan, arrays: Sequence[np.ndarray], values: Mapping[int, int])
     """Run ``plan`` on the tables' value arrays, one per input slot.
 
     ``values`` holds an in-range value for every observed variable the plan
-    scatters.  Each step drops its inputs before the next runs, so a table
+    scatters: for a varying variable, an index vector with one value per
+    batch row.  Each step drops its inputs before the next runs, so a table
     lives only until its bucket is processed.
     """
     sweep = Sweep(plan.ordering, values,

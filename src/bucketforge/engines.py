@@ -10,12 +10,9 @@ pass reads back.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from itertools import islice, product
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -93,13 +90,13 @@ def _pinned_ends(model, evidence: Evidence | None, ordering: Ordering | None,
 
 
 def _plan(model, tables, observed, ordering: Ordering, ops,
-          utilities=()) -> tuple[Plan, list[np.ndarray]]:
+          utilities=(), varying=()) -> tuple[Plan, list[np.ndarray]]:
     """The plan of the sweep of ``tables`` and ``utilities`` along
-    ``ordering`` with the ``observed`` buckets scattered, and the arrays it
-    runs on."""
+    ``ordering`` with the ``observed`` and ``varying`` buckets scattered,
+    and the arrays it runs on."""
     tables = [*tables, *utilities]
     planned = plan([f.scope for f in tables], model.cards, ordering, observed,
-                   ops, len(utilities))
+                   ops, len(utilities), varying)
     return planned, [f.values for f in tables]
 
 
@@ -176,7 +173,7 @@ def solve_mpe(net: BeliefNetwork, evidence: Evidence | None = None,
     """Most probable complete assignment; value is the maximal joint mass
     consistent with the evidence.  This is the conditioned max sweep with an
     empty cutset, without its one iteration record."""
-    return replace(_max_sweep(net, [], evidence, ordering, 1), kind="mpe",
+    return replace(_max_sweep(net, [], evidence, ordering), kind="mpe",
                    iterations=None)
 
 
@@ -254,14 +251,12 @@ def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
     Each cutset assignment is added to the evidence and solved by the max
     sweep; assignments are enumerated lexicographically over the cutset
     sorted by variable id, and the first maximum wins.  The sweep is planned
-    once, with the cutset scattered like the evidence, and the plan is
-    executed once per assignment; only a new maximum is decoded.
-    ``parallel`` (at least 1) runs iterations on up to that many threads,
-    but never more than there are combinations or CPUs to run them; the
-    reduction key is unchanged, so output is identical to the serial path.
-    Combinations are generated lazily and each iteration's result is
-    dropped once reduced; more than ``oracle.CELL_LIMIT`` of them are
-    refused before the first iteration.
+    once, with the cutset scattered like the evidence, and executed once
+    per batch of assignments; only a new maximum is decoded.  Combinations
+    are generated lazily, a batch at a time, and more than
+    ``oracle.CELL_LIMIT`` of them are refused before the first batch runs.
+    ``parallel`` must be at least 1; batches run on the calling thread
+    whatever it is, so output never depends on it.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
@@ -269,13 +264,17 @@ def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
     for v in cut:
         if not 0 <= v < net.n:
             raise ValueError(f"unknown cutset variable {v}")
-    return _max_sweep(net, cut, evidence, ordering, parallel)
+    return _max_sweep(net, cut, evidence, ordering)
 
 
 def _max_sweep(net: BeliefNetwork, cut: list[int], evidence: Evidence | None,
-               ordering: Ordering | None, parallel: int) -> QueryResult:
+               ordering: Ordering | None) -> QueryResult:
     """The max sweep of :func:`solve_mpe_conditioned` over the sorted,
-    checked ``cut``: planned once, executed per cutset combination."""
+    checked ``cut``: planned once, executed per batch of cutset combinations.
+
+    An observed cutset variable keeps its observed value; the others vary
+    along the batch.  The records, the maximum and its decoding are those
+    of one sweep per combination, bit for bit."""
     evidence, ordering = _pinned_ends(net, evidence, ordering, moral_graph,
                                       pinned=cut)
 
@@ -284,23 +283,30 @@ def _max_sweep(net: BeliefNetwork, cut: list[int], evidence: Evidence | None,
     if count > CELL_LIMIT:
         raise ValueError(f"cutset has {count} value combinations (cap {CELL_LIMIT})")
 
+    varying = [v for v in cut if v not in evidence]
     planned, arrays = _plan(net, net.factor_list(), {*evidence.assignments, *cut},
-                            ordering, dict.fromkeys(ordering.sequence, "max"))
-
-    def run_one(combo: tuple[int, ...]) -> Sweep:
-        values = dict(evidence.assignments)
-        values.update(zip(cut, combo))
-        return execute(planned, arrays, values)
+                            ordering, dict.fromkeys(ordering.sequence, "max"),
+                            varying=varying)
+    # Sizing a batch walks the whole plan, so a single combination skips it.
+    size = _batch_size(planned, net.cards, cut) if count > 1 else 1
 
     best = assignment = None
     records = []
-    workers = min(parallel, count, _cpu_count())
-    sweeps = _map_in_order(run_one, product(*ranges), workers)
-    for i, (combo, sweep) in enumerate(zip(product(*ranges), sweeps)):
-        records.append(IterationRecord(i, tuple(zip(cut, combo)), sweep.scalar,
-                                       planned.max_generated_scope))
-        if best is None or sweep.scalar > best:
-            best, assignment = sweep.scalar, forward_decode(sweep, range(net.n))
+    combos = product(*ranges)
+    while chunk := list(islice(combos, size)):
+        values = dict(evidence.assignments)
+        columns = np.array(chunk, dtype=np.intp).reshape(len(chunk), len(cut)).T
+        values.update((v, column) for v, column in zip(cut, columns) if v not in evidence)
+        sweep = execute(planned, arrays, values)
+        winner = None
+        scalars = np.broadcast_to(sweep.scalar, len(chunk)).tolist()
+        for row, (combo, value) in enumerate(zip(chunk, scalars)):
+            records.append(IterationRecord(len(records), tuple(zip(cut, combo)), value,
+                                           planned.max_generated_scope))
+            if best is None or value > best:
+                best, winner = value, row
+        if winner is not None:
+            assignment = forward_decode(sweep.row(winner), range(net.n))
     note = None
     if best == 0.0 and len(evidence):
         note = "no positive-probability completion of the evidence"
@@ -308,25 +314,13 @@ def _max_sweep(net: BeliefNetwork, cut: list[int], evidence: Evidence | None,
                    note=note, iterations=tuple(records))
 
 
-def _cpu_count() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _batch_size(planned: Plan, cards, cut: Sequence[int]) -> int:
+    """The most cutset combinations one execution of ``planned`` may batch.
 
-
-def _map_in_order(fn, items: Iterator, workers: int) -> Iterator:
-    """``map(fn, items)`` on ``workers`` threads.  At most two items per
-    worker are queued ahead of the consumer, so a long stream is never
-    submitted whole and each result can be dropped once reduced."""
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) >= 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    Every batched array of one combination fits the scope union of a step's
+    inputs: a product, or a table sliced out of one.  B times the cells of
+    the largest union, and B times the cutset's size, stay within
+    ``oracle.CELL_LIMIT``; B is at least 1."""
+    widest = max(math.prod(cards[v] for v in set().union(*entry.input_scopes))
+                 for entry in planned.trace) if planned.trace else 1
+    return max(1, CELL_LIMIT // max(widest, len(cut), 1))

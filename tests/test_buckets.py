@@ -181,6 +181,39 @@ def test_a_utility_only_sum_bucket_is_refused_and_kept():
     assert snapshot(schedule) == before and schedule.trace == []
 
 
+@pytest.mark.parametrize("op", ["sum", "max"])
+def test_a_batched_sweep_is_each_of_its_rows_bit_for_bit(diag_net, op):
+    # Variables 1 and 4 vary mid-order along four rows, 5 is observed.
+    tables = diag_net.factor_list()
+    arrays = [f.values for f in tables]
+    order = Ordering(DIAG_GOOD_ORDER)
+    planned = plan([f.scope for f in tables], diag_net.cards, order, {5},
+                   dict.fromkeys(DIAG_GOOD_ORDER, op), varying={1, 4})
+    rows = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    batch = execute(planned, arrays, {5: 1, 1: np.array([r[0] for r in rows]),
+                                      4: np.array([r[1] for r in rows])})
+    for r, (x1, x4) in enumerate(rows):
+        alone = execute(plan([f.scope for f in tables], diag_net.cards, order, {1, 4, 5},
+                             dict.fromkeys(DIAG_GOOD_ORDER, op)), arrays, {5: 1, 1: x1, 4: x4})
+        picked = batch.row(r)
+        assert picked.scalar.hex() == alone.scalar.hex()
+        assert picked.values == alone.values
+        assert forward_decode(picked, range(6)) == forward_decode(alone, range(6))
+        assert {v: c.tolist() for v, (_, c) in picked.arg_tables.items()} == \
+            {v: c.tolist() for v, (_, c) in alone.arg_tables.items()}
+
+
+def test_only_a_probability_sweep_runs_in_batches():
+    chance = DiscreteFactor((0, 1), (2, 2), [0.5, 0.5, 0.5, 0.5])
+    utility = DiscreteFactor((0, 1), (2, 2), [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="the bucket of 0 would batch utilities or a decision"):
+        plan([chance.scope, utility.scope], {0: 2, 1: 2}, Ordering((0, 1)), (),
+             {0: "sum", 1: "sum"}, utilities=1, varying={1})
+    with pytest.raises(ValueError, match="the bucket of 0 would batch utilities or a decision"):
+        plan([chance.scope], {0: 2, 1: 2}, Ordering((0, 1)), (),
+             {0: "decide", 1: "sum"}, varying={1})
+
+
 def test_a_binary_max_sweep_keeps_one_byte_choice_tables(diag_net):
     tables = diag_net.factor_list()
     planned = plan([f.scope for f in tables], diag_net.cards, Ordering(DIAG_GOOD_ORDER),

@@ -3,7 +3,6 @@
 import math
 import random
 from collections import Counter
-from concurrent.futures import Future
 from itertools import product
 
 import numpy as np
@@ -18,7 +17,6 @@ from bucketforge.factor import DiscreteFactor, add, fold_max, multiply
 from bucketforge.oracle import (oracle_belief, oracle_map, oracle_meu,
                                 oracle_mpe, score_assignment, score_decisions,
                                 score_hypothesis)
-from bucketforge.engines import _map_in_order
 from bucketforge.randgen import (random_evidence, random_influence_diagram,
                                  random_network, shuffled_ordering,
                                  uniform_network)
@@ -459,23 +457,6 @@ def test_engines_are_deterministic_across_repeat_calls(diag_net):
     assert [e.render() for e in a.trace] == [e.render() for e in b.trace]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_conditioning_streams_its_iterations(workers):
-    consumed = []
-
-    def items():
-        for i in range(50):
-            consumed.append(i)
-            yield i
-
-    out = []
-    for result in _map_in_order(lambda x: x * x, items(), workers):
-        # Never more than two items per worker submitted ahead of the reducer.
-        assert len(consumed) - len(out) <= max(1, 2 * workers)
-        out.append(result)
-    assert out == [i * i for i in range(50)]
-
-
 def _conditioning_by_repeated_sweeps(net, cut, evidence, ordering):
     """The conditioning loop as one full max sweep per cutset assignment:
     (best result, iteration records)."""
@@ -537,6 +518,150 @@ def test_conditioning_replays_one_plan_exactly_like_repeated_sweeps(parallel):
     assert min(seen.values()) >= 10, seen
 
 
+def _stream_watch(monkeypatch, batch):
+    """Run conditioning in batches of ``batch`` combinations, checking that
+    the engine reads its combinations at most one batch ahead of the
+    records it reduces them to; returns the counts of the last query."""
+    state = {"read": 0, "reduced": 0}
+
+    def counted(*ranges):
+        state.update(read=0, reduced=0)
+        for combo in product(*ranges):
+            state["read"] += 1
+            yield combo
+
+    def reduced(*fields):
+        assert state["read"] - state["reduced"] <= batch, state
+        state["reduced"] += 1
+        return IterationRecord(*fields)
+
+    monkeypatch.setattr(engines, "_batch_size", lambda planned, cards, cut: batch)
+    monkeypatch.setattr(engines, "product", counted)
+    monkeypatch.setattr(engines, "IterationRecord", reduced)
+    return state
+
+
+@pytest.mark.parametrize("batch", [1, 2, 4])
+def test_conditioning_streams_its_iterations(diag_net, monkeypatch, batch):
+    state = _stream_watch(monkeypatch, batch)
+    result = solve_mpe_conditioned(diag_net, [0, 1, 2, 3, 4], None, None)
+    assert state == {"read": 32, "reduced": 32}
+    assert [r.index for r in result.iterations] == list(range(32))
+
+
+def _watched_steps(planned, watch):
+    """``planned`` with each step's ``run`` wrapped: ``watch(step, arrays,
+    outs, choices)`` sees every call."""
+    def wrapped(step):
+        def run(arrays, values):
+            outs, choices = step.run(arrays, values)
+            watch(step, arrays, outs, choices)
+            return outs, choices
+        return step._replace(run=run) if step.run else step
+    return planned._replace(steps=tuple(map(wrapped, planned.steps)))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_conditioning_in_batches_of_any_size_replays_like_repeated_sweeps(monkeypatch,
+                                                                          batch):
+    """The replay test's 120 cases, all-ties networks included, with the
+    combinations split into batches of ``batch``: records, value and
+    assignment stay those of one sweep per combination, so the first
+    maximum wins across batch boundaries; no batched array holds more than
+    ``batch`` times the cells of the largest scope union of a step's inputs,
+    the budget of one combination; and the combinations stream."""
+    state = _stream_watch(monkeypatch, batch)
+    execute, seen = engines.execute, Counter()
+
+    def watched_execute(planned, arrays, values):
+        rows = {len(x) for x in values.values() if np.ndim(x)}
+        assert rows <= set(range(1, batch + 1)), rows
+        seen["batched"] += bool(rows)
+        seen["after the first batch"] += state["read"] > max(rows, default=1)
+        cards = {v: c for scope, a in zip(planned.scopes, arrays)
+                 for v, c in zip(scope, a.shape)}
+        budget = batch * max((math.prod(cards[v] for v in set().union(*e.input_scopes))
+                              for e in planned.trace), default=1)
+
+        def watch(step, ins, outs, choices):
+            entry = step.entry
+            scopes = (*entry.input_scopes, *entry.output_scopes, entry.output_scopes[0])
+            for a, scope in zip((*ins, *outs, choices), scopes):
+                if a is not None and a.ndim > len(scope):  # a batched array
+                    assert len(a) in rows and a.size <= budget, (a.shape, budget)
+        return execute(_watched_steps(planned, watch), arrays, values)
+
+    monkeypatch.setattr(engines, "execute", watched_execute)
+    # The replay test itself, unchanged, under these batches.
+    test_conditioning_replays_one_plan_exactly_like_repeated_sweeps(1)
+    assert seen["batched"] >= 500 and seen["after the first batch"] >= 400, seen
+
+
+def test_a_cutset_mid_order_shares_the_buckets_that_do_not_depend_on_it(monkeypatch):
+    """Under a given ordering with the cutset in the middle, the buckets
+    processed before it see no cutset value: each runs once per batch on
+    unbatched tables, and the answer is bit for bit one sweep per
+    combination."""
+    rng = random.Random(61702)
+    shared = 0
+    for case in range(30):
+        net = random_network(rng, max_vars=8, max_card=3,
+                             hard_rows=0.3 if case % 3 == 0 else 0.0)
+        if net.n < 4:
+            continue
+        evidence = random_evidence(rng, net, max_observed=1)
+        seq = list(shuffled_ordering(rng, net.n).sequence)
+        middle = net.n // 2
+        cut = sorted(seq[middle - 1:middle + 1])
+        order = Ordering(tuple(seq))
+        best, records = _conditioning_by_repeated_sweeps(net, cut, evidence, order)
+
+        calls = []
+        planned_steps = []
+        original_plan = engines.plan
+
+        def watching_plan(*args, **kwargs):
+            planned = original_plan(*args, **kwargs)
+            planned_steps[:] = planned.steps
+            return _watched_steps(planned, lambda step, ins, outs, choices:
+                                  calls.append((step, ins, outs)))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engines, "plan", watching_plan)
+            result = solve_mpe_conditioned(net, cut, evidence, order)
+        assert [r.value.hex() for r in result.iterations] == \
+            [r.value.hex() for r in records]
+        assert result.iterations == records
+        assert result.value.hex() == best.value.hex()
+        assert result.assignment == best.assignment
+        assert result.trace == best.trace
+
+        # A slot depends on the cutset when it comes out of the bucket of an
+        # unobserved cutset variable, is an evidence slice of a dependent
+        # table, or is a result of a rule with a dependent input.
+        varying = {v for v in cut if v not in evidence}
+        dependent, expected = set(), {}
+        for step in planned_steps:
+            ins = [i in dependent for i in step.inputs]
+            if step.variable in varying:
+                outs = [True] * len(step.outputs)
+            elif step.entry.op == "assign":
+                outs = ins
+            else:
+                outs = [any(ins)] * len(step.outputs)
+            expected[step.variable] = ins + outs
+            dependent.update(slot for (slot, _), d in zip(step.outputs, outs) if d)
+        ran = Counter(step.variable for step, _, _ in calls)
+        assert set(ran.values()) == {1}  # one batch holds every combination
+        for step, ins, outs in calls:
+            entry = step.entry
+            batched = [a.ndim > len(scope) for a, scope in
+                       zip((*ins, *outs), (*entry.input_scopes, *entry.output_scopes))]
+            assert batched == expected[step.variable]
+            shared += entry.op == "max" and not any(batched)
+    assert shared >= 40
+
+
 UTILITY_OVERFLOW = """ID
 2
 2 2
@@ -560,41 +685,7 @@ def test_meu_rejects_utilities_whose_sum_overflows(var):
         solve_meu(diagram, None, None)
 
 
-class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records ``max_workers`` and runs
-    each task when it is submitted, on the calling thread."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 @pytest.mark.parametrize("parallel", [0, -3])
 def test_conditioning_refuses_fewer_than_one_worker(diag_net, parallel):
     with pytest.raises(ValueError, match=f"parallel must be >= 1, got {parallel}"):
         solve_mpe_conditioned(diag_net, [1, 2], parallel=parallel)
-
-
-@pytest.mark.parametrize("cpus, workers", [(8, [4]), (3, [3]), (1, [])])
-def test_parallel_workers_are_clamped_to_combinations_and_cpus(diag_net, monkeypatch,
-                                                               cpus, workers):
-    monkeypatch.setattr(engines, "ThreadPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(engines.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    serial = solve_mpe_conditioned(diag_net, [1, 2], None, None, parallel=1)
-    wide = solve_mpe_conditioned(diag_net, [1, 2], None, None, parallel=64)
-    assert _RecordingPool.sizes == workers  # 4 combinations
-    assert wide == serial

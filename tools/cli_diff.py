@@ -37,6 +37,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 TRACE_KEYS = ("trace", "iterations_trace")
 SHOWN = 5  # differences shown per kind
+ORDER_KINDS = ("default", "min-fill", "min-degree", "given", "file")
 
 
 # -- the command set -----------------------------------------------------------------
@@ -69,12 +70,13 @@ def _flags(rng: random.Random, trace: bool = True, lax: bool = True,
 
 
 def _order(rng: random.Random, files: _Files, n: int, prefix=(), suffix=(),
-           base: int = 0) -> list[str]:
+           base: int = 0, kinds=ORDER_KINDS) -> list[str]:
     """No ``--order``, a heuristic, or a given list or file that keeps
-    ``prefix`` first and ``suffix`` last, or once in ten a random one."""
+    ``prefix`` first and ``suffix`` last, or once in ten a random one; the
+    kind is drawn from ``kinds``."""
     from bucketforge.randgen import shuffled_ordering
 
-    kind = rng.choice(["default", "min-fill", "min-degree", "given", "file"])
+    kind = rng.choice(kinds)
     if kind == "default":
         return []
     if kind in ("min-fill", "min-degree"):
@@ -113,9 +115,14 @@ def _network_commands(rng: random.Random, files: _Files) -> list[list[str]]:
     if rng.random() < 0.5:
         cut = sorted(rng.sample(range(net.n), rng.randint(0, min(3, net.n))))
         pick = ["--cutset", ",".join(map(str, cut))] if cut else ["--wbound", str(rng.randint(0, 3))]
-        pinned = sorted(set(cut) | set(observed))
+        if rng.random() < 0.5:
+            order = _order(rng, files, net.n, suffix=sorted(set(cut) | set(observed)))
+        else:
+            # A given ordering with the cutset anywhere: the buckets processed
+            # before it do not depend on it.
+            order = _order(rng, files, net.n, kinds=("given", "file"))
         commands.append(["cond-mpe", path, *pick, "--parallel", str(rng.randint(1, 2)), *ev,
-                         *_order(rng, files, net.n, suffix=pinned), *_flags(rng)])
+                         *order, *_flags(rng)])
     if rng.random() < 0.3:
         commands.append(["stats", path, *ev, *_order(rng, files, net.n),
                          *_flags(rng, trace=False, oracle=False)])
