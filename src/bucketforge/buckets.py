@@ -223,13 +223,12 @@ def _batched_shapes(ins, over, cards, batched) -> list[tuple[int, ...]]:
 def _assign(var, ins, utilities, cards, batched):
     """Observation rule: slice each input at the observed value; nothing is
     multiplied.  A batched input keeps its batch axis."""
-    picks = [tuple((slice(None),) * (s.index(var) + b) + (value, Ellipsis)
-                   for value in range(cards[var])) for s, b in zip(ins, batched)]
+    axes = [s.index(var) + b for s, b in zip(ins, batched)]
 
     def run(arrays, values):
         value = values[var]
-        # Copied, so a slice does not keep the table it came from alive.
-        return [a[pick[value]].copy() for a, pick in zip(arrays, picks)], None
+        # np.take copies, so a slice does not keep the table it came from alive.
+        return [np.take(a, value, axis) for a, axis in zip(arrays, axes)], None
     return [(_without(s, var), i >= len(ins) - utilities, b)
             for i, (s, b) in enumerate(zip(ins, batched))], run
 

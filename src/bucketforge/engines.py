@@ -22,10 +22,10 @@ import numpy as np
 from .buckets import (Plan, Sweep, TraceEntry, execute, forward_decode,  # noqa: F401
                       partition, plan)
 from .errors import EvidenceError, OrderingConstraintError, ZeroMassError
-from .factor import DiscreteFactor, _finite, add, multiply  # noqa: F401
+from .factor import _finite, add, multiply  # noqa: F401
 from .graph import (Ordering, augmented_graph, constrained_order, moral_graph,
                     observed_suffix)
-from .model import BeliefNetwork, Evidence, InfluenceDiagram
+from .model import BeliefNetwork, Evidence, InfluenceDiagram, Table
 from .oracle import CELL_LIMIT
 
 
@@ -93,7 +93,8 @@ def _plan(model, tables, observed, ordering: Ordering, ops,
           utilities=(), varying=()) -> tuple[Plan, list[np.ndarray]]:
     """The plan of the sweep of ``tables`` and ``utilities`` along
     ``ordering`` with the ``observed`` and ``varying`` buckets scattered,
-    and the arrays it runs on."""
+    and the arrays it runs on.  A table is anything with a sorted ``scope``
+    and its ``values``: a model's :class:`Table` or a factor."""
     tables = [*tables, *utilities]
     planned = plan([f.scope for f in tables], model.cards, ordering, observed,
                    ops, len(utilities), varying)
@@ -109,7 +110,7 @@ def _sweep(model, tables, evidence: Evidence, ordering: Ordering, ops,
 
 
 def _ancestral_tables(net: BeliefNetwork, targets: Iterable[int],
-                      evidence: Evidence) -> list[DiscreteFactor]:
+                      evidence: Evidence) -> list[Table]:
     """The tables of ``targets``, of the observed variables and of their
     ancestors, in variable order; a variable counts as its own ancestor.
 
@@ -118,7 +119,7 @@ def _ancestral_tables(net: BeliefNetwork, targets: Iterable[int],
     their buckets, left empty, are skipped.  This holds for sum buckets
     only; in a max sweep a barren bucket still chooses a value.
     """
-    tables = net.factor_list()
+    tables = net.table_list()
     keep = [False] * net.n
     stack = [*targets, *(v for v, _ in evidence.items())]
     while stack:
@@ -232,7 +233,7 @@ def solve_meu(diagram: InfluenceDiagram, evidence: Evidence | None = None,
         misplaced="decision variables must occupy the first ordering positions")
 
     dset = set(decisions)
-    planned, sweep = _sweep(diagram, diagram.chance_factors(), evidence, ordering,
+    planned, sweep = _sweep(diagram, diagram.chance_tables(), evidence, ordering,
                             {v: "decide" if v in dset else "sum" for v in ordering},
                             utilities=diagram.utilities)
     if sweep.scalar == 0.0:
@@ -284,7 +285,7 @@ def _max_sweep(net: BeliefNetwork, cut: list[int], evidence: Evidence | None,
         raise ValueError(f"cutset has {count} value combinations (cap {CELL_LIMIT})")
 
     varying = [v for v in cut if v not in evidence]
-    planned, arrays = _plan(net, net.factor_list(), {*evidence.assignments, *cut},
+    planned, arrays = _plan(net, net.table_list(), {*evidence.assignments, *cut},
                             ordering, dict.fromkeys(ordering.sequence, "max"),
                             varying=varying)
     # Sizing a batch walks the whole plan, so a single combination skips it.

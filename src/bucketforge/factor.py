@@ -172,18 +172,34 @@ def fold_sum(values: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def fold_max(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """``values.max(axis)`` and the lowest index attaining it, by slices.
+# Below this many cells, numpy's max and argmax, two calls, cost less than
+# the slice fold's four calls per slice; above it, argmax along an axis that
+# is not the last one costs more than the whole slice fold.
+REDUCE_CELLS = 256
 
-    A strictly greater slice value moves the choice to that slice's index,
-    so ties keep the lowest value.  The index grows with each slice, so the
-    running choice is updated by a maximum instead of a masked write, in
-    the smallest integer type that holds it, which is also the type
-    returned.
+
+def fold_max(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """``values.max(axis)`` and the lowest index attaining it, the index in
+    the smallest unsigned integer type that holds it.
+
+    Below ``REDUCE_CELLS`` cells, numpy's max and argmax reduce the axis at
+    once.  Otherwise, or when a maximum is zero, the axis is folded slice by
+    slice: a strictly greater slice value moves the choice to that slice's
+    index, so ties keep the lowest value, and since the index grows with
+    each slice the running choice is updated by a maximum instead of a
+    masked write.  Both give the same values, bit for bit, and the same
+    choices: the maximum of finite or infinite values is exact, and both
+    break ties at the lowest index.  Only the sign of a zero maximum tied
+    between +0 and -0 depends on the order numpy visits the cells in, and
+    so a zero maximum always takes the slice fold.
     """
+    index = np.min_scalar_type(values.shape[axis] - 1).type
+    if values.size < REDUCE_CELLS:
+        best = values.max(axis)
+        if best.all():
+            return np.asarray(best), np.asarray(values.argmax(axis), dtype=index)
     slices = _slices(values, axis)
     best = np.array(slices[0])
-    index = np.min_scalar_type(len(slices) - 1).type
     choices = np.zeros(best.shape, dtype=index)
     for i, s in enumerate(slices[1:], 1):
         better = s > best

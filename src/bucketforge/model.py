@@ -25,13 +25,13 @@ import warnings
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (CycleError, EvidenceError, ModelError, NormalizationError,
                      ParseError)
-from .factor import DiscreteFactor, _finite
+from .factor import DiscreteFactor, _finite, _locked
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -52,18 +52,87 @@ def _row_faults(block: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, n
     return sums, off, negative
 
 
+class Table(NamedTuple):
+    """One table of a model: its scope, sorted by variable id, and its
+    values, one axis per scope variable in that order."""
+
+    scope: tuple[int, ...]
+    values: np.ndarray
+
+
+class Tables(Sequence):
+    """A network's conditional tables, held as write-locked blocks.
+
+    A block is ``(variables, scopes, values)``: ``values[k]`` is the table of
+    variable ``variables[k]`` over the sorted scope ``scopes[k]``, so the
+    tables of one block share a shape.  Like a factor's values, a block is
+    copied and write-locked unless it is a read-only float64 array with
+    read-only bases, and it must be finite.  ``tables[i]`` is variable i's
+    :class:`Table`, a view into its block, or None.  Item i is that table as
+    a :class:`DiscreteFactor`, built by its validating constructor on each
+    access; the engines read :attr:`tables` and build none.
+    """
+
+    def __init__(self, n: int, blocks: Iterable[tuple]):
+        tables: list[Table | None] = [None] * n
+        self.blocks = []
+        for variables, scopes, values in blocks:
+            if not (type(values) is np.ndarray and values.dtype == np.float64
+                    and _locked(values)):
+                values = np.array(values, dtype=np.float64)
+                values.setflags(write=False)
+            _finite(values)
+            variables, scopes = tuple(variables), tuple(map(tuple, scopes))
+            if not len(variables) == len(scopes) == len(values):
+                raise ValueError("a block needs one variable and one scope per table")
+            for k, (v, scope) in enumerate(zip(variables, scopes)):
+                if not 0 <= v < n or tables[v] is not None:
+                    raise ValueError(f"no place for a table of variable {v}")
+                tables[v] = Table(scope, values[k, ...])
+            self.blocks.append((variables, scopes, values))
+        self.tables = tuple(tables)
+
+    @classmethod
+    def of(cls, factors: Sequence[DiscreteFactor | None]) -> "Tables":
+        """The factors' tables, one per variable or None, stacked into one
+        block per shape."""
+        groups: dict[tuple, list[int]] = {}
+        for i, f in enumerate(factors):
+            if f is not None:
+                groups.setdefault(f.cards, []).append(i)
+        return cls(len(factors), [(members, [factors[i].scope for i in members],
+                                   np.stack([factors[i].values for i in members]))
+                                  for members in groups.values()])
+
+    def __len__(self) -> int:
+        return len(self.tables)
+
+    def __getitem__(self, i):
+        table = self.tables[i]
+        return None if table is None else DiscreteFactor(table.scope, table.values.shape,
+                                                         table.values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass(frozen=True)
 class BeliefNetwork:
     """A DAG of discrete variables with one conditional table per variable.
 
     The i-th variable has ``cards[i]`` values and the name ``X{i}``.
     ``cpts[i]`` may be None only when the network underlies an influence
-    diagram and variable i is a decision.
+    diagram and variable i is a decision.  The constructor takes the tables
+    as factors or as :class:`Tables`, and keeps them as :class:`Tables`:
+    ``cpts[i]`` builds variable i's factor when asked, and :attr:`tables`
+    gives the (scope, values) pairs the engines sweep.
     """
 
     cards: tuple[int, ...]
     parents: tuple[tuple[int, ...], ...]
-    cpts: tuple[DiscreteFactor | None, ...]
+    cpts: Sequence[DiscreteFactor | None]
 
     def __post_init__(self):
         n = len(self.cards)
@@ -80,44 +149,50 @@ class BeliefNetwork:
                     raise ModelError(f"variable {i} has unknown parent {p}")
                 if p == i:
                     raise ModelError(f"variable {i} is its own parent")
+        if not isinstance(self.cpts, Tables):
+            object.__setattr__(self, "cpts", Tables.of(self.cpts))
         self._check_tables()
         self._check_acyclic()  # after the tables: an off row is named before a cycle
 
     def _check_tables(self) -> None:
         """Each table's scope and cardinalities, then its rows and signs.
 
-        Rows and signs are checked once per group of tables of one shape
-        and one child axis.  The lowest failing variable is named; for one
-        variable, a wrong scope or cardinality comes first, then a row
-        that does not sum to 1, then a negative entry.
+        Rows and signs are checked once per block of tables that share a
+        child axis.  The lowest failing variable is named; for one variable,
+        a wrong scope or cardinality comes first, then a row that does not
+        sum to 1, then a negative entry.
         """
-        groups: dict[tuple, list[int]] = {}
-        failure = None
-        for i, cpt in enumerate(self.cpts):
-            if cpt is None:
+        failure = None  # (variable, error) for the first wrong scope or cardinality
+        for i, table in enumerate(self.tables):
+            if table is None:
                 continue
-            if cpt.scope != self.family(i):
-                failure = ModelError(
-                    f"table scope {cpt.scope} differs from the family of variable {i}")
+            if table.scope != self.family(i):
+                failure = i, ModelError(
+                    f"table scope {table.scope} differs from the family of variable {i}")
                 break
-            if cpt.cards != tuple(map(self.cards.__getitem__, cpt.scope)):
-                v = next(v for v, c in zip(cpt.scope, cpt.cards) if c != self.cards[v])
-                failure = ModelError(f"table for variable {i} disagrees on cardinality of {v}")
+            if table.values.shape != tuple(map(self.cards.__getitem__, table.scope)):
+                v = next(v for v, c in zip(table.scope, table.values.shape)
+                         if c != self.cards[v])
+                failure = i, ModelError(f"table for variable {i} disagrees on cardinality of {v}")
                 break
-            groups.setdefault((cpt.cards, cpt.scope.index(i)), []).append(i)
-        first = failing = None  # the lowest variable failing below ``failure``
-        for (_, axis), members in groups.items():
-            block = np.stack([self.cpts[i].values for i in members])
-            _, off, negative = _row_faults(block, 1 + axis)
-            bad = np.flatnonzero(off | negative)
-            if bad.size and (first is None or members[bad[0]] < first):
-                first, failing = members[bad[0]], off[bad[0]]
-        if first is not None:
+        first = failing = None  # the lowest variable with an off row or a negative entry
+        for variables, scopes, values in self.cpts.blocks:
+            members: dict[int, list[int]] = {}  # child axis -> rows of the block
+            for k, (v, scope) in enumerate(zip(variables, scopes)):
+                if v in scope:  # else its scope check fails
+                    members.setdefault(scope.index(v), []).append(k)
+            for axis, rows in members.items():
+                block = values if len(rows) == len(values) else values[rows]
+                _, off, negative = _row_faults(block, 1 + axis)
+                for b in np.flatnonzero(off | negative).tolist():
+                    if first is None or variables[rows[b]] < first:
+                        first, failing = variables[rows[b]], off[b]
+        if first is not None and (failure is None or first < failure[0]):
             if failing:
                 raise NormalizationError(f"rows of the table for variable {first} do not sum to 1")
             raise _negative_entry(first)
         if failure is not None:
-            raise failure
+            raise failure[1]
 
     def _check_acyclic(self) -> None:
         n = self.n
@@ -153,11 +228,21 @@ class BeliefNetwork:
     def roots(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if not self.parents[i])
 
-    def factor_list(self) -> list[DiscreteFactor]:
-        missing = [i for i, c in enumerate(self.cpts) if c is None]
+    @property
+    def tables(self) -> tuple[Table | None, ...]:
+        return self.cpts.tables
+
+    def table_list(self) -> list[Table]:
+        """Every variable's table, in variable order."""
+        missing = [i for i, t in enumerate(self.tables) if t is None]
         if missing:
             raise ModelError(f"variables {missing} have no conditional table")
-        return [c for c in self.cpts if c is not None]
+        return list(self.tables)
+
+    def factor_list(self) -> list[DiscreteFactor]:
+        """:meth:`table_list` as factors, built on each call."""
+        self.table_list()  # refuses a missing table
+        return list(self.cpts)
 
 
 @dataclass(frozen=True)
@@ -178,10 +263,10 @@ class InfluenceDiagram:
                 raise ModelError(f"unknown decision variable {d}")
             if net.parents[d]:
                 raise ModelError(f"decision variable {d} has parents")
-            if net.cpts[d] is not None:
+            if net.tables[d] is not None:
                 raise ModelError(f"decision variable {d} has a conditional table")
         for i in range(net.n):
-            if i not in dset and net.cpts[i] is None:
+            if i not in dset and net.tables[i] is None:
                 raise ModelError(f"chance variable {i} has no conditional table")
         for f in self.utilities:
             for v, c in zip(f.scope, f.cards):
@@ -206,7 +291,11 @@ class InfluenceDiagram:
         dset = set(self.decisions)
         return tuple(i for i in range(self.n) if i not in dset)
 
+    def chance_tables(self) -> list[Table]:
+        return [self.network.tables[i] for i in self.chance()]
+
     def chance_factors(self) -> list[DiscreteFactor]:
+        """:meth:`chance_tables` as factors, built on each call."""
         return [self.network.cpts[i] for i in self.chance()]
 
 
@@ -434,20 +523,21 @@ def _read_tables(ts: _TokenStream, n: int, cards: Sequence[int],
 
 def _tables(scopes: list[list[int]], cards: Sequence[int], starts: np.ndarray,
             values: np.ndarray, lax: bool = False):
-    """One factor per table of ``values``, built group by group.
+    """The tables of ``values`` as blocks, one per file shape and
+    permutation to sorted scope.
 
-    The tables of one file shape and one permutation to sorted scope are
-    gathered by one index into a block, which is write-locked; each factor
-    gets its slice of the block, transposed into canonical layout, not a
-    copy.  With ``lax``, the tables are conditional ones and each block is
-    first passed through :func:`_renormalize`, whose flags are returned
-    per table (all false without ``lax``).
+    Each block is ``(members, sorted scopes, values)``: the indices of its
+    tables in ``scopes``, their scopes sorted, and their entries gathered by
+    one index, write-locked and transposed into canonical layout, not
+    copied.  With ``lax``, the tables are conditional ones and each block is
+    first passed through :func:`_renormalize`, whose flags are returned per
+    table (all false without ``lax``).
     """
     groups: dict[tuple, list[int]] = {}
     for t, ids in enumerate(scopes):
         order = tuple(sorted(range(len(ids)), key=ids.__getitem__))
         groups.setdefault((tuple(map(cards.__getitem__, ids)), order), []).append(t)
-    factors = [None] * len(scopes)
+    blocks = []
     flags = np.zeros((len(scopes), 3), dtype=bool)
     for (shape, order), members in groups.items():
         at = starts[members][:, np.newaxis] + np.arange(math.prod(shape))
@@ -455,12 +545,9 @@ def _tables(scopes: list[list[int]], cards: Sequence[int], starts: np.ndarray,
         if lax:
             flags[members] = _renormalize(block)
         block.setflags(write=False)
-        canonical = block.transpose(0, *(1 + a for a in order))
-        sorted_cards = canonical.shape[1:]
-        for k, t in enumerate(members):
-            factors[t] = DiscreteFactor(tuple(sorted(scopes[t])), sorted_cards,
-                                        canonical[k, ...])
-    return factors, flags
+        blocks.append((members, [tuple(sorted(scopes[t])) for t in members],
+                       block.transpose(0, *(1 + a for a in order))))
+    return blocks, flags
 
 
 def _renormalize(block: np.ndarray) -> np.ndarray:
@@ -528,12 +615,10 @@ def parse_network(text: str, kind: str | None = None, strict: bool = True):
         raise ParseError(f"no conditional table for variables {missing}")
 
     scopes, starts, values = _read_tables(ts, n, cards, scopes, header == "id")
-    factors, flags = _tables(scopes[:table_count], cards, starts[:table_count], values,
-                             lax=not strict)
-    cpts: list[DiscreteFactor | None] = [None] * n
+    blocks, flags = _tables(scopes[:table_count], cards, starts[:table_count], values,
+                            lax=not strict)
     parents: list[tuple[int, ...]] = [()] * n
-    for ids, factor, (negative, off, zero) in zip(scopes[:table_count], factors,
-                                                  flags.tolist()):
+    for ids, (negative, off, zero) in zip(scopes[:table_count], flags.tolist()):
         child = ids[-1]
         if negative:  # BeliefNetwork makes the strict checks
             raise _negative_entry(child)
@@ -543,11 +628,16 @@ def parse_network(text: str, kind: str | None = None, strict: bool = True):
             warnings.warn(f"renormalized conditional table of variable {child}",
                           stacklevel=2)
         parents[child] = tuple(sorted(ids[:-1]))
-        cpts[child] = factor
-    net = BeliefNetwork(tuple(cards), tuple(parents), tuple(cpts))
+    tables = Tables(n, [([scopes[t][-1] for t in members], sorted_scopes, block)
+                        for members, sorted_scopes, block in blocks])
+    net = BeliefNetwork(tuple(cards), tuple(parents), tables)
     if header == "bayes":
         return net
-    utilities, _ = _tables(scopes[table_count:], cards, starts[table_count:], values)
+    utilities: list[DiscreteFactor | None] = [None] * (len(scopes) - table_count)
+    for members, sorted_scopes, block in _tables(scopes[table_count:], cards,
+                                                 starts[table_count:], values)[0]:
+        for k, (t, scope) in enumerate(zip(members, sorted_scopes)):
+            utilities[t] = DiscreteFactor(scope, block.shape[1:], block[k, ...])
     return InfluenceDiagram(net, tuple(decisions), tuple(utilities))
 
 
@@ -562,13 +652,13 @@ def serialize_network(model) -> str:
     out = ["ID" if diagram else "BAYES", str(net.n), " ".join(str(c) for c in net.cards)]
     if diagram:
         out.append(" ".join(str(t) for t in [len(diagram.decisions), *diagram.decisions]))
-    children = [i for i in range(net.n) if net.cpts[i] is not None]
+    children = [i for i in range(net.n) if net.tables[i] is not None]
     file_scopes = [[*net.parents[i], i] for i in children]
     out.append(str(len(children)))
     out += [" ".join(str(t) for t in [len(fs), *fs]) for fs in file_scopes]
     for child, fs in zip(children, file_scopes):
-        cpt = net.cpts[child]
-        out += _table_lines(cpt.values.transpose([cpt.scope.index(v) for v in fs]))
+        scope, values = net.tables[child]
+        out += _table_lines(values.transpose([scope.index(v) for v in fs]))
     if diagram:
         out.append(str(len(diagram.utilities)))
         for f in diagram.utilities:

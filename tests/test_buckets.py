@@ -274,6 +274,34 @@ def test_no_slot_outlives_the_step_that_consumes_it(diag_net, evidence):
     assert math.isclose(sweep.scalar, mass, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("op", ["sum", "max"])
+@pytest.mark.parametrize("observed, varying", [({1, 4, 5}, set()), ({4}, {1, 5})],
+                         ids=["single values", "a batch"])
+def test_a_scattered_slot_shares_no_memory_with_its_input(diag_net, op, observed, varying):
+    # Along the good ordering, bucket 5 sends a table over (4,) to bucket 4:
+    # in a batch, 4 slices a batched table and an unbatched one.
+    tables = diag_net.factor_list()
+    planned = plan([f.scope for f in tables], diag_net.cards, Ordering(DIAG_GOOD_ORDER),
+                   observed, dict.fromkeys(DIAG_GOOD_ORDER, op), varying=varying)
+    scattered = []
+
+    def watched(step):
+        def run(arrays, values):
+            outs, choices = step.run(arrays, values)
+            for out in outs:
+                assert not any(np.shares_memory(out, a) for a in arrays)
+            scattered.append((step.variable, [np.ndim(a) for a in arrays]))
+            return outs, choices
+        return step._replace(run=run) if step.entry.op == "assign" else step
+
+    values = {v: np.array([0, 1, 1, 0]) if v in varying else 1 for v in observed | varying}
+    execute(planned._replace(steps=tuple(map(watched, planned.steps))),
+            [f.values for f in tables], values)
+    assert sorted(v for v, _ in scattered) == sorted(observed | varying)
+    if varying:  # bucket 4 sliced the batched (4,) and the unbatched (1, 2, 4)
+        assert sorted(dict(scattered)[4]) == [2, 3]
+
+
 def test_full_sum_sweep_reproduces_total_mass(diag_net):
     schedule = partition(diag_net.factor_list(), Ordering(DIAG_GOOD_ORDER))
     for var in reversed(DIAG_GOOD_ORDER):

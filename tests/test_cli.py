@@ -149,6 +149,26 @@ def test_cond_mpe_wbound_and_parallel_match_serial(tmp_path, capsys):
     assert capsys.readouterr().out == serial
 
 
+@pytest.mark.parametrize("command", [["mpe"], ["bel", "--query", "3"], ["map", "--hyp", "0,2"],
+                                     ["cond-mpe", "--cutset", "1,4"]])
+def test_a_query_on_a_parsed_network_builds_no_factor(tmp_path, capsys, monkeypatch, command):
+    net = write(tmp_path, "diag.net", DIAG_TEXT)
+    ev = write(tmp_path, "obs.ev", "1 5 1\n")
+    built = []
+    construct = bucketforge.DiscreteFactor.__post_init__
+
+    def counted(self):
+        built.append(self.scope)
+        construct(self)
+    monkeypatch.setattr(bucketforge.DiscreteFactor, "__post_init__", counted)
+    assert run([command[0], net, *command[1:], "--evidence", ev, "--trace"]) == 0
+    assert capsys.readouterr().out
+    assert built == []
+    # Asked for, a table is built as a factor.
+    assert bucketforge.parse_network(DIAG_TEXT).cpts[3].scope == (0, 1, 3)
+    assert built == [(0, 1, 3)]
+
+
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     net = write(tmp_path, "diag.net", DIAG_TEXT)
     ev = write(tmp_path, "obs.ev", "1 5 1\n")

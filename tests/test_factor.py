@@ -3,12 +3,14 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from bucketforge import DiscreteFactor, add, multiply
+from bucketforge import DiscreteFactor, add, factor, multiply
 from bucketforge.buckets import execute, partition, plan
+from bucketforge.factor import fold_max
 from bucketforge.graph import Ordering
 
 
@@ -312,6 +314,62 @@ def test_eliminate_max_keeps_the_choice_table_a_max_sweep_stores():
         assert scope == tuple(v for v in f.scope if v != var)
         assert table.dtype == choices.dtype
         assert np.array_equal(table, choices)
+
+
+def max_cases(rng):
+    """(values, axis) pairs for fold_max: 1-5 axes of 1-5 cells, or 1-3
+    such axes and a last one of 16-64 cells, which numpy reduces in another
+    order than the slice fold; a leading batch axis on half of them; from 1
+    to 3125 cells.  Entries come from three values, so ties are common: +0,
+    -0 and, more rarely, 0.25; -inf, -2 and 1.5 with some lines along the axis all -inf,
+    as the decision rule builds them; or uniform draws."""
+    for _ in range(800):
+        shape = tuple(rng.integers(1, 6, size=rng.integers(1, 6)).tolist())
+        axis = int(rng.integers(len(shape)))
+        if rng.random() < 0.3:
+            shape = (*shape[:3], int(rng.integers(16, 65)))
+            axis = len(shape) - 1
+        batched = rng.random() < 0.5
+        axis += batched
+        shape = (int(rng.integers(1, 5)),) * batched + shape
+        kind = rng.integers(3)
+        if kind == 0:
+            values = rng.choice([-0.0, 0.0, 0.25], size=shape, p=[0.45, 0.45, 0.1])
+        elif kind == 1:
+            values = rng.choice([-np.inf, -2.0, 1.5], size=shape)
+            dead = np.expand_dims(rng.random(shape[:axis] + shape[axis + 1:]) < 0.3, axis)
+            values = np.where(dead, -np.inf, values)
+        else:
+            values = rng.uniform(size=shape)
+        yield values, axis, batched
+
+
+def test_fold_max_is_bit_identical_on_both_sides_of_its_cell_threshold(monkeypatch):
+    rng = np.random.default_rng(18)
+    seen = Counter()
+    for values, axis, batched in max_cases(rng):
+        monkeypatch.setattr(factor, "REDUCE_CELLS", 0)
+        folded = fold_max(values, axis)
+        monkeypatch.setattr(factor, "REDUCE_CELLS", values.size + 1)
+        reduced = fold_max(values, axis)
+        monkeypatch.undo()
+        default = fold_max(values, axis)
+        for best, choices in (reduced, default):
+            assert type(best) is np.ndarray and type(choices) is np.ndarray
+            assert best.dtype == folded[0].dtype and best.shape == folded[0].shape
+            assert best.tobytes() == folded[0].tobytes()  # bitwise, signed zeros included
+            assert choices.dtype == folded[1].dtype == np.min_scalar_type(values.shape[axis] - 1)
+            assert np.array_equal(choices, folded[1])
+        maxima = values.max(axis)
+        seen["reduced"] += bool(maxima.all())
+        seen["zero maximum"] += bool((maxima == 0).any())
+        seen["signed zero tie"] += bool(((values == 0) & np.signbit(values)).any()
+                                        and (values == 0).any(axis=axis).any())
+        seen["dead line"] += bool(np.isneginf(maxima).any())
+        seen["batched"] += batched
+        seen["below"] += values.size < factor.REDUCE_CELLS
+        seen["above"] += values.size >= factor.REDUCE_CELLS
+    assert min(seen.values()) > 50, seen
 
 
 def bucket_of(*factors):

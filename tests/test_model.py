@@ -4,6 +4,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from bucketforge import (BeliefNetwork, CnfTheory, CycleError, DiscreteFactor,
@@ -34,6 +35,17 @@ def test_parse_reads_tables_child_fastest():
     cpt = net.cpts[1]
     assert cpt.value_at({0: 0, 1: 2}) == 0.7
     assert cpt.value_at({0: 1, 1: 0}) == 0.5
+
+
+def test_tables_become_factors_only_when_asked():
+    net = parse_network(TWO_NODE)
+    assert net.tables[1].scope == (0, 1)
+    cpt = net.cpts[1]
+    assert isinstance(cpt, DiscreteFactor) and not cpt.values.flags.writeable
+    assert cpt == DiscreteFactor.from_table([0, 1], [2, 3], [0.1, 0.2, 0.7, 0.5, 0.25, 0.25])
+    assert np.shares_memory(cpt.values, net.tables[1].values)  # a view of the block
+    assert net.factor_list() == [net.cpts[0], cpt]
+    assert BeliefNetwork(net.cards, net.parents, net.factor_list()) == net
 
 
 def test_parse_sorts_parents_in_scope():
