@@ -9,6 +9,7 @@ theory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,6 +44,7 @@ def _jnum(x: float) -> float:
     return float(fmt(x))
 
 
+@functools.cache  # parsing leaves a parser as it was, so run reuses one
 def build_parser() -> _Parser:
     parser = _Parser(prog="bucketforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

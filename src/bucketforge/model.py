@@ -95,13 +95,13 @@ class Tables(Sequence):
     @classmethod
     def of(cls, factors: Sequence[DiscreteFactor | None]) -> "Tables":
         """The factors' tables, one per variable or None, stacked into one
-        block per shape."""
+        block per shape, with -0 entries made +0 as the reader makes them."""
         groups: dict[tuple, list[int]] = {}
         for i, f in enumerate(factors):
             if f is not None:
                 groups.setdefault(f.cards, []).append(i)
         return cls(len(factors), [(members, [factors[i].scope for i in members],
-                                   np.stack([factors[i].values for i in members]))
+                                   np.stack([factors[i].values for i in members]) + 0.0)
                                   for members in groups.values()])
 
     def __len__(self) -> int:
@@ -518,6 +518,7 @@ def _read_tables(ts: _TokenStream, n: int, cards: Sequence[int],
                 break
     if problems:
         raise min(problems, key=lambda p: p[:2])[2]
+    values += 0.0  # -0 + 0 is +0, so no -0 entry reaches a sweep
     return scopes, np.asarray(starts, dtype=np.intp) - first, values
 
 

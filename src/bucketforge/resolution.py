@@ -3,8 +3,9 @@
 Clauses are filed by their highest-ordered proposition and buckets are
 processed from the last ordering position to the first.  A bucket holding a
 unit clause does unit resolution only; otherwise every opposing pair is
-resolved.  The union of all buckets afterwards (originals plus resolvents)
-admits model generation along the ordering with no dead ends.
+resolved.  A clause that contains a clause already filed is dropped.  The
+union of all buckets afterwards (originals plus resolvents) admits model
+generation along the ordering with no dead ends.
 
 Propositions are 1-based with DIMACS literal signs; ordering positions use
 0-based node ids (proposition p is node p - 1).
@@ -49,18 +50,14 @@ class DirectionalExtension:
         return "\n".join(lines) + "\n"
 
 
-def _resolve(a: frozenset[int], b: frozenset[int], prop: int) -> frozenset[int]:
-    return (a - {prop}) | (b - {-prop})
-
-
-def _tautological(clause: frozenset[int]) -> bool:
-    return any(-lit in clause for lit in clause)
-
-
 def directional_resolution(theory: CnfTheory, ordering: Ordering) -> DirectionalExtension:
     """Resolution sweep over buckets; empty resolvent means unsatisfiable.
 
-    On an unsatisfiable theory the returned extension is empty.
+    A clause that contains a clause already filed is not filed: the smaller
+    clause sits in the same or an earlier bucket, so model generation has
+    satisfied it first, and every resolvent of the larger one contains it
+    or a resolvent of it.  On an unsatisfiable theory the returned
+    extension is empty.
     """
     n = theory.num_props
     if len(ordering) != n:
@@ -75,14 +72,18 @@ def directional_resolution(theory: CnfTheory, ordering: Ordering) -> Directional
         return unsat
 
     buckets: dict[int, list[frozenset[int]]] = {node + 1: [] for node in ordering}
-    seen: set[frozenset[int]] = set()
+    rank: dict[int, int] = {}  # literal -> ordering position of its proposition
+    for position, node in enumerate(ordering):
+        rank[node + 1] = rank[-node - 1] = position
 
     def file_clause(clause: frozenset[int]) -> None:
-        if clause in seen:
-            return
-        seen.add(clause)
-        prop = max((abs(lit) for lit in clause), key=lambda q: ordering.index_of(q - 1))
-        buckets[prop].append(clause)
+        # A subset of the clause has its highest proposition among the
+        # clause's, so it is filed in the bucket of one of them.
+        for lit in clause:
+            for other in buckets[abs(lit)]:
+                if other <= clause:
+                    return
+        buckets[abs(max(clause, key=rank.__getitem__))].append(clause)
 
     for clause in theory.clauses:
         file_clause(clause)
@@ -97,20 +98,24 @@ def directional_resolution(theory: CnfTheory, ordering: Ordering) -> Directional
                 for other in list(bucket):
                     if -lit not in other:
                         continue
+                    # A subset of a filed clause is never tautological.
                     resolvent = other - {-lit}
                     if not resolvent:
                         return unsat
-                    if not _tautological(resolvent):
-                        file_clause(resolvent)
+                    file_clause(resolvent)
         else:
-            positive = [c for c in bucket if prop in c]
-            negative = [c for c in bucket if -prop in c]
-            for a in positive:
-                for b in negative:
-                    resolvent = _resolve(a, b, prop)
-                    if not resolvent:
-                        return unsat
-                    if not _tautological(resolvent):
+            # No filed clause is tautological, so a resolvent is one exactly
+            # when the positive side holds the negation of a literal of the
+            # negative side.
+            positive = [c - {prop} for c in bucket if prop in c]
+            negative = [(c - {-prop}, frozenset(-lit for lit in c))
+                        for c in bucket if -prop in c]
+            for a_rest in positive:
+                for b_rest, b_negated in negative:
+                    if a_rest.isdisjoint(b_negated):
+                        resolvent = a_rest | b_rest
+                        if not resolvent:
+                            return unsat
                         file_clause(resolvent)
 
     extension = DirectionalExtension(ordering, theory.num_props,

@@ -757,3 +757,46 @@ def test_a_given_ordering_builds_no_graph(tmp_path, capsys, monkeypatch, command
     for order in ("given:" + ids, order_file):
         assert run([command, path, *extra, "--order", order]) == 0
     capsys.readouterr()
+
+
+# X0's prior and X1's row under X0 = 1 hold a -0 entry; under X0 = 1 the
+# largest completion has probability 0.
+NEGATIVE_ZERO_TEXT = """BAYES
+2
+2 2
+2
+1 0
+2 0 1
+2 1 -0
+4 1 -0 0.5 0.5
+"""
+
+
+def test_negative_zero_entries_are_read_as_zero(tmp_path, capsys):
+    net = write(tmp_path, "zero.net", NEGATIVE_ZERO_TEXT)
+    ev = write(tmp_path, "x0.ev", "1 0 1\n")
+    assert run(["mpe", net, "--evidence", ev, "--oracle"]) == 3
+    got = dict(line.split("=", 1) for line in lines_of(capsys))
+    assert got["value"] == got["oracle_value"] == "0"
+    assert run(["mpe", net, "--evidence", ev, "--oracle", "--json"]) == 3
+    out = capsys.readouterr().out
+    assert '"value": 0.0' in out and "-0" not in out
+
+
+def test_a_reused_parser_answers_each_command_as_a_fresh_one(tmp_path, capsys):
+    net = write(tmp_path, "chain.net", CHAIN_TEXT)
+    cnf = write(tmp_path, "theory.cnf", SAT_CNF)
+    commands = [["bel", net, "--query", "0", "--json"],
+                ["dr", cnf, "--trace"],
+                ["cond-mpe", net, "--cutset", "1", "--wbound", "2"],  # usage error
+                ["mpe", net, "--order", "given:2,1,0"],
+                ["map", net, "--hyp", "0"],
+                ["stats", cnf]]
+    alone = []
+    for argv in commands:
+        bucketforge.cli.build_parser.cache_clear()
+        alone.append((run(argv), capsys.readouterr()))
+    assert alone[2][0] == 1 and alone[2][1].err.startswith("error: ")
+    parser = bucketforge.cli.build_parser()
+    assert [(run(argv), capsys.readouterr()) for argv in commands] == alone
+    assert bucketforge.cli.build_parser() is parser

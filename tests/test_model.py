@@ -181,6 +181,17 @@ def test_a_negative_conditional_entry_is_rejected():
         BeliefNetwork((2, 2), ((), (0,)), tuple(tables))
 
 
+def test_negative_zero_entries_become_positive_zero_at_the_model_boundary():
+    text = TWO_NODE.replace("0.4 0.6", "-0 1").replace("0.1 0.2 0.7", "-0 0.3 0.7")
+    prior = DiscreteFactor.from_table([0], [2], [-0.0, 1.0])
+    built = BeliefNetwork((2,), ((),), (prior,))
+    assert np.signbit(prior.values).any()
+    for net in (parse_network(text), built):
+        for _, _, values in net.cpts.blocks:
+            assert not np.signbit(values).any()
+    assert parse_network(text).tables[1].values[0, 0] == 0.0
+
+
 def test_decision_with_parents_is_rejected():
     text = """ID
 2

@@ -16,8 +16,9 @@ from conftest import DIAG_TEXT  # noqa: E402
 
 
 def wrapped():
-    return [cli.parse_network, cli.parse_evidence, engines.plan, engines.execute,
-            engines.forward_decode, cli._emit_common, cli._Output.flush]
+    return [cli.parse_network, cli.parse_evidence, cli.parse_cnf, engines.plan,
+            engines.execute, engines.forward_decode, cli.directional_resolution,
+            cli.generate_model, cli._emit_common, cli._Output.flush]
 
 
 def test_each_phase_is_timed_and_the_query_path_restored(tmp_path):
@@ -30,8 +31,10 @@ def test_each_phase_is_timed_and_the_query_path_restored(tmp_path):
     assert wrapped() == before
     assert out["runs"] == 3 and out["exit"] == [0]
     times = out["median_s"]
-    assert list(times) == ["parse", "plan", "execute", "decode", "render", "total"]
-    assert all(t > 0 for t in times.values())
+    assert list(times) == ["parse", "plan", "execute", "decode", "resolve", "generate",
+                           "render", "total"]
+    assert times["resolve"] == times["generate"] == 0.0  # dr's phases
+    assert all(t > 0 for p, t in times.items() if p not in ("resolve", "generate"))
     # Each phase is at most the run it is part of.
     assert max(times[p] for p in phase_times.PHASES) < times["total"]
     assert len(out["gc_collections"]) == 3 and out["gc_s"] >= 0
@@ -49,3 +52,16 @@ def test_the_command_line_prints_one_json_object(tmp_path):
     assert out["argv"] == ["bel", str(net), "--query", "0"]
     assert out["median_s"]["decode"] is not None  # bel decodes nothing, in no time
     assert out["median_s"]["decode"] == 0.0
+
+
+def test_dr_times_resolution_and_model_generation(tmp_path):
+    cnf = tmp_path / "theory.cnf"
+    cnf.write_text("p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n")
+    before = wrapped()
+    out = phase_times.measure(["dr", str(cnf)], repeats=3)
+    assert wrapped() == before
+    assert out["exit"] == [0]
+    times = out["median_s"]
+    assert all(times[p] > 0 for p in ("parse", "resolve", "generate", "render"))
+    assert times["plan"] == times["execute"] == times["decode"] == 0.0
+    assert times["resolve"] + times["generate"] < times["total"]

@@ -15,7 +15,7 @@ import bucketforge.resolution
 
 from bucketforge import (CnfTheory, Ordering, UnsatisfiableError,
                          directional_resolution, generate_model, induced_width,
-                         interaction_graph, parse_cnf)
+                         interaction_graph, order_heuristic, parse_cnf)
 from bucketforge.oracle import oracle_sat, truth_table_models
 from bucketforge.randgen import random_cnf, shuffled_ordering
 
@@ -127,6 +127,54 @@ def test_random_theories_match_truth_tables():
         model = generate_model(extension)
         assert satisfies(theory, model)
     assert unsat_seen > 0  # the corpus exercises both outcomes
+
+
+def _orderings(rng, theory):
+    g = interaction_graph(theory)
+    return [order_heuristic(g, "min_fill"), order_heuristic(g, "min_degree"),
+            shuffled_ordering(rng, theory.num_props)]
+
+
+def test_the_model_is_the_first_one_along_the_ordering():
+    # The extension is backtrack-free, so trying false before true along the
+    # ordering lands on the least model in that order, whatever clauses the
+    # sweep kept.
+    rng = random.Random(19)
+    sat_seen = 0
+    for _ in range(80):
+        theory = random_cnf(rng, max_props=12)
+        models = truth_table_models(theory)
+        for ordering in _orderings(rng, theory):
+            extension = directional_resolution(theory, ordering)
+            assert extension.satisfiable == bool(models)
+            if not models:
+                continue
+            sat_seen += 1
+            model = generate_model(extension)
+            first = min(models, key=lambda m: [m[node] for node in ordering])
+            assert tuple(model[p] for p in range(1, theory.num_props + 1)) == first
+    assert sat_seen > 0
+
+
+def test_no_kept_clause_contains_one_listed_before_it_in_its_bucket():
+    rng = random.Random(23)
+    for _ in range(80):
+        theory = random_cnf(rng, max_props=12)
+        for ordering in _orderings(rng, theory):
+            extension = directional_resolution(theory, ordering)
+            for bucket in extension.buckets.values():
+                for k, clause in enumerate(bucket):
+                    assert not any(earlier <= clause for earlier in bucket[:k])
+
+
+def test_a_clause_containing_a_filed_one_is_not_filed():
+    # (1 | 2) is filed before (1 | 2 | 3), in an earlier bucket along 1,2,3;
+    # the duplicate (1 | 2) is dropped as well.
+    theory = CnfTheory(3, clauses({1, 2}, {1, 2, 3}, {1, 2}, {-2, 3}))
+    extension = directional_resolution(theory, Ordering((0, 1, 2)))
+    assert extension.buckets == {1: (), 2: (frozenset({1, 2}),),
+                                 3: (frozenset({-2, 3}),)}
+    assert extension.clause_count() == 2
 
 
 def test_extension_clause_width_respects_the_induced_width():

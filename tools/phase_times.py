@@ -12,14 +12,17 @@ the runs, the functions the query path calls it by:
     plan     engines.plan
     execute  engines.execute
     decode   engines.forward_decode
+    resolve  cli.directional_resolution (dr)
+    generate cli.generate_model (dr)
     render   cli._emit_common and cli._Output.flush
 
 ``total`` is the whole ``cli.run`` call.  Times are wall-clock seconds
 (``time.perf_counter``), summed per run over the calls of one phase; the
-output is their median over the runs.  ``gc_collections`` is the median
-number of cyclic-collector passes per run in each generation, and ``gc_s``
-the median time per run spent in them.  A phase whose functions the
-imported ``bucketforge`` lacks reads null.  One JSON object is printed.
+output is their median over the runs, and a phase the command does not
+reach reads 0.  ``gc_collections`` is the median number of cyclic-collector
+passes per run in each generation, and ``gc_s`` the median time per run
+spent in them.  A phase whose functions the imported ``bucketforge`` lacks
+reads null.  One JSON object is printed.
 
 ``bucketforge`` is imported from ``sys.path``, so ``PYTHONPATH`` selects the
 tree to measure; this is how one copy of the tool measures two commits.
@@ -43,6 +46,8 @@ PHASES = {
     "plan": [("engines", "plan")],
     "execute": [("engines", "execute")],
     "decode": [("engines", "forward_decode")],
+    "resolve": [("cli", "directional_resolution")],
+    "generate": [("cli", "generate_model")],
     "render": [("cli", "_emit_common"), ("cli", "_Output.flush")],
 }
 
