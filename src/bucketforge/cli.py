@@ -320,8 +320,7 @@ def _run_cond_mpe(args) -> int:
         cut = sorted(cutset_heuristic(graph.without(observed), args.wbound))
     ordering = _resolve_ordering(args.order, net.n, lambda: graph, net.names,
                                  observed=sorted(set(cut) | set(observed)))
-    result = engines.solve_mpe_conditioned(net, cut, evidence, ordering,
-                                           parallel=args.parallel)
+    result = engines.solve_mpe_conditioned(net, cut, evidence, ordering)
     out = _Output(args.json)
     out.put("cutset", " ".join(str(v) for v in cut), list(cut))
     out.put("iterations", str(len(result.iterations)), len(result.iterations))

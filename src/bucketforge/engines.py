@@ -245,8 +245,7 @@ def solve_meu(diagram: InfluenceDiagram, evidence: Evidence | None = None,
 
 def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
                           evidence: Evidence | None = None,
-                          ordering: Ordering | None = None,
-                          parallel: int = 1) -> QueryResult:
+                          ordering: Ordering | None = None) -> QueryResult:
     """Most probable explanation by enumerating cutset assignments.
 
     Each cutset assignment is added to the evidence and solved by the max
@@ -256,11 +255,8 @@ def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
     per batch of assignments; only a new maximum is decoded.  Combinations
     are generated lazily, a batch at a time, and more than
     ``oracle.CELL_LIMIT`` of them are refused before the first batch runs.
-    ``parallel`` must be at least 1; batches run on the calling thread
-    whatever it is, so output never depends on it.
+    Every batch runs on the calling thread.
     """
-    if parallel < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
     cut = sorted(set(int(v) for v in cutset))
     for v in cut:
         if not 0 <= v < net.n:

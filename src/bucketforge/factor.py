@@ -41,6 +41,20 @@ def _locked(values: np.ndarray) -> bool:
     return False
 
 
+def _frozen(values, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``values`` as a finite, read-only float64 array, of ``shape`` if one
+    is given.  An array that already is one, with read-only bases down to
+    the array that owns the memory, is kept; anything else is copied and
+    the copy, which owns its memory, is write-locked before it is reshaped."""
+    if not (type(values) is np.ndarray and values.dtype == np.float64
+            and shape in (None, values.shape) and _locked(values)):
+        values = np.array(values, dtype=np.float64)
+        values.setflags(write=False)
+        if shape is not None:
+            values = values.reshape(shape)
+    return _finite(values)
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteFactor:
     """Immutable real-valued table over a sorted tuple of variable ids."""
@@ -60,21 +74,9 @@ class DiscreteFactor:
             raise ValueError(f"scope must be sorted by variable id, got {scope}")
         if cards and min(cards) < 1:
             raise ValueError("cardinalities must be >= 1")
-        values = self.values
-        if not (type(values) is np.ndarray and values.dtype == np.float64
-                and values.shape == cards and _locked(values)):
-            values = np.array(values, dtype=np.float64).reshape(cards)
-            values.setflags(write=False)
-        _finite(values)
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "cards", cards)
-        object.__setattr__(self, "values", values)
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def scalar(cls, value: float) -> "DiscreteFactor":
-        return cls((), (), np.asarray(float(value)))
+        object.__setattr__(self, "values", _frozen(self.values, cards))
 
     @classmethod
     def from_table(cls, scope: Sequence[int], cards: Sequence[int],
@@ -91,15 +93,6 @@ class DiscreteFactor:
         return cls(tuple(scope[i] for i in order),
                    tuple(cards[i] for i in order),
                    arr.transpose(tuple(order)))
-
-    # -- basic queries ---------------------------------------------------------
-
-    @property
-    def is_scalar(self) -> bool:
-        return not self.scope
-
-    def card_of(self, var: int) -> int:
-        return self.cards[self.scope.index(var)]
 
     def value_at(self, assignment: Mapping[int, int]) -> float:
         return float(self.values[tuple(assignment[v] for v in self.scope)])

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (CycleError, EvidenceError, ModelError, NormalizationError,
                      ParseError)
-from .factor import DiscreteFactor, _finite, _locked
+from .factor import DiscreteFactor, _finite, _frozen
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -65,9 +65,10 @@ class Tables(Sequence):
 
     A block is ``(variables, scopes, values)``: ``values[k]`` is the table of
     variable ``variables[k]`` over the sorted scope ``scopes[k]``, so the
-    tables of one block share a shape.  Like a factor's values, a block is
-    copied and write-locked unless it is a read-only float64 array with
-    read-only bases, and it must be finite.  ``tables[i]`` is variable i's
+    tables of one block share a shape.  A block is frozen by the rule for a
+    factor's values, :func:`factor._frozen`: kept if it is a read-only
+    float64 array with read-only bases, else copied and the copy
+    write-locked, and it must be finite.  ``tables[i]`` is variable i's
     :class:`Table`, a view into its block, or None.  Item i is that table as
     a :class:`DiscreteFactor`, built by its validating constructor on each
     access; the engines read :attr:`tables` and build none.
@@ -77,11 +78,7 @@ class Tables(Sequence):
         tables: list[Table | None] = [None] * n
         self.blocks = []
         for variables, scopes, values in blocks:
-            if not (type(values) is np.ndarray and values.dtype == np.float64
-                    and _locked(values)):
-                values = np.array(values, dtype=np.float64)
-                values.setflags(write=False)
-            _finite(values)
+            values = _frozen(values)
             variables, scopes = tuple(variables), tuple(map(tuple, scopes))
             if not len(variables) == len(scopes) == len(values):
                 raise ValueError("a block needs one variable and one scope per table")

@@ -393,9 +393,9 @@ def test_step_by_step_and_planned_sweeps_agree_bit_for_bit():
             rule = "max"
         if case % 4 < 2:
             # Empty-scope tables fold into the scalars before any bucket runs.
-            tables = [*tables, DiscreteFactor.scalar(rng.uniform(0.5, 2.0))]
+            tables = [*tables, DiscreteFactor((), (), rng.uniform(0.5, 2.0))]
             if utilities:
-                utilities = [*utilities, DiscreteFactor.scalar(rng.uniform(-5.0, 10.0))]
+                utilities = [*utilities, DiscreteFactor((), (), rng.uniform(-5.0, 10.0))]
         evidence = random_evidence(rng, model, max_observed=3, exclude=prefix)
         observed = [v for v, _ in evidence.items()]
         for suffix in ([], observed):

@@ -38,8 +38,7 @@ def test_scope_is_kept_sorted_and_values_follow():
 
 
 def test_scalar_factor_roundtrip():
-    s = DiscreteFactor.scalar(0.25)
-    assert s.is_scalar
+    s = DiscreteFactor((), (), 0.25)
     assert s.scope == ()
     assert float(s.values) == 0.25
 
@@ -109,7 +108,7 @@ def test_restrict_picks_the_right_slice():
     for _ in range(40):
         f = random_factor(rng)
         var = rng.choice(f.scope)
-        val = rng.randrange(f.card_of(var))
+        val = rng.randrange(f.cards[f.scope.index(var)])
         sliced = f.restrict(var, val)
         assert var not in sliced.scope
         for cell in cells(sliced.scope, dict(zip(f.scope, f.cards))):
@@ -122,12 +121,13 @@ def test_eliminate_sum_matches_loop():
     for _ in range(40):
         f = random_factor(rng)
         var = rng.choice(f.scope)
+        card = f.cards[f.scope.index(var)]
         summed, table = f.eliminate(var, "sum")
         assert table is None
         assert var not in summed.scope
         for cell in cells(summed.scope, dict(zip(f.scope, f.cards))):
             at = dict(zip(summed.scope, cell))
-            want = sum(f.value_at({**at, var: k}) for k in range(f.card_of(var)))
+            want = sum(f.value_at({**at, var: k}) for k in range(card))
             assert math.isclose(summed.value_at(at), want, rel_tol=1e-12)
 
 
@@ -136,11 +136,12 @@ def test_eliminate_max_matches_loop_and_records_choices():
     for _ in range(40):
         f = random_factor(rng)
         var = rng.choice(f.scope)
+        card = f.cards[f.scope.index(var)]
         best, table = f.eliminate(var, "max")
         assert table.shape == best.cards
         for cell in cells(best.scope, dict(zip(f.scope, f.cards))):
             at = dict(zip(best.scope, cell))
-            column = [f.value_at({**at, var: k}) for k in range(f.card_of(var))]
+            column = [f.value_at({**at, var: k}) for k in range(card)]
             assert best.value_at(at) == max(column)
             assert table[cell] == column.index(max(column))
 
@@ -159,13 +160,13 @@ def test_eliminate_mean_never_exceeds_max():
         var = rng.choice(f.scope)
         summed, _ = f.eliminate(var, "sum")
         best, _ = f.eliminate(var, "max")
-        card = f.card_of(var)
+        card = f.cards[f.scope.index(var)]
         assert np.all(summed.values / card <= best.values + 1e-15)
 
 
 def test_scalar_multiplication_folds_into_tables():
     f = DiscreteFactor.from_table([1], [2], [0.5, 0.25])
-    s = DiscreteFactor.scalar(4.0)
+    s = DiscreteFactor((), (), 4.0)
     prod = multiply([f, s])
     assert prod.scope == (1,)
     assert prod.value_at({1: 0}) == 2.0
@@ -205,6 +206,17 @@ def test_only_a_locked_float64_array_of_the_right_shape_is_kept(values, copied):
     f = DiscreteFactor((0, 1), (2, 2), values)
     assert np.shares_memory(f.values, values) != copied
     assert not f.values.flags.writeable
+
+
+@pytest.mark.parametrize("values", [
+    [0.5, 0.5, 0.25, 0.75],
+    np.array([0.5, 0.5, 0.25, 0.75]),
+    np.array([[0.5, 0.5], [0.25, 0.75]], dtype=np.float32),
+], ids=["list", "flat-float64", "float32"])
+def test_a_copy_is_locked_down_to_the_array_that_owns_it(values):
+    f = DiscreteFactor((0, 1), (2, 2), values)
+    assert factor._locked(f.values)
+    assert DiscreteFactor(f.scope, f.cards, f.values).values is f.values
 
 
 def test_a_kept_array_still_passes_every_check():
@@ -290,9 +302,9 @@ def test_slice_folds_match_numpy_reductions_on_random_buckets():
             ref, ref_choices = reference_eliminate(want, axis, "max")
             assert got.values.shape == ref.shape
             assert got.values.tobytes() == ref.tobytes()  # bitwise
-            assert table.dtype == np.min_scalar_type(combined.card_of(var) - 1)
+            assert table.dtype == np.min_scalar_type(combined.cards[axis] - 1)
             assert np.array_equal(table, ref_choices)
-            empty_results += got.is_scalar
+            empty_results += got.scope == ()
             column_max = want.max(axis=axis, keepdims=True)
             tied_cells += int(((want == column_max).sum(axis=axis) > 1).sum())
     assert empty_results > 20
