@@ -13,6 +13,12 @@ Network format (whitespace-separated tokens):
             the chance variables only, then a line ``m`` and m utility
             blocks (scope line, entry count, values).
 
+The reader converts and checks each section in one array pass: the
+cardinalities, all scope lines, all entry counts, then all entries.  A section
+whose pass finds a fault is read again token by token, so the error raised, its
+line and column, and which of two faults comes first are those of a reader
+that goes one token at a time.
+
 Evidence files start with a pair count followed by ``variable value`` pairs.
 CNF theories use standard DIMACS (``p cnf V C``).
 """
@@ -23,8 +29,8 @@ import math
 import re
 import warnings
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -65,13 +71,13 @@ class Tables(Sequence):
 
     A block is ``(variables, scopes, values)``: ``values[k]`` is the table of
     variable ``variables[k]`` over the sorted scope ``scopes[k]``, so the
-    tables of one block share a shape.  A block is frozen by the rule for a
-    factor's values, :func:`factor._frozen`: kept if it is a read-only
-    float64 array with read-only bases, else copied and the copy
-    write-locked, and it must be finite.  ``tables[i]`` is variable i's
-    :class:`Table`, a view into its block, or None.  Item i is that table as
-    a :class:`DiscreteFactor`, built by its validating constructor on each
-    access; the engines read :attr:`tables` and build none.
+    tables of one block share a shape; variables and scopes are int arrays.
+    A block is frozen by the rule for a factor's values, :func:`factor._frozen`:
+    kept if it is a read-only float64 array with read-only bases, else
+    copied and the copy write-locked, and it must be finite.  ``tables[i]``
+    is variable i's :class:`Table`, a view into its block, or None.  Item i is
+    that table as a :class:`DiscreteFactor`, built by its validating
+    constructor on each access; the engines read :attr:`tables` and build none.
     """
 
     def __init__(self, n: int, blocks: Iterable[tuple]):
@@ -79,13 +85,13 @@ class Tables(Sequence):
         self.blocks = []
         for variables, scopes, values in blocks:
             values = _frozen(values)
-            variables, scopes = tuple(variables), tuple(map(tuple, scopes))
-            if not len(variables) == len(scopes) == len(values):
+            variables, scopes = np.asarray(variables, np.intp), np.asarray(scopes, np.intp)
+            if scopes.shape != (len(values), values.ndim - 1) or variables.shape != (len(values),):
                 raise ValueError("a block needs one variable and one scope per table")
-            for k, (v, scope) in enumerate(zip(variables, scopes)):
+            for v, scope, table in zip(variables.tolist(), scopes.tolist(), values):
                 if not 0 <= v < n or tables[v] is not None:
                     raise ValueError(f"no place for a table of variable {v}")
-                tables[v] = Table(scope, values[k, ...])
+                tables[v] = Table(tuple(scope), table)
             self.blocks.append((variables, scopes, values))
         self.tables = tuple(tables)
 
@@ -138,77 +144,79 @@ class BeliefNetwork:
         for i, c in enumerate(self.cards):
             if c < 1:
                 raise ModelError(f"variable {i} has cardinality {c}")
-        for i, ps in enumerate(self.parents):
-            if len(set(ps)) != len(ps):
-                raise ModelError(f"variable {i} lists a parent twice")
-            for p in ps:
-                if not 0 <= p < n:
-                    raise ModelError(f"variable {i} has unknown parent {p}")
-                if p == i:
-                    raise ModelError(f"variable {i} is its own parent")
+        # Each family as sorted keys i * n + member, one family after another.
+        counts = np.fromiter(map(len, self.parents), np.intp, n)
+        child = np.repeat(np.arange(n), counts)
+        try:
+            parents = np.fromiter(chain.from_iterable(self.parents), np.int64, len(child))
+            family = np.sort(np.concatenate([child * n + parents, np.arange(n) * (n + 1)]))
+            fits = ((0 <= parents) & (parents < n)).all() and np.diff(family).all()
+        except OverflowError:
+            fits = False
+        if not fits:  # name the first fault
+            for i, ps in enumerate(self.parents):
+                if len(set(ps)) != len(ps):
+                    raise ModelError(f"variable {i} lists a parent twice")
+                for p in ps:
+                    if not 0 <= p < n:
+                        raise ModelError(f"variable {i} has unknown parent {p}")
+                    if p == i:
+                        raise ModelError(f"variable {i} is its own parent")
         if not isinstance(self.cpts, Tables):
             object.__setattr__(self, "cpts", Tables.of(self.cpts))
-        self._check_tables()
-        self._check_acyclic()  # after the tables: an off row is named before a cycle
+        self._check_tables(counts, family - np.repeat(np.arange(n) * n, counts + 1))
+        if not (parents < child).all():  # else the ids themselves are a topological order
+            self._check_acyclic()  # after the tables: an off row is named before a cycle
 
-    def _check_tables(self) -> None:
-        """Each table's scope and cardinalities, then its rows and signs.
-
-        Rows and signs are checked once per block of tables that share a
-        child axis.  The lowest failing variable is named; for one variable,
-        a wrong scope or cardinality comes first, then a row that does not
-        sum to 1, then a negative entry.
-        """
-        failure = None  # (variable, error) for the first wrong scope or cardinality
-        for i, table in enumerate(self.tables):
-            if table is None:
-                continue
-            if table.scope != self.family(i):
-                failure = i, ModelError(
-                    f"table scope {table.scope} differs from the family of variable {i}")
-                break
-            if table.values.shape != tuple(map(self.cards.__getitem__, table.scope)):
-                v = next(v for v, c in zip(table.scope, table.values.shape)
-                         if c != self.cards[v])
-                failure = i, ModelError(f"table for variable {i} disagrees on cardinality of {v}")
-                break
+    def _check_tables(self, counts: np.ndarray, family: np.ndarray) -> None:
+        """Each table's scope and cardinalities, then its rows and signs, all
+        once per block; ``family`` holds the sorted families, of ``counts[i]
+        + 1`` variables each, one after another.  The lowest failing variable
+        is named; for one variable, a wrong scope or cardinality comes first,
+        then a row that does not sum to 1, then a negative entry."""
+        cards, starts = np.asarray(self.cards), np.cumsum(counts + 1) - counts - 1
+        wrong: list[int] = []  # the variables with a wrong scope or cardinality
         first = failing = None  # the lowest variable with an off row or a negative entry
         for variables, scopes, values in self.cpts.blocks:
-            members: dict[int, list[int]] = {}  # child axis -> rows of the block
-            for k, (v, scope) in enumerate(zip(variables, scopes)):
-                if v in scope:  # else its scope check fails
-                    members.setdefault(scope.index(v), []).append(k)
-            for axis, rows in members.items():
+            k = scopes.shape[1]
+            fits = family.take(starts[variables, np.newaxis] + np.arange(k), mode="clip") == scopes
+            fits &= cards.take(scopes, mode="clip") == values.shape[1:]
+            wrong += variables[(counts[variables] != k - 1) | ~fits.all(axis=1)].tolist()
+            child = scopes == variables[:, np.newaxis]
+            axes = np.where(child.any(axis=1), child.argmax(axis=1), -1)  # -1: no child axis
+            for axis in set(axes.tolist()) - {-1}:
+                rows = (axes == axis).nonzero()[0]  # the tables whose child is on this axis
                 block = values if len(rows) == len(values) else values[rows]
                 _, off, negative = _row_faults(block, 1 + axis)
                 for b in np.flatnonzero(off | negative).tolist():
                     if first is None or variables[rows[b]] < first:
-                        first, failing = variables[rows[b]], off[b]
-        if first is not None and (failure is None or first < failure[0]):
+                        first, failing = int(variables[rows[b]]), off[b]
+        i = min(wrong, default=None)  # the lowest variable with a wrong scope or cardinality
+        if first is not None and (i is None or first < i):
             if failing:
                 raise NormalizationError(f"rows of the table for variable {first} do not sum to 1")
             raise _negative_entry(first)
-        if failure is not None:
-            raise failure[1]
+        if i is not None:
+            scope, values = self.tables[i]
+            if scope != self.family(i):
+                raise ModelError(f"table scope {scope} differs from the family of variable {i}")
+            v = next(v for v, c in zip(scope, values.shape) if c != self.cards[v])
+            raise ModelError(f"table for variable {i} disagrees on cardinality of {v}")
 
     def _check_acyclic(self) -> None:
-        n = self.n
-        children: dict[int, list[int]] = {i: [] for i in range(n)}
-        indeg = [len(ps) for ps in self.parents]
+        children: list[list[int]] = [[] for _ in range(self.n)]
         for i, ps in enumerate(self.parents):
             for p in ps:
                 children[p].append(i)
-        queue = deque(i for i in range(n) if indeg[i] == 0)
-        seen = 0
-        while queue:
-            v = queue.popleft()
-            seen += 1
+        indeg = [len(ps) for ps in self.parents]
+        order = [i for i in range(self.n) if indeg[i] == 0]
+        for v in order:  # Kahn's walk: a variable joins once its last parent has
             for c in children[v]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    queue.append(c)
-        if seen != n:
-            stuck = sorted(i for i in range(n) if indeg[i] > 0)
+                    order.append(c)
+        if len(order) != self.n:
+            stuck = sorted(i for i in range(self.n) if indeg[i] > 0)
             raise CycleError(f"parent relation is cyclic through variables {stuck}")
 
     @property
@@ -350,19 +358,19 @@ def _column(line: str, j: int) -> int:
 class _TokenStream:
     """The whitespace-separated tokens of one text, split once.
 
-    No positions are kept: ``error`` works out a token's line and column
-    from its index, counting lines as ``str.splitlines`` does.  Every line
-    boundary is whitespace, so no token spans two lines.
+    ``toks`` is that list and ``position`` the index of the next token, set
+    back to read a section again.  ``error`` works out a token's line and
+    column from its index, counting lines as ``str.splitlines`` does.
     """
 
     def __init__(self, text: str):
         self._text = text
-        self._toks = text.split()
-        self._i = 0
+        self.toks = text.split()
+        self.position = 0
 
     def error(self, message: str, index: int | None = None) -> ParseError:
         """A ParseError at token ``index``, by default the last one read."""
-        index = self._i - 1 if index is None else index
+        index = self.position - 1 if index is None else index
         for ln, line in enumerate(self._text.splitlines(), start=1):
             k = len(line.split())
             if index < k:
@@ -370,36 +378,28 @@ class _TokenStream:
             index -= k
 
     def next(self, expect: str) -> str:
-        if self._i >= len(self._toks):
+        if self.position >= len(self.toks):
             raise ParseError(f"unexpected end of input, expected {expect}")
-        self._i += 1
-        return self._toks[self._i - 1]
+        self.position += 1
+        return self.toks[self.position - 1]
 
-    def next_ids(self, count: int, n: int) -> list[int] | None:
-        """The next ``count`` tokens as integers in ``0 .. n - 1``; None, and
-        nothing read, unless all ``count`` are there and are such integers."""
+    def ints(self, count: int) -> np.ndarray | None:
+        """The next ``count`` tokens as int64s, converted at once; None, and
+        nothing read, unless all are there and are integers that fit."""
         try:
-            ids = list(map(int, self._toks[self._i:self._i + count]))
-        except ValueError:
+            values = np.array(self.toks[self.position:self.position + count], dtype=np.int64)
+        except (ValueError, OverflowError):
             return None
-        if len(ids) < count or not all(0 <= v < n for v in ids):
+        if len(values) < count:
             return None
-        self._i += count
-        return ids
-
-    @property
-    def position(self) -> int:
-        """Index of the next token."""
-        return self._i
-
-    def token(self, index: int) -> str:
-        return self._toks[index]
+        self.position += count
+        return values
 
     def floats(self, start: int, stop: int) -> tuple[np.ndarray, int | None]:
         """Tokens ``start`` to ``stop`` as floats, and the index of the first
         one that is not a float (None if there is none), before which the
         conversion stops."""
-        toks = self._toks[start:stop]
+        toks = self.toks[start:stop]
         try:
             return np.array(toks, dtype=np.float64), None
         except ValueError:
@@ -420,81 +420,116 @@ class _TokenStream:
             raise self.error(f"{expect} must be >= {minimum}, found {value}")
         return value
 
-    def skip_table(self, scope: Sequence[int], cards: Sequence[int]) -> int:
-        """Read a table's entry count, check it against ``scope``, and step
-        over the entries unread.  Returns the index of the first entry; the
-        stream may end inside the table, which ``overran`` then reports."""
-        expected = math.prod(map(cards.__getitem__, scope))
-        count = self.next_int("entry count", minimum=1)
-        if count != expected:
-            raise ParseError(f"table over scope {list(scope)} needs {expected} entries, "
-                             f"file declares {count}")
-        self._i += count
-        return self._i - count
-
     @property
     def overran(self) -> bool:
-        return self._i > len(self._toks)
+        return self.position > len(self.toks)
 
     def expect_end(self) -> None:
-        if self._i < len(self._toks):
-            raise self.error(f"unexpected trailing token {self._toks[self._i]!r}", self._i)
+        if self.position < len(self.toks):
+            raise self.error(f"unexpected trailing token {self.next('end of input')!r}")
 
 
 # -- network parsing ----------------------------------------------------------------
 
 def _read_scope(ts: _TokenStream, n: int, what: str, minimum: int = 1) -> list[int]:
     k = ts.next_int(f"{what} scope size", minimum=minimum)
-    ids = ts.next_ids(k, n)
-    if ids is None:  # read one id at a time, to raise the error met first
-        ids = []
-        for _ in range(k):
-            v = ts.next_int(f"{what} scope variable")
-            if not 0 <= v < n:
-                raise ParseError(f"{what} scope names unknown variable {v}")
-            ids.append(v)
+    ids = []
+    for _ in range(k):
+        v = ts.next_int(f"{what} scope variable")
+        if not 0 <= v < n:
+            raise ParseError(f"{what} scope names unknown variable {v}")
+        ids.append(v)
     if len(set(ids)) != len(ids):
         raise ParseError(f"{what} scope lists a variable twice: {ids}")
     return ids
 
 
-def _read_tables(ts: _TokenStream, n: int, cards: Sequence[int],
-                 scopes: list[list[int]], diagram: bool):
-    """Every table block after the scope lines, then a diagram's utility
-    section, then the end of the text.
+def _read_scopes(ts: _TokenStream, n: int, count: int, decisions: list[int]):
+    """The ``count`` scope lines of the conditional tables, as one array of
+    all their ids and one of their lengths.  Only the lengths are read one
+    by one, to find the lines; the ids are checked as one array: in range,
+    none twice on a line, no child (last id) on two lines or a decision.  On
+    a fault the lines are read again one id at a time, raising the first."""
+    toks, start = ts.toks, ts.position
+    stop, lengths = start, []
+    try:
+        for _ in range(count):
+            lengths.append(int(toks[stop]))
+            stop += lengths[-1] + 1
+    except (ValueError, IndexError):
+        lengths.append(0)  # no line there
+    tokens = ts.ints(stop - start) if min(lengths, default=1) >= 1 else None
+    if tokens is not None:
+        lengths = np.array(lengths, dtype=np.intp)
+        ids = np.delete(tokens, np.cumsum(lengths + 1) - lengths - 1)
+        keys = np.repeat(np.arange(count), lengths) * n + ids  # no id twice on a line
+        children = np.concatenate([ids[np.cumsum(lengths) - 1], np.array(decisions, np.int64)])
+        if ((0 <= ids) & (ids < n)).all() and np.diff(np.sort(keys)).all() \
+                and np.diff(np.sort(children)).all():
+            return ids, lengths
+    ts.position = start
+    seen_children: set[int] = set()
+    for _ in range(count):
+        child = _read_scope(ts, n, "table")[-1]
+        if child in decisions:
+            raise ModelError(f"decision variable {child} has parents "
+                             "(a conditional table names it as child)")
+        if child in seen_children:
+            raise ParseError(f"two conditional tables for variable {child}")
+        seen_children.add(child)
+    raise AssertionError("scope lines refused by the array checks were read without fault")
 
-    The entry counts are walked first, which places every table without
-    reading its entries; the region they span is then converted to floats
-    at once.  The error raised is the first one a table-by-table reader
-    meets: in the first table that has one, a bad entry count, then a
-    malformed entry, then the end of the text, then a non-finite entry;
-    after the tables, a bad utility section or a trailing token.
 
-    Returns the scopes of all tables in file order (the utilities' last),
-    the index of each table's first entry in the values, and the values.
+def _read_tables(ts: _TokenStream, n: int, cards: Sequence[int], sizes: np.ndarray,
+                 ids: np.ndarray, lengths: np.ndarray, diagram: bool):
+    """Every table block after the scope lines ``ids`` and ``lengths``,
+    then a diagram's utility section, then the end of the text.  The entry
+    counts are checked first, which places every table unread: the
+    conditional tables' in one pass against the products of ``sizes`` over
+    their scopes (one at a time on a fault).  The region the tables span is
+    then converted to floats at once.  The error raised is the first one a
+    table-by-table reader meets: in the first table that has one, a bad
+    entry count, then a malformed entry, then the end of the text, then a
+    non-finite entry; after the tables, a bad utility section or a trailing
+    token.  Returns the utilities' scopes, each table's first entry in the
+    values (the utilities' last), and the values.
     """
-    scopes = list(scopes)
-    first = ts.position
-    starts: list[int] = []
-    ends: list[int] = []
+    toks, first = ts.toks, ts.position
+    # Float64 products do not wrap round; cut to the text's length, they fit no text.
+    cells = np.minimum(np.multiply.reduceat(sizes[ids], np.cumsum(lengths) - lengths,
+                                            dtype=np.float64), len(toks) + 1).astype(np.int64)
+    ends = first + np.cumsum(cells + 1)
+    # Each count, where the counts before it put it, spells its cells as str() does.
+    placed = not len(ends) or ends[-1] <= len(toks) and list(map(str, cells.tolist())) == [
+        toks[i] for i in (ends - cells - 1).tolist()]
+    starts, ends = ((ends - cells).tolist(), ends.tolist()) if placed else ([], [])
+    ts.position = ends[-1] if ends else first
+    utilities: list[list[int]] = []
     # A problem is (table, rank, error), and the least one is raised.  The
     # ranks within a table: 0 its entry count (or utility scope), 1 a
     # malformed entry, 2 the text ending inside it, 3 a non-finite entry.
     failure = None
 
-    def table(ids):
-        starts.append(ts.skip_table(ids, cards))
+    def table(scope):
+        expected = math.prod(map(cards.__getitem__, scope))
+        count = ts.next_int("entry count", minimum=1)
+        if count != expected:
+            raise ParseError(f"table over scope {list(scope)} needs {expected} entries, "
+                             f"file declares {count}")
+        starts.append(ts.position)
+        ts.position += count
         ends.append(ts.position)
         if ts.overran:
             raise ParseError("unexpected end of input, expected table entry")
 
     try:
-        for ids in scopes:
-            table(ids)
+        if not placed:
+            for scope in np.split(ids, np.cumsum(lengths)[:-1]):
+                table(scope.tolist())
         if diagram:
             for _ in range(ts.next_int("utility count", minimum=0)):
-                scopes.append(_read_scope(ts, n, "utility", minimum=0))
-                table(scopes[-1])
+                utilities.append(_read_scope(ts, n, "utility", minimum=0))
+                table(utilities[-1])
         ts.expect_end()
     except ParseError as exc:
         failure = (len(starts) - 1, 2, exc) if ts.overran else (len(starts), 0, exc)
@@ -503,7 +538,7 @@ def _read_tables(ts: _TokenStream, n: int, cards: Sequence[int],
     problems = [] if failure is None else [failure]
     if bad is not None:
         problems.append((bisect_right(starts, bad) - 1, 1,
-                         ts.error(f"expected table entry, found {ts.token(bad)!r}", bad)))
+                         ts.error(f"expected table entry, found {toks[bad]!r}", bad)))
     try:
         _finite(values)
     except ValueError:  # locate the first non-finite entry
@@ -511,40 +546,44 @@ def _read_tables(ts: _TokenStream, n: int, cards: Sequence[int],
             t = bisect_right(starts, first + j) - 1
             if t >= 0 and first + j < ends[t]:  # an entry, not a count or scope token
                 problems.append((t, 3, ts.error("table entry must be finite, found "
-                                                f"{ts.token(first + j)!r}", first + j)))
+                                                f"{toks[first + j]!r}", first + j)))
                 break
     if problems:
         raise min(problems, key=lambda p: p[:2])[2]
     values += 0.0  # -0 + 0 is +0, so no -0 entry reaches a sweep
-    return scopes, np.asarray(starts, dtype=np.intp) - first, values
+    return utilities, np.asarray(starts, dtype=np.intp) - first, values
 
 
-def _tables(scopes: list[list[int]], cards: Sequence[int], starts: np.ndarray,
+def _tables(ids: np.ndarray, lengths: np.ndarray, sizes: np.ndarray, starts: np.ndarray,
             values: np.ndarray, lax: bool = False):
-    """The tables of ``values`` as blocks, one per file shape and
-    permutation to sorted scope.
-
-    Each block is ``(members, sorted scopes, values)``: the indices of its
-    tables in ``scopes``, their scopes sorted, and their entries gathered by
-    one index, write-locked and transposed into canonical layout, not
-    copied.  With ``lax``, the tables are conditional ones and each block is
-    first passed through :func:`_renormalize`, whose flags are returned per
-    table (all false without ``lax``).
+    """The tables of ``values`` over the scope lines ``ids`` and ``lengths``
+    (as :func:`_read_scopes` gives them) as blocks, one per file shape and
+    permutation to sorted scope: lines grouped by length, then by their rows
+    of cardinalities and argsort.  Each block is ``(members, lines, values)``:
+    the indices of its tables, their scope lines as rows, and their entries
+    gathered by one index, write-locked and transposed into canonical
+    layout, not copied.  With ``lax``, the tables are conditional ones and
+    each block is first passed through :func:`_renormalize`, whose flags
+    are returned per table (all false without ``lax``).
     """
-    groups: dict[tuple, list[int]] = {}
-    for t, ids in enumerate(scopes):
-        order = tuple(sorted(range(len(ids)), key=ids.__getitem__))
-        groups.setdefault((tuple(map(cards.__getitem__, ids)), order), []).append(t)
     blocks = []
-    flags = np.zeros((len(scopes), 3), dtype=bool)
-    for (shape, order), members in groups.items():
-        at = starts[members][:, np.newaxis] + np.arange(math.prod(shape))
-        block = values[at.reshape(len(members), *shape)]
+    flags = np.zeros((len(lengths), 3), dtype=bool)
+    inside = np.arange(lengths.max(initial=0)) < lengths[:, np.newaxis]
+    lines = np.full(inside.shape, len(sizes))  # padded with n, which sorts last
+    lines[inside] = ids
+    shapes, orders = np.append(sizes, 0)[lines], np.argsort(lines, axis=1, kind="stable")
+    keys = np.concatenate([lengths[:, np.newaxis], shapes, orders], axis=1)
+    sort = np.lexsort(keys.T)  # equal keys next to each other, in file order
+    cuts = 1 + np.flatnonzero((keys[sort[1:]] != keys[sort[:-1]]).any(axis=1))
+    for group in filter(len, np.split(sort, cuts)):
+        k = lengths[group[0]]
+        shape, order = shapes[group[0], :k].tolist(), orders[group[0], :k]
+        at = starts[group, np.newaxis] + np.arange(math.prod(shape))
+        block = values[at.reshape(len(group), *shape)]
         if lax:
-            flags[members] = _renormalize(block)
+            flags[group] = _renormalize(block)
         block.setflags(write=False)
-        blocks.append((members, [tuple(sorted(scopes[t])) for t in members],
-                       block.transpose(0, *(1 + a for a in order))))
+        blocks.append((group, lines[group, :k], block.transpose(0, *(1 + order))))
     return blocks, flags
 
 
@@ -577,7 +616,11 @@ def parse_network(text: str, kind: str | None = None, strict: bool = True):
     if kind is not None and kind != header:
         raise ts.error(f"expected a {kind.upper()} model, found {tok}")
     n = ts.next_int("variable count", minimum=1)
-    cards = [ts.next_int("cardinality", minimum=1) for _ in range(n)]
+    sizes = ts.ints(n)
+    if sizes is None or sizes.min() < 1:  # read again one at a time: raise the first fault,
+        ts.position -= 0 if sizes is None else n  # or keep a cardinality past int64
+        sizes = np.array([ts.next_int("cardinality", minimum=1) for _ in range(n)], object)
+    cards, sizes = sizes.tolist(), np.minimum(sizes, len(text)).astype(np.int64)  # cut to fit
 
     decisions: list[int] = []
     if header == "id":
@@ -595,29 +638,14 @@ def parse_network(text: str, kind: str | None = None, strict: bool = True):
     if table_count != expected_tables:
         raise ParseError(f"expected {expected_tables} conditional tables, "
                          f"file declares {table_count}")
+    # Then table_count distinct children, none a decision, leave no variable out.
+    lines = _read_scopes(ts, n, table_count, decisions)
 
-    scopes: list[list[int]] = []
-    seen_children: set[int] = set()
-    for _ in range(table_count):
-        ids = _read_scope(ts, n, "table")
-        child = ids[-1]
-        if child in decisions:
-            raise ModelError(f"decision variable {child} has parents "
-                             "(a conditional table names it as child)")
-        if child in seen_children:
-            raise ParseError(f"two conditional tables for variable {child}")
-        seen_children.add(child)
-        scopes.append(ids)
-    missing = [i for i in range(n) if i not in seen_children and i not in decisions]
-    if missing:
-        raise ParseError(f"no conditional table for variables {missing}")
-
-    scopes, starts, values = _read_tables(ts, n, cards, scopes, header == "id")
-    blocks, flags = _tables(scopes[:table_count], cards, starts[:table_count], values,
-                            lax=not strict)
-    parents: list[tuple[int, ...]] = [()] * n
-    for ids, (negative, off, zero) in zip(scopes[:table_count], flags.tolist()):
-        child = ids[-1]
+    utilities, starts, values = _read_tables(ts, n, cards, sizes, *lines, header == "id")
+    blocks, flags = _tables(*lines, sizes, starts[:table_count], values, lax=not strict)
+    faulty = flags.any(axis=1)
+    for child, (negative, off, zero) in zip(lines[0][np.cumsum(lines[1]) - 1][faulty].tolist(),
+                                            flags[faulty].tolist()):
         if negative:  # BeliefNetwork makes the strict checks
             raise _negative_entry(child)
         if off:
@@ -625,18 +653,21 @@ def parse_network(text: str, kind: str | None = None, strict: bool = True):
                 raise NormalizationError(f"table for variable {child} has an all-zero row")
             warnings.warn(f"renormalized conditional table of variable {child}",
                           stacklevel=2)
-        parents[child] = tuple(sorted(ids[:-1]))
-    tables = Tables(n, [([scopes[t][-1] for t in members], sorted_scopes, block)
-                        for members, sorted_scopes, block in blocks])
+    parents: list[tuple[int, ...]] = [()] * n
+    for _, rows, _ in blocks:
+        for child, ps in zip(rows[:, -1].tolist(), np.sort(rows[:, :-1]).tolist()):
+            parents[child] = tuple(ps)
+    tables = Tables(n, [(rows[:, -1], np.sort(rows), block) for _, rows, block in blocks])
     net = BeliefNetwork(tuple(cards), tuple(parents), tables)
     if header == "bayes":
         return net
-    utilities: list[DiscreteFactor | None] = [None] * (len(scopes) - table_count)
-    for members, sorted_scopes, block in _tables(scopes[table_count:], cards,
-                                                 starts[table_count:], values)[0]:
-        for k, (t, scope) in enumerate(zip(members, sorted_scopes)):
-            utilities[t] = DiscreteFactor(scope, block.shape[1:], block[k, ...])
-    return InfluenceDiagram(net, tuple(decisions), tuple(utilities))
+    factors: list[DiscreteFactor | None] = [None] * len(utilities)
+    for members, rows, block in _tables(np.fromiter(chain.from_iterable(utilities), np.int64),
+                                        np.fromiter(map(len, utilities), np.intp), sizes,
+                                        starts[table_count:], values)[0]:
+        for t, scope, table in zip(members.tolist(), np.sort(rows).tolist(), block):
+            factors[t] = DiscreteFactor(tuple(scope), table.shape, table)
+    return InfluenceDiagram(net, tuple(decisions), tuple(factors))
 
 
 def _table_lines(values: np.ndarray) -> list[str]:
@@ -672,6 +703,14 @@ def _read_pairs(text: str, noun: str, cards: Sequence[int], base: int) -> dict[i
     and each value below its variable's cardinality."""
     ts = _TokenStream(text)
     count = ts.next_int("assignment count", minimum=0)
+    start, found = ts.position, ts.ints(2 * count)  # on a fault, read one pair at a time
+    if found is not None:
+        var, val = found[0::2] - base, found[1::2]
+        if ((0 <= var) & (var < len(cards))).all() and (0 <= val).all() \
+                and (val < np.asarray(cards)[var]).all() and np.diff(np.sort(var)).all():
+            ts.expect_end()
+            return dict(zip((var + base).tolist(), val.tolist()))
+    ts.position = start
     pairs: dict[int, int] = {}
     for _ in range(count):
         var = ts.next_int(f"observed {noun}")

@@ -9,6 +9,8 @@ its output discarded.  Each phase is timed by wrapping, for the duration of
 the runs, the functions the query path calls it by:
 
     parse    cli.parse_network, parse_evidence, parse_cnf, parse_cnf_evidence
+    order    Ordering.parse as cli calls it (an order file), cli.constrained_order
+             and engines.constrained_order (a heuristic ordering)
     plan     engines.plan
     execute  engines.execute
     decode   engines.forward_decode
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import inspect
 import io
 import json
 import statistics
@@ -43,6 +46,8 @@ REPEATS = 7
 PHASES = {
     "parse": [("cli", "parse_network"), ("cli", "parse_evidence"), ("cli", "parse_cnf"),
               ("cli", "parse_cnf_evidence")],
+    "order": [("cli", "Ordering.parse"), ("cli", "constrained_order"),
+              ("engines", "constrained_order")],
     "plan": [("engines", "plan")],
     "execute": [("engines", "execute")],
     "decode": [("engines", "forward_decode")],
@@ -86,8 +91,10 @@ def measure(argv: list[str], repeats: int = REPEATS) -> dict:
                 fn = getattr(owner, name)
             except AttributeError:
                 continue
-            saved.append((owner, name, fn))
-            setattr(owner, name, wrap(fn, phase))
+            raw = inspect.getattr_static(owner, name)  # a classmethod is put back as one
+            saved.append((owner, name, raw))
+            timed = wrap(fn, phase)
+            setattr(owner, name, staticmethod(timed) if isinstance(raw, classmethod) else timed)
             found.add(phase)
 
     collecting = {"start": 0.0, "spent": 0.0}
