@@ -104,7 +104,10 @@ def build_parser() -> _Parser:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:  # a ValueError, which run() reports as a usage error
+            raise ModelError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _parse_id_list(spec: str, n: int, names=(), base: int = 0) -> list[int]:

@@ -14,10 +14,10 @@ Network format (whitespace-separated tokens):
             blocks (scope line, entry count, values).
 
 The reader converts and checks each section in one array pass: the
-cardinalities, all scope lines, all entry counts, then all entries.  A section
-whose pass finds a fault is read again token by token, so the error raised, its
-line and column, and which of two faults comes first are those of a reader
-that goes one token at a time.
+cardinalities, all scope lines, then all conditional tables.  A section whose
+pass refuses is read again a unit at a time (a table block, as every utility
+block is read), so the error raised, its line and column, and which of two
+faults comes first are those of a reader that goes one token at a time.
 
 Evidence files start with a pair count followed by ``variable value`` pairs.
 CNF theories use standard DIMACS (``p cnf V C``).
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
@@ -37,7 +36,7 @@ import numpy as np
 
 from .errors import (CycleError, EvidenceError, ModelError, NormalizationError,
                      ParseError)
-from .factor import DiscreteFactor, _finite, _frozen
+from .factor import DiscreteFactor, _frozen
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -395,21 +394,6 @@ class _TokenStream:
         self.position += count
         return values
 
-    def floats(self, start: int, stop: int) -> tuple[np.ndarray, int | None]:
-        """Tokens ``start`` to ``stop`` as floats, and the index of the first
-        one that is not a float (None if there is none), before which the
-        conversion stops."""
-        toks = self.toks[start:stop]
-        try:
-            return np.array(toks, dtype=np.float64), None
-        except ValueError:
-            for j, tok in enumerate(toks):
-                try:
-                    float(tok)
-                except ValueError:
-                    return np.array(toks[:j], dtype=np.float64), start + j
-            raise
-
     def next_int(self, expect: str, minimum: int | None = None) -> int:
         tok = self.next(expect)
         try:
@@ -419,10 +403,6 @@ class _TokenStream:
         if minimum is not None and value < minimum:
             raise self.error(f"{expect} must be >= {minimum}, found {value}")
         return value
-
-    @property
-    def overran(self) -> bool:
-        return self.position > len(self.toks)
 
     def expect_end(self) -> None:
         if self.position < len(self.toks):
@@ -480,20 +460,44 @@ def _read_scopes(ts: _TokenStream, n: int, count: int, decisions: list[int]):
     raise AssertionError("scope lines refused by the array checks were read without fault")
 
 
+def _read_table(ts: _TokenStream, scope: Sequence[int], cards: Sequence[int]) -> np.ndarray:
+    """One table block over ``scope``: its entry count, checked against
+    ``cards``, then its entries, flat and with -0 made +0.  Raises the first
+    fault: a bad count, a malformed entry, the text ending inside the block,
+    then a non-finite entry."""
+    expected = math.prod(map(cards.__getitem__, scope))
+    count = ts.next_int("entry count", minimum=1)
+    if count != expected:
+        raise ParseError(f"table over scope {list(scope)} needs {expected} entries, "
+                         f"file declares {count}")
+    start = ts.position
+    toks = ts.toks[start:start + count]
+    try:
+        values = np.array(toks, dtype=np.float64)
+    except ValueError:
+        for j, tok in enumerate(toks):
+            try:
+                float(tok)
+            except ValueError:
+                raise ts.error(f"expected table entry, found {tok!r}", start + j) from None
+        raise
+    if len(toks) < count:
+        raise ParseError("unexpected end of input, expected table entry")
+    ts.position += count
+    if not np.isfinite(values).all():
+        j = int(np.isfinite(values).argmin())  # the first non-finite entry
+        raise ts.error(f"table entry must be finite, found {toks[j]!r}", start + j)
+    return values + 0.0  # -0 + 0 is +0, so no -0 entry reaches a sweep
+
+
 def _read_tables(ts: _TokenStream, n: int, cards: Sequence[int], sizes: np.ndarray,
                  ids: np.ndarray, lengths: np.ndarray, diagram: bool):
-    """Every table block after the scope lines ``ids`` and ``lengths``,
-    then a diagram's utility section, then the end of the text.  The entry
-    counts are checked first, which places every table unread: the
-    conditional tables' in one pass against the products of ``sizes`` over
-    their scopes (one at a time on a fault).  The region the tables span is
-    then converted to floats at once.  The error raised is the first one a
-    table-by-table reader meets: in the first table that has one, a bad
-    entry count, then a malformed entry, then the end of the text, then a
-    non-finite entry; after the tables, a bad utility section or a trailing
-    token.  Returns the utilities' scopes, each table's first entry in the
-    values (the utilities' last), and the values.
-    """
+    """The table blocks after the scope lines ``ids`` and ``lengths``, then
+    a diagram's utility blocks and the end of the text.  The conditional
+    tables are placed by the products of ``sizes`` over their scopes and
+    converted in one pass; if it refuses, and for each utility block,
+    :func:`_read_table` reads one table at a time.  Returns each conditional
+    table's first entry in the values, the values, and the utilities."""
     toks, first = ts.toks, ts.position
     # Float64 products do not wrap round; cut to the text's length, they fit no text.
     cells = np.minimum(np.multiply.reduceat(sizes[ids], np.cumsum(lengths) - lengths,
@@ -502,69 +506,38 @@ def _read_tables(ts: _TokenStream, n: int, cards: Sequence[int], sizes: np.ndarr
     # Each count, where the counts before it put it, spells its cells as str() does.
     placed = not len(ends) or ends[-1] <= len(toks) and list(map(str, cells.tolist())) == [
         toks[i] for i in (ends - cells - 1).tolist()]
-    starts, ends = ((ends - cells).tolist(), ends.tolist()) if placed else ([], [])
-    ts.position = ends[-1] if ends else first
-    utilities: list[list[int]] = []
-    # A problem is (table, rank, error), and the least one is raised.  The
-    # ranks within a table: 0 its entry count (or utility scope), 1 a
-    # malformed entry, 2 the text ending inside it, 3 a non-finite entry.
-    failure = None
-
-    def table(scope):
-        expected = math.prod(map(cards.__getitem__, scope))
-        count = ts.next_int("entry count", minimum=1)
-        if count != expected:
-            raise ParseError(f"table over scope {list(scope)} needs {expected} entries, "
-                             f"file declares {count}")
-        starts.append(ts.position)
-        ts.position += count
-        ends.append(ts.position)
-        if ts.overran:
-            raise ParseError("unexpected end of input, expected table entry")
-
+    ts.position = int(ends[-1]) if placed and len(ends) else first
     try:
-        if not placed:
-            for scope in np.split(ids, np.cumsum(lengths)[:-1]):
-                table(scope.tolist())
-        if diagram:
-            for _ in range(ts.next_int("utility count", minimum=0)):
-                utilities.append(_read_scope(ts, n, "utility", minimum=0))
-                table(utilities[-1])
-        ts.expect_end()
-    except ParseError as exc:
-        failure = (len(starts) - 1, 2, exc) if ts.overran else (len(starts), 0, exc)
-
-    values, bad = ts.floats(first, ends[-1] if ends else first)
-    problems = [] if failure is None else [failure]
-    if bad is not None:
-        problems.append((bisect_right(starts, bad) - 1, 1,
-                         ts.error(f"expected table entry, found {toks[bad]!r}", bad)))
-    try:
-        _finite(values)
-    except ValueError:  # locate the first non-finite entry
-        for j in (j for j, x in enumerate(values.tolist()) if not math.isfinite(x)):
-            t = bisect_right(starts, first + j) - 1
-            if t >= 0 and first + j < ends[t]:  # an entry, not a count or scope token
-                problems.append((t, 3, ts.error("table entry must be finite, found "
-                                                f"{toks[first + j]!r}", first + j)))
-                break
-    if problems:
-        raise min(problems, key=lambda p: p[:2])[2]
-    values += 0.0  # -0 + 0 is +0, so no -0 entry reaches a sweep
-    return utilities, np.asarray(starts, dtype=np.intp) - first, values
+        values = np.array(toks[first:ts.position], dtype=np.float64)
+    except ValueError:
+        placed = False
+    if placed and np.isfinite(values).all():
+        starts = ends - cells - first
+        values += 0.0  # -0 + 0 is +0, so no -0 entry reaches a sweep
+    else:  # raise the first fault, or keep the tables of a count spelt otherwise (08)
+        ts.position = first
+        values = np.concatenate([_read_table(ts, scope.tolist(), cards)
+                                 for scope in np.split(ids, np.cumsum(lengths)[:-1])])
+        starts = np.cumsum(cells) - cells
+    utilities = []
+    for _ in range(ts.next_int("utility count", minimum=0) if diagram else 0):
+        scope = _read_scope(ts, n, "utility", minimum=0)
+        utilities.append(DiscreteFactor.from_table(scope, [cards[v] for v in scope],
+                                                   _read_table(ts, scope, cards)))
+    ts.expect_end()
+    return starts, values, utilities
 
 
 def _tables(ids: np.ndarray, lengths: np.ndarray, sizes: np.ndarray, starts: np.ndarray,
-            values: np.ndarray, lax: bool = False):
-    """The tables of ``values`` over the scope lines ``ids`` and ``lengths``
-    (as :func:`_read_scopes` gives them) as blocks, one per file shape and
-    permutation to sorted scope: lines grouped by length, then by their rows
-    of cardinalities and argsort.  Each block is ``(members, lines, values)``:
-    the indices of its tables, their scope lines as rows, and their entries
-    gathered by one index, write-locked and transposed into canonical
-    layout, not copied.  With ``lax``, the tables are conditional ones and
-    each block is first passed through :func:`_renormalize`, whose flags
-    are returned per table (all false without ``lax``).
+            values: np.ndarray, lax: bool):
+    """The conditional tables of ``values`` over the scope lines ``ids`` and
+    ``lengths`` (as :func:`_read_scopes` gives them) as blocks, one per file
+    shape and permutation to sorted scope: lines grouped by length, then by
+    their rows of cardinalities and argsort.  Each block is ``(lines,
+    values)``: its tables' scope lines as rows, and their entries gathered
+    by one index, write-locked and transposed into canonical layout, not
+    copied.  With ``lax``, each block is first passed through
+    :func:`_renormalize`, whose flags are returned per table (else all false).
     """
     blocks = []
     flags = np.zeros((len(lengths), 3), dtype=bool)
@@ -583,7 +556,7 @@ def _tables(ids: np.ndarray, lengths: np.ndarray, sizes: np.ndarray, starts: np.
         if lax:
             flags[group] = _renormalize(block)
         block.setflags(write=False)
-        blocks.append((group, lines[group, :k], block.transpose(0, *(1 + order))))
+        blocks.append((lines[group, :k], block.transpose(0, *(1 + order))))
     return blocks, flags
 
 
@@ -641,8 +614,8 @@ def parse_network(text: str, kind: str | None = None, strict: bool = True):
     # Then table_count distinct children, none a decision, leave no variable out.
     lines = _read_scopes(ts, n, table_count, decisions)
 
-    utilities, starts, values = _read_tables(ts, n, cards, sizes, *lines, header == "id")
-    blocks, flags = _tables(*lines, sizes, starts[:table_count], values, lax=not strict)
+    starts, values, utilities = _read_tables(ts, n, cards, sizes, *lines, header == "id")
+    blocks, flags = _tables(*lines, sizes, starts, values, lax=not strict)
     faulty = flags.any(axis=1)
     for child, (negative, off, zero) in zip(lines[0][np.cumsum(lines[1]) - 1][faulty].tolist(),
                                             flags[faulty].tolist()):
@@ -654,20 +627,14 @@ def parse_network(text: str, kind: str | None = None, strict: bool = True):
             warnings.warn(f"renormalized conditional table of variable {child}",
                           stacklevel=2)
     parents: list[tuple[int, ...]] = [()] * n
-    for _, rows, _ in blocks:
+    for rows, _ in blocks:
         for child, ps in zip(rows[:, -1].tolist(), np.sort(rows[:, :-1]).tolist()):
             parents[child] = tuple(ps)
-    tables = Tables(n, [(rows[:, -1], np.sort(rows), block) for _, rows, block in blocks])
+    tables = Tables(n, [(rows[:, -1], np.sort(rows), block) for rows, block in blocks])
     net = BeliefNetwork(tuple(cards), tuple(parents), tables)
     if header == "bayes":
         return net
-    factors: list[DiscreteFactor | None] = [None] * len(utilities)
-    for members, rows, block in _tables(np.fromiter(chain.from_iterable(utilities), np.int64),
-                                        np.fromiter(map(len, utilities), np.intp), sizes,
-                                        starts[table_count:], values)[0]:
-        for t, scope, table in zip(members.tolist(), np.sort(rows).tolist(), block):
-            factors[t] = DiscreteFactor(tuple(scope), table.shape, table)
-    return InfluenceDiagram(net, tuple(decisions), tuple(factors))
+    return InfluenceDiagram(net, tuple(decisions), tuple(utilities))
 
 
 def _table_lines(values: np.ndarray) -> list[str]:

@@ -296,6 +296,21 @@ def test_usage_and_model_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("role", ["network", "evidence", "order", "cnf"])
+def test_an_input_file_that_is_not_utf8_is_an_invalid_input_file(tmp_path, capsys, role):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1 0\xff\n")
+    net = write(tmp_path, "chain.net", CHAIN_TEXT)
+    argv = {"network": ["mpe", str(bad)],
+            "evidence": ["mpe", net, "--evidence", str(bad)],
+            "order": ["mpe", net, "--order", str(bad)],
+            "cnf": ["dr", str(bad)]}[role]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {bad} is not UTF-8 text: ") and err.count("\n") == 1
+
+
 def test_seed_flag_is_gone(tmp_path, capsys):
     net = write(tmp_path, "chain.net", CHAIN_TEXT)
     cnf = write(tmp_path, "theory.cnf", SAT_CNF)

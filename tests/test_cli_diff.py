@@ -31,17 +31,33 @@ def test_the_command_set_covers_every_command(tmp_path):
     assert cli_diff.build_commands(60, 3, str(tmp_path)) == commands
 
 
+def test_the_command_set_reads_damaged_networks_and_diagrams(tmp_path, capsys):
+    from bucketforge.cli import run
+
+    commands = cli_diff.build_commands(60, 3, str(tmp_path))
+    damaged = [argv for argv in commands if argv[1].endswith((".bad.net", ".bad.id"))]
+    assert {argv[0] for argv in damaged} == {"mpe", "meu"}
+    assert {argv[1][-3:] for argv in damaged} == {"net", ".id"}
+    codes = [run(argv) for argv in damaged]
+    capsys.readouterr()
+    assert 0 in codes and 2 in codes  # some damage leaves a valid file
+
+
 def test_exit_answer_and_trace_differences_are_counted_apart():
-    commands = [["bel"], ["mpe"], ["map"], ["meu"]]
-    old = [{"exit": 0, "stdout": "trace var=1 op=sum\nbelief=0.5 0.5\n"},
-           {"exit": 0, "stdout": "value=0.25\n"},
-           {"exit": 0, "stdout": json.dumps({"trace": ["var=2 op=sum"], "value": 0.5})},
-           {"exit": 0, "stdout": "value=1\n"}]
-    new = [{"exit": 0, "stdout": "trace var=1 op=skip\nbelief=0.5 0.5\n"},
-           {"exit": 3, "stdout": "IMPOSSIBLE EVIDENCE\n"},
-           {"exit": 0, "stdout": json.dumps({"trace": ["var=2 op=skip"], "value": 0.6})},
-           {"exit": 0, "stdout": "value=1\n"}]
+    commands = [["bel"], ["mpe"], ["map"], ["meu"], ["dr"]]
+    old = [{"exit": 0, "stdout": "trace var=1 op=sum\nbelief=0.5 0.5\n", "stderr": ""},
+           {"exit": 0, "stdout": "value=0.25\n", "stderr": ""},
+           {"exit": 0, "stdout": json.dumps({"trace": ["var=2 op=sum"], "value": 0.5}),
+            "stderr": ""},
+           {"exit": 0, "stdout": "value=1\n", "stderr": ""},
+           {"exit": 2, "stdout": "", "stderr": "error: literal 4 out of range (line 2, column 1)\n"}]
+    new = [{"exit": 0, "stdout": "trace var=1 op=skip\nbelief=0.5 0.5\n", "stderr": ""},
+           {"exit": 3, "stdout": "IMPOSSIBLE EVIDENCE\n", "stderr": ""},
+           {"exit": 0, "stdout": json.dumps({"trace": ["var=2 op=skip"], "value": 0.6}),
+            "stderr": ""},
+           {"exit": 0, "stdout": "value=1\n", "stderr": ""},
+           {"exit": 2, "stdout": "", "stderr": "error: literal 4 out of range (line 2, column 3)\n"}]
     diffs = cli_diff.compare(commands, old, new)
     assert [argv for argv, *_ in diffs["exit"]] == [["mpe"]]
-    assert [argv for argv, *_ in diffs["answer"]] == [["mpe"], ["map"]]
+    assert [argv for argv, *_ in diffs["answer"]] == [["mpe"], ["map"], ["dr"]]
     assert [argv for argv, *_ in diffs["trace"]] == [["bel"], ["map"]]

@@ -574,6 +574,103 @@ def test_a_value_past_int64_is_read_as_the_table_by_table_reader_reads_it():
     assert diagram.cards[0] == int(PAST_INT64)
 
 
+# -- utility blocks and entry counts spelt otherwise ------------------------------
+
+def _utility_diagram(rng, utilities=8):
+    """A seeded influence diagram with ``utilities`` utility tables over zero
+    to three variables each."""
+    diagram = random_influence_diagram(rng, max_vars=7)
+    net = diagram.network
+    factors = []
+    for _ in range(utilities):
+        scope = rng.sample(range(net.n), rng.randint(0, min(3, net.n)))
+        shape = [net.cards[v] for v in scope]
+        factors.append(DiscreteFactor.from_table(
+            scope, shape, [rng.uniform(-5.0, 10.0) for _ in range(math.prod(shape))]))
+    return InfluenceDiagram(net, diagram.decisions, tuple(factors))
+
+
+def _utility_mutants(rows, rng, per_section):
+    """Copies of ``rows`` with the utility section changed: ``per_section``
+    sampled tokens each among the utility count, the scope lines, the entry
+    counts and the entries, each replaced by a value past int64, ``x``,
+    ``-1``, ``0``, ``nan``, another token of the text, the same token spelt
+    with a leading zero or a plus sign, or deleted, or with the text cut
+    after it; and an entry changed together with the one after it (``nan``
+    then ``x``, ``x`` then ``nan``, or ``nan`` or ``x`` with the text cut
+    after the second), so that one block holds two faults."""
+    u = 5 + 2 * int(rows[4][0])  # the utility count line, after the conditional tables
+    scopes, blocks = range(u + 1, len(rows), 2), range(u + 2, len(rows), 2)
+    sections = [[(u, 0)],
+                [(r, c) for r in scopes for c in range(len(rows[r]))],
+                [(r, 0) for r in blocks],
+                [(r, c) for r in blocks for c in range(1, len(rows[r]))]]
+    tokens = [tok for row in rows for tok in row]
+    changes = []
+    for places in sections:
+        for r, c in rng.choices(places, k=per_section):
+            changes.append([(r, c, rng.choice([PAST_INT64, "x", "-1", "0", "nan",
+                                                rng.choice(tokens), "0" + rows[r][c],
+                                                "+" + rows[r][c], None, "cut"]))])
+    for r, c in rng.choices([(r, c) for r, c in sections[3] if c + 1 < len(rows[r])],
+                            k=per_section):
+        a, b = rng.choice([("nan", "x"), ("x", "nan"), ("nan", "cut"), ("x", "cut")])
+        changes.append([(r, c, a), (r, c + 1, b)])
+    for change in changes:
+        copy = [list(row) for row in rows]
+        for r, c, to in reversed(change):
+            if to == "cut":
+                copy = copy[:r] + [copy[r][:c + 1]]
+            elif to is None:
+                del copy[r][c]
+            else:
+                copy[r][c] = to
+        yield _text(copy)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_diagrams_utility_section_and_its_mutants_give_the_reference_outcomes(seed):
+    rng = random.Random(300 + seed)
+    rows = _model_rows(_utility_diagram(rng), rng)
+    while isinstance(_outcome(parse_network, _text(rows), True)[0][0], type):
+        rows = _model_rows(_utility_diagram(rng), rng)  # until no conditional table is off
+    _assert_same_as_reference(_text(rows))
+    outcomes = set()
+    for mutant in _utility_mutants(rows, rng, per_section=12):
+        _assert_same_as_reference(mutant)
+        result = _outcome(parse_network, mutant, True)[0]
+        outcomes.add(re.sub(r"\d+", "#", result[1]) if isinstance(result[0], type) else "ok")
+    assert "ok" in outcomes and len(outcomes) >= 10
+
+
+# A diagram with one conditional and one utility block of 8 entries each.
+SPELT_TEXT = ("ID 4 2 2 2 2 1 0 3 1 1 2 1 2 3 1 2 3\n"
+              "2 0.5 0.5 4 0.3 0.7 0.6 0.4 {} 0.1 0.9 0.2 0.8 0.3 0.7 0.4 0.6\n"
+              "1 3 0 2 3 {} 1 -2 3 -4 5 -6 7 -8\n")
+
+
+@pytest.mark.parametrize("spelling", ["08", "+8", "\u0668"], ids=["zero", "plus", "arabic"])
+@pytest.mark.parametrize("block", ["conditional", "utility", "both"])
+def test_an_entry_count_spelt_otherwise_gives_the_model_of_the_plain_spelling(spelling, block):
+    counts = {"conditional": (spelling, "8"), "utility": ("8", spelling),
+              "both": (spelling, spelling)}[block]
+    text, plain = SPELT_TEXT.format(*counts), SPELT_TEXT.format("8", "8")
+    _assert_same_as_reference(text)
+    for strict in (True, False):
+        assert _outcome(parse_network, text, strict) == _outcome(parse_network, plain, strict)
+    assert isinstance(parse_network(text), InfluenceDiagram)
+
+
+def test_negative_zero_entries_are_read_as_zero_in_every_block():
+    text = SPELT_TEXT.replace("2 0.5 0.5", "2 1 -0").replace("7 -8", "7 -0")
+    for counts in (("8", "8"), ("08", "08")):  # the array pass, then one table at a time
+        diagram = parse_network(text.format(*counts))
+        tables = [f.values for f in diagram.chance_factors()]
+        for values in tables + [f.values for f in diagram.utilities]:
+            assert not np.signbit(values[values == 0]).any()
+        assert (tables[0] == [1, 0]).all() and diagram.utilities[0].values.min() == -6
+
+
 # -- evidence ---------------------------------------------------------------------
 
 def reference_read_pairs(text, noun, cards, base):

@@ -4,18 +4,21 @@
 
 Seeded ``bucketforge.randgen`` networks, influence diagrams and CNF
 theories, with evidence and ordering files, are written to a temporary
-directory.  Every command (``bel``, ``mpe``, ``map``, ``meu``,
-``cond-mpe``, ``dr``, ``stats``, with a random mix of ``--evidence``,
-``--order``, ``--trace``, ``--json``, ``--oracle`` and ``--lax``) then
-runs through ``bucketforge.cli.run`` once per tree, each tree in its own
-subprocess that imports ``bucketforge`` from that tree only.
+directory, and so is a damaged copy of each network and diagram file: one
+token replaced, deleted, or the text cut after it.  Every command
+(``bel``, ``mpe``, ``map``, ``meu``, ``cond-mpe``, ``dr``, ``stats``, with
+a random mix of ``--evidence``, ``--order``, ``--trace``, ``--json``,
+``--oracle`` and ``--lax``, plus ``mpe`` or ``meu`` on each damaged copy)
+then runs through ``bucketforge.cli.run`` once per tree, each tree in its
+own subprocess that imports ``bucketforge`` from that tree only.
 
 The report counts commands whose exit code differs, whose answer differs
 (stdout without its trace lines, or the JSON object without its trace
-keys) and whose trace lines differ, and shows the first differences of
-each kind.  The last line is the same counts as one JSON object.  The exit
-status is 1 when an exit code or an answer differs, else 0: trace lines
-are reported, not failed on, since a change to the sweep may change them.
+keys, and stderr, where the errors and warnings go) and whose trace lines
+differ, and shows the first differences of each kind.  The last line is
+the same counts as one JSON object.  The exit status is 1 when an exit
+code or an answer differs, else 0: trace lines are reported, not failed
+on, since a change to the sweep may change them.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 TRACE_KEYS = ("trace", "iterations_trace")
 SHOWN = 5  # differences shown per kind
 ORDER_KINDS = ("default", "min-fill", "min-degree", "given", "file")
+# What a damaged copy may have in place of a token, besides the token with a
+# leading zero and another token of the text.
+DAMAGE = ("x", "-1", "0", "1.5", "nan", "99999999999999999999")
 
 
 # -- the command set -----------------------------------------------------------------
@@ -89,13 +95,31 @@ def _order(rng: random.Random, files: _Files, n: int, prefix=(), suffix=(),
     return ["--order", files.put(".order", " ".join(map(str, seq)) + "\n")]
 
 
+def _damaged(rng: random.Random, files: _Files, suffix: str, text: str) -> str:
+    """A copy of ``text`` with one token, drawn from a random line, replaced,
+    deleted, or with the text cut after it."""
+    rows = [line.split() for line in text.splitlines()]
+    r = rng.randrange(len(rows))
+    c = rng.randrange(len(rows[r]))
+    change = rng.choice(["replace", "delete", "cut"])
+    if change == "cut":
+        rows = rows[:r] + [rows[r][:c + 1]]
+    elif change == "delete":
+        del rows[r][c]
+    else:
+        tokens = [tok for row in rows for tok in row]
+        rows[r][c] = rng.choice([*DAMAGE, "0" + rows[r][c], rng.choice(tokens)])
+    return files.put(".bad" + suffix, "".join(" ".join(row) + "\n" for row in rows))
+
+
 def _network_commands(rng: random.Random, files: _Files) -> list[list[str]]:
     from bucketforge.model import serialize_evidence, serialize_network
     from bucketforge.randgen import random_evidence, random_network
 
     net = random_network(rng, max_vars=10, max_card=3,
                          hard_rows=rng.choice([0.0, 0.0, 0.3]))
-    path = files.put(".net", serialize_network(net))
+    text = serialize_network(net)
+    path = files.put(".net", text)
     evidence = random_evidence(rng, net, max_observed=3)
     observed = sorted(v for v, _ in evidence.items())
     ev = ["--evidence", files.put(".ev", serialize_evidence(evidence))] if len(evidence) else []
@@ -126,6 +150,7 @@ def _network_commands(rng: random.Random, files: _Files) -> list[list[str]]:
     if rng.random() < 0.3:
         commands.append(["stats", path, *ev, *_order(rng, files, net.n),
                          *_flags(rng, trace=False, oracle=False)])
+    commands.append(["mpe", _damaged(rng, files, ".net", text), *_flags(rng, oracle=False)])
     return commands
 
 
@@ -135,7 +160,8 @@ def _diagram_commands(rng: random.Random, files: _Files) -> list[list[str]]:
 
     diagram = random_influence_diagram(rng, max_vars=8, max_card=3,
                                        hard_rows=rng.choice([0.0, 0.3]))
-    path = files.put(".id", serialize_network(diagram))
+    text = serialize_network(diagram)
+    path = files.put(".id", text)
     evidence = random_evidence(rng, diagram.network, max_observed=2,
                                exclude=diagram.decisions)
     observed = sorted(v for v, _ in evidence.items())
@@ -145,6 +171,7 @@ def _diagram_commands(rng: random.Random, files: _Files) -> list[list[str]]:
     if rng.random() < 0.3:
         commands.append(["stats", path, *ev, *_order(rng, files, diagram.n),
                          *_flags(rng, trace=False, oracle=False)])
+    commands.append(["meu", _damaged(rng, files, ".id", text), *_flags(rng, oracle=False)])
     return commands
 
 
@@ -184,7 +211,8 @@ def build_commands(count: int, seed: int, workdir: str) -> list[list[str]]:
 # -- running one tree ----------------------------------------------------------------
 
 def run_commands(src: str, commands: list[list[str]]) -> list[dict]:
-    """Each command's exit code and stdout under the ``bucketforge`` of ``src``."""
+    """Each command's exit code, stdout and stderr under the ``bucketforge``
+    of ``src``."""
     sys.path.insert(0, src)
     import bucketforge
     from bucketforge.cli import run
@@ -193,13 +221,13 @@ def run_commands(src: str, commands: list[list[str]]) -> list[dict]:
         raise SystemExit(f"imported {bucketforge.__file__}, not the tree {src}")
     results = []
     for argv in commands:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = run(argv)
             except Exception as exc:  # an escaped exception is a result too
                 code = f"raised {type(exc).__name__}: {exc}"
-        results.append({"exit": code, "stdout": out.getvalue()})
+        results.append({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
     return results
 
 
@@ -229,12 +257,14 @@ def split_trace(stdout: str) -> tuple[object, list[str]]:
 
 
 def compare(commands, old, new) -> dict[str, list]:
-    """Per kind of difference, the (argv, old, new) of each command with one."""
+    """Per kind of difference, the (argv, old, new) of each command with one;
+    an answer is compared together with the command's stderr."""
     diffs: dict[str, list] = {"exit": [], "answer": [], "trace": []}
     for argv, a, b in zip(commands, old, new):
         (answer_a, trace_a), (answer_b, trace_b) = split_trace(a["stdout"]), split_trace(b["stdout"])
         if a["exit"] != b["exit"]:
             diffs["exit"].append((argv, a["exit"], b["exit"]))
+        answer_a, answer_b = (answer_a, a["stderr"]), (answer_b, b["stderr"])
         if answer_a != answer_b:
             diffs["answer"].append((argv, answer_a, answer_b))
         if trace_a != trace_b:
