@@ -14,6 +14,12 @@ that out once; :func:`execute` runs the plan on arrays, and can run it again
 for other numbers or other observed values.  A table is held in a numbered
 slot and dropped once the step that consumes it has run.
 
+A plan records what each step does, not its trace: a step keeps its trace
+op, its input slots and the slot of its first result, and its
+:class:`TraceEntry` is built from the planner's scopes only when
+:attr:`Step.entry` or :attr:`Plan.trace` is read.  A query that prints no
+trace builds none.
+
 A plan can also run a batch of observed values at once.  Its ``varying``
 variables take one value per combination of the batch, and every array that
 depends on them carries a leading batch axis: a slot is batched when it
@@ -74,13 +80,24 @@ def _generated_scope(entry: TraceEntry) -> int:
 class Step(NamedTuple):
     """One planned bucket.  ``run(arrays, values) -> (results, choices)`` is
     its rule with the shapes bound; ``choices`` is a maximizing rule's choice
-    table, else None.  An empty bucket has no ``run``."""
+    table, else None.  An empty bucket has no ``run``.  Result ``j`` is over
+    ``planner.scopes[first + j]``, a folded one too."""
 
     variable: int
     inputs: tuple[int, ...]                # slots consumed: probability tables, then utilities
     outputs: tuple[tuple[int, bool], ...]  # (slot or FOLD, is a utility) per result
-    entry: TraceEntry
+    op: str                                # trace op: "sum", "max" (decide too), "assign", "skip"
+    first: int                             # the slot number of its first result
     run: Callable | None
+    planner: "_Planner"
+
+    @property
+    def entry(self) -> TraceEntry:
+        """This step's trace entry, built from the planner's scopes."""
+        scopes, cards = self.planner.scopes, self.planner.cards
+        outs = tuple(scopes[self.first:self.first + len(self.outputs)])
+        return TraceEntry(self.variable, self.op, tuple([scopes[i] for i in self.inputs]),
+                          outs, sum(_cells(s, cards) for s in outs))
 
 
 class Plan(NamedTuple):
@@ -91,8 +108,12 @@ class Plan(NamedTuple):
     scopes: tuple[tuple[int, ...], ...]   # scope of each slot
     folds: tuple[tuple[int, bool], ...]   # empty-scope inputs: (slot, is a utility)
     left: dict[int, tuple[int, ...]]      # probability slots in unprocessed buckets
-    trace: tuple[TraceEntry, ...]
     max_generated_scope: int
+
+    @property
+    def trace(self) -> tuple[TraceEntry, ...]:
+        """Each step's trace entry, in the order the steps run."""
+        return tuple(step.entry for step in self.steps)
 
 
 class _Planner:
@@ -110,12 +131,14 @@ class _Planner:
         self.scopes: list[tuple[int, ...]] = []
         self.batched: list[bool] = []  # whether slot i has a leading batch axis
         self.filed: dict[int, tuple[list[int], list[int]]] = {v: ([], []) for v in ordering}
+        self.position = {v: i for i, v in enumerate(ordering.sequence)}.__getitem__
+        self.widest = 0  # the largest scope a sum or max rule generated
 
     def file(self, scope: tuple[int, ...], utility: bool, batched: bool = False) -> int:
         """Number a new slot over ``scope`` and file it; returns the slot, or
         ``FOLD`` for an empty scope."""
         try:
-            bucket = self.filed[max(scope, key=self.ordering.index_of)] if scope else None
+            bucket = self.filed[max(scope, key=self.position)] if scope else None
         except KeyError:
             missing = [v for v in scope if v not in self.ordering]
             raise ValueError(f"table over scope {scope} names variables {missing} "
@@ -147,10 +170,10 @@ class _Planner:
         if not (probs or utils):
             # Most buckets of a pruned belief or MAP sweep are empty, so
             # this path plans no rule.
-            return Step(var, (), (), TraceEntry(var, "skip", (), (), 0), None)
+            return Step(var, (), (), "skip", len(self.scopes), None, self)
         inputs = (*probs, *utils)
-        ins = [self.scopes[i] for i in inputs]
-        batched = tuple(self.batched[i] for i in inputs)
+        ins = list(map(self.scopes.__getitem__, inputs))
+        batched = tuple(map(self.batched.__getitem__, inputs))
         if op == "assign":
             rule = _gather if var in self.varying else _assign
         elif any(batched) and (utils or op == "decide"):
@@ -160,11 +183,12 @@ class _Planner:
             rule = _RULES[op]
         results, run = rule(var, ins, len(utils), self.cards, batched)
         self.filed[var] = ([], [])
-        outputs = tuple((self.file(scope, utility, b), utility) for scope, utility, b in results)
-        entry = TraceEntry(var, "max" if op == "decide" else op, tuple(ins),
-                           tuple(scope for scope, _, _ in results),
-                           sum(_cells(scope, self.cards) for scope, _, _ in results))
-        return Step(var, inputs, outputs, entry, run)
+        first = len(self.scopes)
+        outputs = tuple([(self.file(scope, utility, b), utility) for scope, utility, b in results])
+        if op != "assign":
+            op = "max" if op == "decide" else op
+            self.widest = max(self.widest, *[len(scope) for scope, _, _ in results])
+        return Step(var, inputs, outputs, op, first, run, self)
 
 
 def plan(scopes: Sequence[tuple[int, ...]], cards, ordering: Ordering,
@@ -189,20 +213,20 @@ def plan(scopes: Sequence[tuple[int, ...]], cards, ordering: Ordering,
         utility = slot >= first_utility
         if planner.file(tuple(scope), utility) == FOLD:
             folds.append((slot, utility))
-    steps = tuple(planner.step(var, ops[var])
-                  for var in reversed(ordering.sequence) if var in ops)
-    trace = tuple(step.entry for step in steps)
+    steps = tuple([planner.step(var, ops[var])
+                   for var in reversed(ordering.sequence) if var in ops])
     return Plan(ordering, steps, tuple(planner.scopes), tuple(folds),
                 {v: tuple(probs) for v, (probs, _) in planner.filed.items() if probs},
-                trace, max(map(_generated_scope, trace), default=0))
+                planner.widest)
 
 
 def _cells(scope: Sequence[int], cards) -> int:
-    return math.prod(cards[v] for v in scope)
+    return math.prod(map(cards.__getitem__, scope))
 
 
 def _without(scope: tuple[int, ...], var: int) -> tuple[int, ...]:
-    return tuple(v for v in scope if v != var)
+    i = scope.index(var)
+    return scope[:i] + scope[i + 1:]
 
 
 # Each bucket rule is called once per step, at plan time, with the variable,
@@ -227,8 +251,8 @@ def _assign(var, ins, utilities, cards, batched):
 
     def run(arrays, values):
         value = values[var]
-        # np.take copies, so a slice does not keep the table it came from alive.
-        return [np.take(a, value, axis) for a, axis in zip(arrays, axes)], None
+        # take copies, so a slice does not keep the table it came from alive.
+        return [a.take(value, axis) for a, axis in zip(arrays, axes)], None
     return [(_without(s, var), i >= len(ins) - utilities, b)
             for i, (s, b) in enumerate(zip(ins, batched))], run
 
@@ -370,7 +394,7 @@ class Sweep:
             slots[i] = None
         outs, choices = step.run(ins, self.values)
         if choices is not None:
-            self.arg_tables[step.variable] = (step.entry.output_scopes[0], choices)
+            self.arg_tables[step.variable] = (step.planner.scopes[step.first], choices)
         for (slot, utility), out in zip(step.outputs, outs):
             if slot == FOLD:
                 self.fold(out, utility)

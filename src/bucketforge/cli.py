@@ -228,9 +228,9 @@ def _emit_trace(out: _Output, result) -> None:
             out.raw(line, "iterations_trace",
                     {"iter": rec.index, "pinned": dict(rec.pinned),
                      "value": _jnum(rec.value), "scope": rec.max_table_scope})
-    if result.trace is not None:
-        for entry in result.trace:
-            out.raw("trace " + entry.render(), "trace", entry.render())
+    for entry in result.trace or ():  # read once: each read builds the entries
+        line = entry.render()
+        out.raw("trace " + line, "trace", line)
 
 
 def _emit_common(out: _Output, result, args) -> None:

@@ -10,7 +10,7 @@ pass reads back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice, product
 from typing import Iterable, Sequence
 
@@ -47,9 +47,14 @@ class QueryResult:
     assignment: dict[int, int] | None = None
     evidence_mass: float | None = None
     note: str | None = None
-    trace: tuple[TraceEntry, ...] | None = None
     max_table_scope: int | None = None
     iterations: tuple[IterationRecord, ...] | None = None
+    plan: Plan | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def trace(self) -> tuple[TraceEntry, ...] | None:
+        """The sweep's trace entries, built from its plan when read."""
+        return None if self.plan is None else self.plan.trace
 
 
 def _check_evidence(model, evidence: Evidence) -> None:
@@ -131,7 +136,7 @@ def _ancestral_tables(net: BeliefNetwork, targets: Iterable[int],
 
 
 def _result(kind: str, planned: Plan, **fields) -> QueryResult:
-    return QueryResult(kind=kind, trace=planned.trace,
+    return QueryResult(kind=kind, plan=planned,
                        max_table_scope=planned.max_generated_scope, **fields)
 
 
@@ -303,7 +308,8 @@ def _max_sweep(net: BeliefNetwork, cut: list[int], evidence: Evidence | None,
             if best is None or value > best:
                 best, winner = value, row
         if winner is not None:
-            assignment = forward_decode(sweep.row(winner), range(net.n))
+            # Only a batched sweep needs its winning row picked out.
+            assignment = forward_decode(sweep.row(winner) if varying else sweep, range(net.n))
     note = None
     if best == 0.0 and len(evidence):
         note = "no positive-probability completion of the evidence"
@@ -318,6 +324,7 @@ def _batch_size(planned: Plan, cards, cut: Sequence[int]) -> int:
     inputs: a product, or a table sliced out of one.  B times the cells of
     the largest union, and B times the cutset's size, stay within
     ``oracle.CELL_LIMIT``; B is at least 1."""
-    widest = max(math.prod(cards[v] for v in set().union(*entry.input_scopes))
-                 for entry in planned.trace) if planned.trace else 1
+    scopes = planned.scopes
+    widest = max((math.prod(cards[v] for v in set().union(*map(scopes.__getitem__, step.inputs)))
+                  for step in planned.steps), default=1)
     return max(1, CELL_LIMIT // max(widest, len(cut), 1))

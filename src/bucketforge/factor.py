@@ -203,13 +203,12 @@ def fold_max(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _aligned(scope: Sequence[int], over: Sequence[int], cards) -> tuple[int, ...]:
     """Shape of a table over ``scope`` broadcast over the sorted superset ``over``."""
-    own = set(scope)
-    return tuple(cards[v] if v in own else 1 for v in over)
+    return tuple([cards[v] if v in scope else 1 for v in over])
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
     # A product of finite tables can overflow to inf, and inf times 0 is NaN.
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
         raise ValueError("factor values must be finite")
     return values
 

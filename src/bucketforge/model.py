@@ -462,9 +462,9 @@ def _read_scopes(ts: _TokenStream, n: int, count: int, decisions: list[int]):
 
 def _read_table(ts: _TokenStream, scope: Sequence[int], cards: Sequence[int]) -> np.ndarray:
     """One table block over ``scope``: its entry count, checked against
-    ``cards``, then its entries, flat and with -0 made +0.  Raises the first
-    fault: a bad count, a malformed entry, the text ending inside the block,
-    then a non-finite entry."""
+    ``cards``, then its entries, flat, write-locked and with -0 made +0.
+    Raises the first fault: a bad count, a malformed entry, the text ending
+    inside the block, then a non-finite entry."""
     expected = math.prod(map(cards.__getitem__, scope))
     count = ts.next_int("entry count", minimum=1)
     if count != expected:
@@ -487,7 +487,10 @@ def _read_table(ts: _TokenStream, scope: Sequence[int], cards: Sequence[int]) ->
     if not np.isfinite(values).all():
         j = int(np.isfinite(values).argmin())  # the first non-finite entry
         raise ts.error(f"table entry must be finite, found {toks[j]!r}", start + j)
-    return values + 0.0  # -0 + 0 is +0, so no -0 entry reaches a sweep
+    values = values + 0.0  # -0 + 0 is +0, so no -0 entry reaches a sweep
+    # Locked, a utility block is kept by the factor constructor, not copied.
+    values.setflags(write=False)
+    return values
 
 
 def _read_tables(ts: _TokenStream, n: int, cards: Sequence[int], sizes: np.ndarray,

@@ -430,3 +430,42 @@ def test_step_by_step_and_planned_sweeps_agree_bit_for_bit():
     assert min(kinds[k] for k in ("sum", "max", "mixed", "belief", "meu")) >= 300
     assert kinds["observed mid-order"] >= 40
     assert kinds["hard rows"] >= 400 and kinds["zero mass"] > 0
+
+
+def test_a_plans_trace_is_the_step_by_step_trace():
+    """On the oracle-equivalence sweep's random networks and diagrams
+    (criterion 1), with and without evidence and, in max sweeps of
+    networks, with a varying cutset: the trace read off the plan is the one
+    the step-by-step sweep records, and its widest generated scope is the
+    largest output scope of a sum or max entry."""
+    rng = random.Random(23023)
+    kinds = Counter()
+    for case in range(120):
+        if case % 3 == 2:
+            model = random_influence_diagram(rng, max_vars=8, max_card=3)
+            tables, utilities, head = model.chance_factors(), model.utilities, model.decisions
+            rules = [{v: "decide" if v in head else "sum" for v in range(model.n)}]
+        else:
+            model = random_network(rng, max_vars=8, max_card=3)
+            tables, utilities, head = model.factor_list(), (), ()
+            rules = [dict.fromkeys(range(model.n), "sum"), dict.fromkeys(range(model.n), "max")]
+        evidence = random_evidence(rng, model, exclude=head)
+        free = [v for v in range(model.n) if v not in evidence and v not in head]
+        order = shuffled_ordering(rng, model.n, prefix=list(head))
+        for ops in rules:
+            cuts = [()] + ([tuple(rng.sample(free, min(2, len(free))))]
+                           if "max" in ops.values() else [])
+            for ev in (Evidence.empty(), evidence):
+                for cut in cuts:
+                    planned = plan([f.scope for f in [*tables, *utilities]], model.cards, order,
+                                   ev.assignments, ops, len(utilities), varying=cut)
+                    pinned = Evidence({**dict(ev.items()), **dict.fromkeys(cut, 0)})
+                    schedule = _step_by_step(tables, utilities, order, pinned, ops)
+                    assert planned.trace == tuple(schedule.trace)
+                    assert [step.entry for step in planned.steps] == schedule.trace
+                    widest = max((len(s) for e in schedule.trace if e.op in ("sum", "max")
+                                  for s in e.output_scopes), default=0)
+                    assert planned.max_generated_scope == widest
+                    kinds["varying" if cut else "evidence" if len(ev) else "plain"] += 1
+                    kinds["widest > 1"] += widest > 1
+    assert min(kinds.values()) >= 50, kinds

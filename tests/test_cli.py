@@ -815,3 +815,35 @@ def test_a_reused_parser_answers_each_command_as_a_fresh_one(tmp_path, capsys):
     parser = bucketforge.cli.build_parser()
     assert [(run(argv), capsys.readouterr()) for argv in commands] == alone
     assert bucketforge.cli.build_parser() is parser
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bel", "diag.net", "--query", "0", "--evidence", "diag.ev"],
+    ["mpe", "diag.net", "--evidence", "diag.ev"],
+    ["map", "diag.net", "--hyp", "0,1", "--evidence", "diag.ev"],
+    ["meu", "golden.id", "--evidence", "golden.id.ev"],
+    ["cond-mpe", "diag.net", "--cutset", "1,2", "--evidence", "diag.ev"],
+], ids=lambda argv: argv[0])
+def test_a_query_without_trace_builds_no_trace_entry(argv, monkeypatch, capsys):
+    """Trace entries are read off the plan only when ``--trace`` prints them;
+    with it, the other lines stay those of the untraced command."""
+    built = []
+
+    class Counted(bucketforge.buckets.TraceEntry):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(bucketforge.buckets, "TraceEntry", Counted)
+    argv = [str(DATA / a) if (DATA / a).is_file() else a for a in argv]
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    assert built == []
+    assert run([*argv, "--trace"]) == 0
+    traced = capsys.readouterr().out.splitlines()
+    entries = [line for line in traced if line.startswith("trace var=")]
+    assert len(built) == len(entries) > 0
+    assert [line for line in traced if not line.startswith("trace ")] == plain.splitlines()

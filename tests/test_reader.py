@@ -242,7 +242,7 @@ def reference_parse_network(text, kind=None, strict=True):
         m = ts.next_int("utility count", minimum=0)
         for _ in range(m):
             ids = _read_scope(ts, n, "utility", minimum=0)
-            raw = _read_table(ts, ids, cards)
+            raw = _read_table(ts, ids, cards) + 0.0  # -0 + 0 is +0, as parse_network reads it
             utilities.append(DiscreteFactor.from_table(ids, [cards[v] for v in ids], raw))
     ts.expect_end()
     net = BeliefNetwork(tuple(cards), tuple(parents), tuple(cpts))
@@ -594,7 +594,7 @@ def _utility_mutants(rows, rng, per_section):
     """Copies of ``rows`` with the utility section changed: ``per_section``
     sampled tokens each among the utility count, the scope lines, the entry
     counts and the entries, each replaced by a value past int64, ``x``,
-    ``-1``, ``0``, ``nan``, another token of the text, the same token spelt
+    ``-1``, ``0``, ``-0``, ``nan``, another token of the text, the same token spelt
     with a leading zero or a plus sign, or deleted, or with the text cut
     after it; and an entry changed together with the one after it (``nan``
     then ``x``, ``x`` then ``nan``, or ``nan`` or ``x`` with the text cut
@@ -609,7 +609,7 @@ def _utility_mutants(rows, rng, per_section):
     changes = []
     for places in sections:
         for r, c in rng.choices(places, k=per_section):
-            changes.append([(r, c, rng.choice([PAST_INT64, "x", "-1", "0", "nan",
+            changes.append([(r, c, rng.choice([PAST_INT64, "x", "-1", "0", "-0", "nan",
                                                 rng.choice(tokens), "0" + rows[r][c],
                                                 "+" + rows[r][c], None, "cut"]))])
     for r, c in rng.choices([(r, c) for r, c in sections[3] if c + 1 < len(rows[r])],
