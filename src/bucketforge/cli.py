@@ -328,8 +328,9 @@ def _run_cond_mpe(args) -> int:
     out.put("cutset", " ".join(str(v) for v in cut), list(cut))
     out.put("iterations", str(len(result.iterations)), len(result.iterations))
     _emit_common(out, result, args)
-    if args.oracle:
-        _put_choice(out, "oracle_", *oracle.oracle_mpe(net, evidence, list(ordering)))
+    if args.oracle:  # ties go first to the cutset, as the engine breaks them
+        tie_order = [*cut, *(v for v in ordering if v not in cut)]
+        _put_choice(out, "oracle_", *oracle.oracle_mpe(net, evidence, tie_order))
     out.flush()
     return 3 if result.note else 0
 

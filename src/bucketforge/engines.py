@@ -10,9 +10,8 @@ pass reads back.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import islice, product
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,6 +38,29 @@ class IterationRecord:
     max_table_scope: int
 
 
+class Iterations(Sequence):
+    """The records of a conditioning run, each built from its combination's
+    value when read: combination ``i`` pins the cutset to the values at
+    ``np.unravel_index(i, shape)`` in its value ranges."""
+
+    def __init__(self, cut: list[int], ranges: list, values: np.ndarray, scope: int):
+        self._cut, self._ranges, self._values, self._scope = cut, ranges, values, scope
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]
+        at = np.unravel_index(i, [len(r) for r in self._ranges])
+        pinned = tuple((v, int(r[j])) for v, r, j in zip(self._cut, self._ranges, at))
+        return IterationRecord(i, pinned, float(self._values[i]), self._scope)
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
+
+
 @dataclass(frozen=True)
 class QueryResult:
     kind: str
@@ -48,7 +70,7 @@ class QueryResult:
     evidence_mass: float | None = None
     note: str | None = None
     max_table_scope: int | None = None
-    iterations: tuple[IterationRecord, ...] | None = None
+    iterations: Sequence[IterationRecord] | None = None
     plan: Plan | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -257,10 +279,11 @@ def solve_mpe_conditioned(net: BeliefNetwork, cutset: Sequence[int],
     sweep; assignments are enumerated lexicographically over the cutset
     sorted by variable id, and the first maximum wins.  The sweep is planned
     once, with the cutset scattered like the evidence, and executed once
-    per batch of assignments; only a new maximum is decoded.  Combinations
-    are generated lazily, a batch at a time, and more than
+    per batch of assignments; only a new maximum is decoded.  Each batch's
+    combinations are made from their indices, and more than
     ``oracle.CELL_LIMIT`` of them are refused before the first batch runs.
-    Every batch runs on the calling thread.
+    Beyond the sweep, the run keeps one float per combination: the
+    result's ``iterations`` builds each record from it when read.
     """
     cut = sorted(set(int(v) for v in cutset))
     for v in cut:
@@ -275,13 +298,14 @@ def _max_sweep(net: BeliefNetwork, cut: list[int], evidence: Evidence | None,
     checked ``cut``: planned once, executed per batch of cutset combinations.
 
     An observed cutset variable keeps its observed value; the others vary
-    along the batch.  The records, the maximum and its decoding are those
+    along the batch.  The values, the maximum and its decoding are those
     of one sweep per combination, bit for bit."""
     evidence, ordering = _pinned_ends(net, evidence, ordering, moral_graph,
                                       pinned=cut)
 
     ranges = [[evidence.get(v)] if v in evidence else range(net.cards[v]) for v in cut]
-    count = math.prod(len(r) for r in ranges)
+    shape = [len(r) for r in ranges]
+    count = math.prod(shape)
     if count > CELL_LIMIT:
         raise ValueError(f"cutset has {count} value combinations (cap {CELL_LIMIT})")
 
@@ -293,28 +317,23 @@ def _max_sweep(net: BeliefNetwork, cut: list[int], evidence: Evidence | None,
     size = _batch_size(planned, net.cards, cut) if count > 1 else 1
 
     best = assignment = None
-    records = []
-    combos = product(*ranges)
-    while chunk := list(islice(combos, size)):
-        values = dict(evidence.assignments)
-        columns = np.array(chunk, dtype=np.intp).reshape(len(chunk), len(cut)).T
-        values.update((v, column) for v, column in zip(cut, columns) if v not in evidence)
-        sweep = execute(planned, arrays, values)
-        winner = None
-        scalars = np.broadcast_to(sweep.scalar, len(chunk)).tolist()
-        for row, (combo, value) in enumerate(zip(chunk, scalars)):
-            records.append(IterationRecord(len(records), tuple(zip(cut, combo)), value,
-                                           planned.max_generated_scope))
-            if best is None or value > best:
-                best, winner = value, row
-        if winner is not None:
-            # Only a batched sweep needs its winning row picked out.
-            assignment = forward_decode(sweep.row(winner) if varying else sweep, range(net.n))
-    note = None
-    if best == 0.0 and len(evidence):
-        note = "no positive-probability completion of the evidence"
-    return _result("cond-mpe", planned, value=best, assignment=assignment,
-                   note=note, iterations=tuple(records))
+    values = np.empty(count)
+    for start in range(0, count, size):
+        batch = values[start:start + size]
+        pinned = dict(evidence.assignments)
+        if varying:  # an empty cutset's shape takes no array of indices
+            columns = np.unravel_index(np.arange(start, start + len(batch)), shape)
+            pinned.update((v, c) for v, c in zip(cut, columns) if v not in evidence)
+        sweep = execute(planned, arrays, pinned)
+        batch[:] = sweep.scalar
+        row = int(batch.argmax())  # the first maximum, as values are finite
+        if best is None or batch[row] > best:
+            best = float(batch[row])
+            assignment = forward_decode(sweep.row(row) if varying else sweep, range(net.n))
+    note = ("no positive-probability completion of the evidence"
+            if best == 0.0 and len(evidence) else None)
+    return _result("cond-mpe", planned, value=best, assignment=assignment, note=note,
+                   iterations=Iterations(cut, ranges, values, planned.max_generated_scope))
 
 
 def _batch_size(planned: Plan, cards, cut: Sequence[int]) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -565,6 +566,46 @@ def test_cond_mpe_output_is_the_same_at_every_parallelism(tmp_path, capsys):
     assert "iterations=16" in outputs[0].splitlines()
     assert outputs[0::2] == [outputs[0]] * 3
     assert outputs[1::2] == [outputs[1]] * 3
+
+
+def dyadic_network_text(rng, n):
+    """Binary variables with up to two earlier parents, each row drawn from
+    (0.5, 0.5), (0.25, 0.75) and (0.75, 0.25): every product of entries is
+    exact, so equal masses tie exactly."""
+    parents = [sorted(rng.sample(range(v), min(v, rng.randint(0, 2)))) for v in range(n)]
+    rows = ["0.5 0.5", "0.25 0.75", "0.75 0.25"]
+    lines = ["BAYES", str(n), " ".join(["2"] * n), str(n)]
+    lines += [" ".join(map(str, [len(ps) + 1, *ps, v])) for v, ps in enumerate(parents)]
+    lines += [f"{2 ** (len(ps) + 1)} " + " ".join(rng.choice(rows) for _ in range(2 ** len(ps)))
+              for ps in parents]
+    return "\n".join(lines) + "\n"
+
+
+def test_cond_mpe_oracle_breaks_ties_as_the_engine_does(tmp_path, capsys):
+    """The engine takes the first maximum over the cutset's combinations,
+    then decodes the rest along the ordering; --oracle breaks ties in that
+    order too."""
+    rng = random.Random(2407)
+    for case in range(200):
+        n = rng.randint(2, 6)
+        net = write(tmp_path, f"{case}.net", dyadic_network_text(rng, n))
+        order = rng.sample(range(n), n)
+        cut = order[n - rng.randint(1, min(3, n)):]
+        assert run(["cond-mpe", net, "--cutset", ",".join(map(str, cut)), "--oracle",
+                    "--order", "given:" + ",".join(map(str, order))]) == 0
+        got = dict(line.split("=", 1) for line in lines_of(capsys))
+        assert got["value"] == got["oracle_value"]
+        assert got["assignment"] == got["oracle_assignment"], (case, cut, order)
+
+
+def test_cond_mpe_trace_serialises_its_records_under_json(tmp_path, capsys):
+    net = write(tmp_path, "diag.net", DIAG_TEXT)
+    ev = write(tmp_path, "obs.ev", "1 5 1\n")
+    assert run(["cond-mpe", net, "--cutset", "1,5", "--evidence", ev, "--trace", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["iterations"] == 2
+    assert [r["pinned"] for r in out["iterations_trace"]] == [{"1": 0, "5": 1},
+                                                               {"1": 1, "5": 1}]
 
 
 def test_stats_reports_both_heuristics(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Query engines against hand-worked cases and the enumeration oracles."""
 
+import importlib.util
 import math
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -508,25 +512,40 @@ def test_conditioning_replays_one_plan_exactly_like_repeated_sweeps(draw):
 
 
 def _stream_watch(monkeypatch, batch):
-    """Run conditioning in batches of ``batch`` combinations, checking that
-    the engine reads its combinations at most one batch ahead of the
-    records it reduces them to; returns the counts of the last query."""
+    """Run conditioning in batches of ``batch`` combinations, checking each
+    execution of the plan: it carries at most ``batch`` rows, and the rows
+    of one query's executions, joined in call order, are every cutset
+    combination in ``itertools.product`` order.  ``read`` counts the rows
+    handed to ``execute`` and ``reduced`` those it has returned; returns
+    the counts of the last query."""
     state = {"read": 0, "reduced": 0}
+    query = {}
+    max_sweep, execute = engines._max_sweep, engines.execute
 
-    def counted(*ranges):
+    def watched_sweep(net, cut, evidence, ordering):
+        ev = evidence if evidence is not None else Evidence.empty()
+        ranges = [[ev.get(v)] if v in ev else range(net.cards[v]) for v in cut]
+        query.update(cut=cut, combos=list(product(*ranges)))
         state.update(read=0, reduced=0)
-        for combo in product(*ranges):
-            state["read"] += 1
-            yield combo
+        result = max_sweep(net, cut, evidence, ordering)
+        assert state["read"] == state["reduced"] == len(query["combos"]), state
+        return result
 
-    def reduced(*fields):
-        assert state["read"] - state["reduced"] <= batch, state
-        state["reduced"] += 1
-        return IterationRecord(*fields)
+    def watched_execute(planned, arrays, values):
+        rows = max((len(x) for x in values.values() if np.ndim(x)), default=1)
+        assert rows <= batch, rows
+        columns = [np.broadcast_to(values[v], rows).tolist() for v in query["cut"]]
+        start = state["read"]
+        assert [tuple(c[r] for c in columns) for r in range(rows)] == \
+            query["combos"][start:start + rows]
+        state["read"] += rows
+        sweep = execute(planned, arrays, values)
+        state["reduced"] += rows
+        return sweep
 
     monkeypatch.setattr(engines, "_batch_size", lambda planned, cards, cut: batch)
-    monkeypatch.setattr(engines, "product", counted)
-    monkeypatch.setattr(engines, "IterationRecord", reduced)
+    monkeypatch.setattr(engines, "_max_sweep", watched_sweep)
+    monkeypatch.setattr(engines, "execute", watched_execute)
     return state
 
 
@@ -536,6 +555,62 @@ def test_conditioning_streams_its_iterations(diag_net, monkeypatch, batch):
     result = solve_mpe_conditioned(diag_net, [0, 1, 2, 3, 4], None, None)
     assert state == {"read": 32, "reduced": 32}
     assert [r.index for r in result.iterations] == list(range(32))
+
+
+def test_conditioning_iterations_are_a_sequence_of_records_built_when_read(diag_net):
+    ev = Evidence({2: 1, 5: 1})
+    order = Ordering((0, 3, 4, 1, 2, 5))
+    result = solve_mpe_conditioned(diag_net, [1, 2, 5], ev, order)
+    _, records = _conditioning_by_repeated_sweeps(diag_net, [1, 2, 5], ev, order)
+    view = result.iterations
+    assert len(view) == len(records) == 2  # observed 2 and 5 keep their values
+    assert view == records and records == view and tuple(view) == records
+    assert view != records[:1] and view != "records"
+    assert view[-1] == records[-1] and view[-2] == view[0] == records[0]
+    assert view[::-1] == records[::-1] and view[5:] == ()
+    for i in (2, -3):
+        with pytest.raises(IndexError):
+            view[i]
+    with pytest.raises(TypeError):
+        view[0] = records[0]
+    assert view[1].pinned == ((1, 1), (2, 1), (5, 1))
+    # Plain ints, as --trace --json serialises them.
+    assert all(type(val) is int for rec in view for _, val in rec.pinned)
+    assert all(type(rec.value) is float for rec in view)
+
+
+def test_an_empty_cutset_has_one_record_that_pins_nothing(diag_net):
+    ev = Evidence({5: 1})
+    result = solve_mpe_conditioned(diag_net, [], ev, None)
+    (record,) = result.iterations
+    assert record == IterationRecord(0, (), result.value, result.max_table_scope)
+
+
+def _window_chain():
+    """perfbench's seeded 24-variable binary chain, each variable with
+    parents among the two before it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)  # its dataclasses look their module up
+    chain = gen.window_network(np.random.default_rng(7), 24, 2, window=2, max_parents=2)
+    return parse_network(gen.network_text(chain))
+
+
+def test_conditioning_keeps_one_float_per_combination():
+    """What a result holds after the run: at most 16 bytes per cutset
+    combination, besides the plan and the decoded answer."""
+    net, cut = _window_chain(), range(16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = solve_mpe_conditioned(net, cut)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.iterations) == 2 ** 16
+    assert held <= 16 * 2 ** 16 + 256 * 1024, held
+    assert result.iterations[-1].pinned == tuple((v, 1) for v in cut)
 
 
 def _watched_steps(planned, watch):

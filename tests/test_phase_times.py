@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,3 +81,26 @@ def test_an_order_file_is_timed_as_ordering_and_the_classmethod_put_back(tmp_pat
     assert wrapped() == before
     assert isinstance(inspect.getattr_static(cli.Ordering, "parse"), classmethod)
     assert out["exit"] == [0] and out["median_s"]["order"] > 0
+
+
+def test_the_traced_peak_comes_from_one_run_after_the_timed_ones(tmp_path, monkeypatch):
+    """Only the last run is traced, and its peak holds what the command
+    allocates: here cond-mpe's value per cutset combination."""
+    net = tmp_path / "chain.net"
+    n = 16
+    lines = ["BAYES", str(n), " ".join(["2"] * n), str(n), "1 0"]
+    lines += [f"2 {v - 1} {v}" for v in range(1, n)]
+    lines += ["2 0.6 0.4"] + ["4 0.9 0.1 0.2 0.8"] * (n - 1)
+    net.write_text("\n".join(lines) + "\n")
+    traced, run = [], cli.run
+
+    def watched(argv):
+        traced.append(tracemalloc.is_tracing())
+        return run(argv)
+
+    monkeypatch.setattr(cli, "run", watched)
+    cut = ",".join(map(str, range(14)))
+    out = phase_times.measure(["cond-mpe", str(net), "--cutset", cut], repeats=2)
+    assert traced == [False, False, False, True] and not tracemalloc.is_tracing()
+    assert out["exit"] == [0]
+    assert 8 * 2 ** 14 / 2 ** 20 <= out["traced_peak_mib"] < 64

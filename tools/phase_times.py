@@ -24,7 +24,9 @@ output is their median over the runs, and a phase the command does not
 reach reads 0.  ``gc_collections`` is the median number of cyclic-collector
 passes per run in each generation, and ``gc_s`` the median time per run
 spent in them.  A phase whose functions the imported ``bucketforge`` lacks
-reads null.  One JSON object is printed.
+reads null.  ``traced_peak_mib`` is the peak of the memory Python and numpy
+allocate (``tracemalloc``, MiB) during one more run, made after the timed
+ones so that tracing slows none of them.  One JSON object is printed.
 
 ``bucketforge`` is imported from ``sys.path``, so ``PYTHONPATH`` selects the
 tree to measure; this is how one copy of the tool measures two commits.
@@ -40,6 +42,7 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
 
 REPEATS = 7
 
@@ -127,6 +130,14 @@ def measure(argv: list[str], repeats: int = REPEATS) -> dict:
             samples["total"].append(total)
             collections.append([g["collections"] - b for g, b in zip(gc.get_stats(), before)])
             gc_times.append(collecting["spent"])
+        tracemalloc.start()
+        try:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                codes.add(cli.run(list(argv)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     finally:
         gc.callbacks.remove(on_gc)
         for owner, name, fn in reversed(saved):
@@ -142,6 +153,7 @@ def measure(argv: list[str], repeats: int = REPEATS) -> dict:
         "gc_collections": [statistics.median(c[g] for c in collections)
                            for g in range(len(collections[0]))],
         "gc_s": statistics.median(gc_times),
+        "traced_peak_mib": peak / 2 ** 20,
     }
 
 
