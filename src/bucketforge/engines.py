@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -38,6 +39,9 @@ class IterationRecord:
     max_table_scope: int
 
 
+_RECORD_BLOCK = 1 << 14  # records whose combinations Iterations unravels at once
+
+
 class Iterations(Sequence):
     """The records of a conditioning run, each built from its combination's
     value when read: combination ``i`` pins the cutset to the values at
@@ -56,6 +60,20 @@ class Iterations(Sequence):
         at = np.unravel_index(i, [len(r) for r in self._ranges])
         pinned = tuple((v, int(r[j])) for v, r, j in zip(self._cut, self._ranges, at))
         return IterationRecord(i, pinned, float(self._values[i]), self._scope)
+
+    def __iter__(self):
+        """Every record in order, the combinations of a block of records
+        unravelled in one call."""
+        shape = [len(r) for r in self._ranges]
+        ranges = [np.asarray(r) for r in self._ranges]
+        for start in range(0, len(self), _RECORD_BLOCK):
+            stop = min(start + _RECORD_BLOCK, len(self))
+            rows = repeat(())
+            if shape:  # an empty cutset's shape takes no array of indices
+                at = np.unravel_index(np.arange(start, stop), shape)
+                rows = zip(*(r[j].tolist() for r, j in zip(ranges, at)))
+            for i, row, value in zip(range(start, stop), rows, self._values[start:stop].tolist()):
+                yield IterationRecord(i, tuple(zip(self._cut, row)), value, self._scope)
 
     def __eq__(self, other) -> bool:
         return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented

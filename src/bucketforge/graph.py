@@ -157,41 +157,63 @@ def _restrict_sequence(g: GraphView, order: Sequence[int] | Ordering) -> list[in
 # -- the elimination kernel -----------------------------------------------------
 #
 # Every width and ordering question is answered by eliminating nodes from a
-# working copy of the adjacency sets: connect the node's remaining neighbours,
-# then delete it.  Its neighbour count at that moment is its induced width.
+# working copy of the graph held as Python-int bitmasks: bit i of mask[j]
+# says that the i-th and j-th smallest node ids are adjacent, so increasing
+# bit order is increasing id order however sparse the ids.  Eliminating a
+# node connects its remaining neighbours, then deletes it; its neighbour
+# count at that moment is its induced width.
 
-def _eliminate(adj: dict[int, set[int]], v: int) -> tuple[set[int], list[tuple[int, int]]]:
-    """Remove ``v`` and connect its neighbours; returns the neighbours and
-    the fill edges added, ordered by (lower end, higher end)."""
-    nbrs = adj.pop(v)
-    for u in nbrs:
-        adj[u].discard(v)
-    added = []
-    for a in sorted(nbrs):
-        # Pairs with a lower first end are already connected, so what is
-        # missing here lies above a.
-        missing = nbrs - adj[a]
-        missing.discard(a)
-        for b in sorted(missing):
-            adj[a].add(b)
-            adj[b].add(a)
-            added.append((a, b))
+def _masks(g: GraphView) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
+    """The graph's ids in increasing order, each id's bit position, and
+    one neighbour mask per position."""
+    ids = g.nodes
+    index = {v: i for i, v in enumerate(ids)}
+    bit = {v: 1 << i for v, i in index.items()}
+    return ids, index, [sum(map(bit.__getitem__, g._adj[v])) for v in ids]
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, highest first."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    return out
+
+
+def _eliminate(mask: list[int], v: int) -> tuple[int, list[tuple[int, int]]]:
+    """Remove position ``v`` and connect its neighbours; returns their mask
+    and the fill edges added, ordered by (lower end, higher end)."""
+    nbrs = mask[v]
+    mask[v] = 0
+    keep = ~(1 << v)
+    added = []  # collected highest pair first, then reversed
+    for a in _bits(nbrs):
+        had = mask[a] & keep
+        # Only pairs above a are new here: lower ones were counted at their
+        # own lower end.
+        missing = nbrs & ~had & -(2 << a)
+        if missing:
+            added.extend((a, b) for b in _bits(missing))
+        mask[a] = had | nbrs ^ (1 << a)
+    added.reverse()
     return nbrs, added
 
 
-def _degree(adj: dict[int, set[int]], v: int) -> int:
-    return len(adj[v])
-
-
-def _fill(adj: dict[int, set[int]], v: int) -> int:
-    """Missing edges among v's neighbours: C(d, 2) minus the present ones."""
-    nbrs = adj[v]
-    d = len(nbrs)
-    present = sum(len(nbrs & adj[u]) for u in nbrs) // 2
-    return d * (d - 1) // 2 - present
-
-
-_SCORES = {"min_degree": _degree, "min_fill": _fill}
+def _score(mask: list[int], v: int, fill: bool) -> int:
+    """Min-degree: v's neighbour count.  Min-fill: the missing edges among
+    them, C(d, 2) minus half the neighbour-to-neighbour adjacencies."""
+    nbrs = rest = mask[v]
+    d = nbrs.bit_count()
+    if not fill:
+        return d
+    twice_present = 0
+    while rest:  # _bits, inlined: this loop is the heuristic's hot spot
+        top = rest.bit_length() - 1
+        rest ^= 1 << top
+        twice_present += (mask[top] & nbrs).bit_count()
+    return (d * (d - 1) - twice_present) // 2
 
 
 def _greedy(g: GraphView, kind: str, candidates: Iterable[int] | None = None,
@@ -205,27 +227,29 @@ def _greedy(g: GraphView, kind: str, candidates: Iterable[int] | None = None,
     neighbours, and for min-fill also at the common neighbours of each fill
     edge, whose neighbourhoods gain that edge.
     """
-    score_of = _SCORES.get(kind)
-    if score_of is None:
+    if kind not in ("min_degree", "min_fill"):
         raise ValueError(f"unknown ordering heuristic {kind!r}")
-    adj = g.copy()._adj
-    score = {v: score_of(adj, v) for v in (adj if candidates is None else candidates)}
+    fill = kind == "min_fill"
+    ids, index, mask = _masks(g)
+    score = {v: _score(mask, v, fill)
+             for v in (range(len(ids)) if candidates is None else map(index.__getitem__, candidates))}
     heap = sorted((s, v) for v, s in score.items())
     taken: list[int] = []
     while heap:
         s, v = heappop(heap)
         if score.get(v) != s:
             continue  # eliminated, or rescored since this entry was pushed
-        if bound is not None and len(adj[v]) > bound:
+        if bound is not None and mask[v].bit_count() > bound:
             return None
         del score[v]
-        taken.append(v)
-        touched, added = _eliminate(adj, v)
-        if kind == "min_fill":
-            touched = touched.union(*(adj[a] & adj[b] for a, b in added))
-        for u in touched:
+        taken.append(ids[v])
+        touched, added = _eliminate(mask, v)
+        if fill:
+            for a, b in added:
+                touched |= mask[a] & mask[b]
+        for u in _bits(touched):
             if u in score:
-                s = score_of(adj, u)
+                s = _score(mask, u, fill)
                 if s != score[u]:
                     score[u] = s
                     heappush(heap, (s, u))
@@ -239,15 +263,18 @@ def induced_width(g: GraphView, order: Sequence[int] | Ordering) -> WidthReport:
     ordering can be reused on a node-deleted graph.
     """
     seq = _restrict_sequence(g, order)
-    pos = {v: i for i, v in enumerate(seq)}
-    node_width = {v: sum(1 for u in g.neighbors(v) if pos[u] < pos[v]) for v in seq}
-    adj = g.copy()._adj
+    ids, index, mask = _masks(g)
+    node_width: dict[int, int] = {}
+    placed = 0
+    for v in seq:
+        node_width[v] = (mask[index[v]] & placed).bit_count()
+        placed |= 1 << index[v]
     node_induced: dict[int, int] = {}
     fill: list[tuple[int, int]] = []
     for v in reversed(seq):
-        earlier, added = _eliminate(adj, v)
-        node_induced[v] = len(earlier)
-        fill.extend(added)
+        earlier, added = _eliminate(mask, index[v])
+        node_induced[v] = earlier.bit_count()
+        fill.extend((ids[a], ids[b]) for a, b in added)
     return WidthReport(
         order=tuple(seq),
         node_width=node_width,
@@ -326,31 +353,34 @@ def cutset_heuristic(g: GraphView, bound: int, kind: str = "min_degree") -> list
 
 # -- graph constructions from models ---------------------------------------------
 
-def _add_clique(g: GraphView, nodes: Sequence[int]) -> None:
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            g.add_edge(a, b)
+def _add_cliques(g: GraphView, cliques: Iterable[Sequence[int]]) -> GraphView:
+    """Connect each clique's members: each member's set takes the whole
+    clique once, and the self entries are dropped at the end."""
+    adj = g._adj
+    for clique in cliques:
+        members = set(clique)
+        try:
+            for v in members:
+                adj[v] |= members
+        except KeyError:
+            raise ValueError(f"clique {tuple(clique)} uses an unknown node") from None
+    for v, nbrs in adj.items():
+        nbrs.discard(v)
+    return g
 
 
 def moral_graph(net) -> GraphView:
     """Undirected family cliques: each child married to and among its parents."""
-    g = GraphView(range(net.n))
-    for child, parents in enumerate(net.parents):
-        _add_clique(g, (child, *parents))
-    return g
+    return _add_cliques(GraphView(range(net.n)),
+                        ((child, *parents) for child, parents in enumerate(net.parents)))
 
 
 def augmented_graph(diagram) -> GraphView:
     """Moral graph of the diagram plus a clique over each utility scope."""
-    g = moral_graph(diagram.network)
-    for f in diagram.utilities:
-        _add_clique(g, f.scope)
-    return g
+    return _add_cliques(moral_graph(diagram.network), (f.scope for f in diagram.utilities))
 
 
 def interaction_graph(theory) -> GraphView:
     """One node per proposition, a clique per clause scope (0-based nodes)."""
-    g = GraphView(range(theory.num_props))
-    for clause in theory.clauses:
-        _add_clique(g, sorted({abs(l) - 1 for l in clause}))
-    return g
+    return _add_cliques(GraphView(range(theory.num_props)),
+                        ([abs(l) - 1 for l in clause] for clause in theory.clauses))

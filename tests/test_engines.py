@@ -586,6 +586,20 @@ def test_an_empty_cutset_has_one_record_that_pins_nothing(diag_net):
     assert record == IterationRecord(0, (), result.value, result.max_table_scope)
 
 
+@pytest.mark.parametrize("block", [3, 1 << 14])
+def test_iterating_the_records_reads_what_indexing_reads(diag_net, monkeypatch, block):
+    """Iteration unravels a block of combinations at a time; each record
+    equals the one indexing builds, across block edges too."""
+    monkeypatch.setattr(engines, "_RECORD_BLOCK", block)
+    ev = Evidence({2: 1, 5: 0})
+    for cut in ([0, 1, 2, 3, 4, 5], [2, 5], [1, 3, 4], []):
+        view = solve_mpe_conditioned(diag_net, cut, ev, None).iterations
+        assert list(view) == [view[i] for i in range(len(view))]
+        assert len(list(view)) == len(view) == 2 ** len(set(cut) - {2, 5})
+        assert all(type(val) is int for rec in view for _, val in rec.pinned)
+        assert all(type(rec.value) is float for rec in view)
+
+
 def _window_chain():
     """perfbench's seeded 24-variable binary chain, each variable with
     parents among the two before it."""

@@ -2,16 +2,19 @@
 
 import itertools
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from bucketforge import (CnfTheory, GraphView, Ordering, ParseError,
-                         conditional_induced_width,
+                         augmented_graph, conditional_induced_width,
                          constrained_order, cutset_heuristic, induced_width,
                          interaction_graph, moral_graph, order_heuristic,
                          parse_network)
 from bucketforge.graph import WidthReport
-from bucketforge.randgen import random_tree_network
+from bucketforge.randgen import (random_cnf, random_influence_diagram, random_network,
+                                 random_tree_network)
 
 from conftest import DIAG_BAD_ORDER, DIAG_GOOD_ORDER, DIAG_MORAL_EDGES
 
@@ -336,3 +339,87 @@ def test_unknown_heuristic_is_rejected():
 def test_induced_width_rejects_a_repeated_node():
     with pytest.raises(ValueError):
         induced_width(complete_graph(3), [0, 0, 1, 2])
+
+
+# -- ids the kernel's bit positions stand for, and the graph constructions ------
+
+def _relabelled(g, ids):
+    """``g`` with its i-th smallest node renamed ``ids[i]``, and the renaming."""
+    new = dict(zip(g.nodes, ids))
+    return GraphView(ids, [(new[a], new[b]) for a, b in g.edges()]), new
+
+
+def test_large_sparse_ids_order_and_measure_as_their_ranks():
+    """Bit i of a working mask is the i-th smallest id, not the id itself:
+    ids spread up to 2**40 give the results of ids 0..n-1, renamed, in
+    little memory.  The renaming keeps id order, so ties break alike."""
+    rng = random.Random(4108)
+    for g in random_graphs(40, seed=4109, max_n=24):
+        compact, _ = _relabelled(g, range(g.n))
+        spread, new = _relabelled(compact, sorted(rng.sample(range(2 ** 40), g.n)))
+        nodes = list(compact.nodes)
+        pinned = rng.sample(nodes, rng.randint(0, len(nodes)))
+        cut = rng.randint(0, len(pinned))
+        order = rng.sample(nodes, len(nodes))
+        bound = rng.randint(0, 3)
+        tracemalloc.start()
+        try:
+            results = {
+                kind: (order_heuristic(spread, kind).sequence,
+                       constrained_order(spread, kind, prefix=[new[v] for v in pinned[:cut]],
+                                         suffix=[new[v] for v in pinned[cut:]]).sequence,
+                       cutset_heuristic(spread, bound, kind))
+                for kind in ("min_degree", "min_fill")}
+            report = induced_width(spread, [new[v] for v in order])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+        for kind, (heuristic, constrained, cutset) in results.items():
+            assert heuristic == tuple(new[v] for v in order_heuristic(compact, kind))
+            want = constrained_order(compact, kind, prefix=pinned[:cut], suffix=pinned[cut:])
+            assert constrained == tuple(new[v] for v in want)
+            assert cutset == [new[v] for v in cutset_heuristic(compact, bound, kind)]
+        want = induced_width(compact, order)
+        assert report == WidthReport(
+            order=tuple(new[v] for v in want.order),
+            node_width={new[v]: w for v, w in want.node_width.items()},
+            node_induced_width={new[v]: w for v, w in want.node_induced_width.items()},
+            width=want.width, induced_width=want.induced_width,
+            fill_edges=tuple((new[a], new[b]) for a, b in want.fill_edges))
+        assert list(report.node_induced_width) == [new[v] for v in want.node_induced_width]
+
+
+def _pairwise(nodes, cliques):
+    """The graph built one ``add_edge`` per pair of each clique."""
+    g = GraphView(nodes)
+    for clique in cliques:
+        for a, b in itertools.combinations(sorted(set(clique)), 2):
+            g.add_edge(a, b)
+    return g
+
+
+def test_graph_constructions_equal_their_pairwise_builds():
+    """Criterion 1's random networks and diagrams, larger networks, and
+    seeded CNFs: each construction equals adding its cliques' edges pair by
+    pair."""
+    rng = random.Random(4110)
+    for _ in range(200):
+        net = random_network(rng, max_vars=rng.choice([8, 20]), max_card=3)
+        assert moral_graph(net) == _pairwise(range(net.n), ((child, *parents)
+                                             for child, parents in enumerate(net.parents)))
+        diagram = random_influence_diagram(rng, max_vars=8, max_card=3)
+        net = diagram.network
+        assert augmented_graph(diagram) == _pairwise(
+            range(net.n), [*((child, *parents) for child, parents in enumerate(net.parents)),
+                           *(f.scope for f in diagram.utilities)])
+        theory = random_cnf(rng, max_props=30)
+        assert interaction_graph(theory) == _pairwise(
+            range(theory.num_props), ([abs(l) - 1 for l in clause] for clause in theory.clauses))
+
+
+def test_graph_constructions_reject_a_clique_over_an_unknown_node():
+    with pytest.raises(ValueError, match="unknown node"):
+        interaction_graph(SimpleNamespace(num_props=2, clauses=[frozenset({1, 3})]))
+    with pytest.raises(ValueError, match="unknown node"):
+        moral_graph(SimpleNamespace(n=2, parents=[(), (0,), (5,)]))
