@@ -28,6 +28,11 @@ input.  Products and slice folds are elementwise, so each row of a batched
 sweep is bit for bit the sweep of its combination alone, and a step with no
 batched input runs once for the whole batch.
 
+A value the sweep keeps is finite: :meth:`Sweep.run` checks each table a
+computing step files, and :meth:`Sweep.fold` each running scalar.  Sums and
+maxima carry NaN and +inf on to those; a bucket's utility sum, whose cells a
+zero probability or a maximum can drop first, is checked where it is formed.
+
 :class:`BucketSchedule` is the same sweep advanced one bucket at a time, for
 inspecting it: each ``process`` call plans one bucket with the planner of
 :func:`plan` and runs it with the :meth:`Sweep.run` of :func:`execute`.
@@ -302,12 +307,13 @@ def _eliminate(var, ins, utilities, cards, batched, reduce):
         marginal, choices = reduce(product, axis)
         if not utilities:
             return [marginal], choices
-        total = _fold(arrays[k:], totals, np.add)
-        numer = _finite(fold_sum(_finite(product.reshape(shape) * total), joint_axis))
-        # Cells the probability part rules out contribute no utility.
+        total = _finite(_fold(arrays[k:], totals, np.add))
+        # Cells the probability part rules out contribute no utility; where
+        # a product cell is > 0 so is d, so its overflow reaches the average.
+        numer = fold_sum(product.reshape(shape) * total, joint_axis)
         d = marginal.reshape(denom)
         average = np.divide(numer, d, out=np.zeros_like(numer), where=d != 0)
-        return [marginal, _finite(average)], choices
+        return [marginal, average], choices
     return results, run
 
 
@@ -330,7 +336,7 @@ def _decide(var, ins, utilities, cards, batched):
     def run(arrays, values):
         theta = np.zeros(full)
         if utilities:
-            theta = theta + _fold(arrays[k:], shapes[k:], np.add)
+            theta = _finite(theta + _fold(arrays[k:], shapes[k:], np.add))
         alive = np.ones(full, dtype=bool)
         for a, shape in zip(arrays[:k], shapes[:k]):
             alive &= a.reshape(shape) > 0
@@ -341,7 +347,7 @@ def _decide(var, ins, utilities, cards, batched):
 
 
 def _sum_out(product, axis):
-    return _finite(fold_sum(product, axis)), None
+    return fold_sum(product, axis), None
 
 
 # The rules an unobserved bucket may apply; an observed one applies _assign.
@@ -363,13 +369,13 @@ class Sweep:
         self.arg_tables: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}  # var -> (scope, choices)
 
     def fold(self, value, utility: bool) -> None:
-        """Fold an empty-scope result into its running scalar.  A batched
-        result, one value per batch row, makes the scalar a vector."""
+        """Fold an empty-scope result into its running scalar and check it.
+        A batched result, one value per batch row, makes the scalar a vector."""
         value = value if np.ndim(value) else float(value)
         if utility:
-            self.util_scalar = self.util_scalar + value
+            self.util_scalar = _finite(self.util_scalar + value)
         else:
-            self.scalar = self.scalar * value
+            self.scalar = _finite(self.scalar * value)
 
     def row(self, r: int) -> "Sweep":
         """Row ``r`` of a batched sweep: its observed values, scalars and
@@ -385,7 +391,8 @@ class Sweep:
 
     def run(self, step: Step) -> None:
         """Execute ``step``: drop its inputs, run its rule, keep any choice
-        table, then file or fold its results."""
+        table, then file or fold its results.  A computed table is checked as
+        it is filed; an observed bucket only slices tables already checked."""
         if step.run is None:
             return
         slots = self.slots
@@ -399,7 +406,7 @@ class Sweep:
             if slot == FOLD:
                 self.fold(out, utility)
             else:
-                slots[slot] = out
+                slots[slot] = out if step.op == "assign" else _finite(out)
 
 
 def execute(plan: Plan, arrays: Sequence[np.ndarray], values: Mapping[int, int]) -> Sweep:
@@ -495,13 +502,11 @@ class BucketSchedule(Sweep):
                 raise ValueError(f"cardinality conflict for variable {v}")
             if not 0 <= self.values.get(v, 0) < c:
                 raise ValueError(f"value {self.values[v]} out of range for variable {v}")
+        if not f.scope:
+            self.fold(f.values, utility)  # an overflow raises before anything is filed
         slot = self._planner.file(f.scope, utility)
         cards.update(zip(f.scope, f.cards))
-        if slot == FOLD:
-            self.fold(f.values, utility)
-            self.slots.append(None)
-        else:
-            self.slots.append(f.values)
+        self.slots.append(None if slot == FOLD else f.values)
 
     def record(self, entry: TraceEntry) -> None:
         self.trace.append(entry)

@@ -2,9 +2,10 @@
 
 The kernels are the one home of the table rules: ``_fold`` combines arrays
 viewed in their broadcast shapes (``_aligned``), ``fold_sum`` and
-``fold_max`` eliminate an axis, and ``_finite`` rejects a non-finite table.
+``fold_max`` eliminate an axis, and ``_finite`` rejects a non-finite value.
 The bucket sweep runs them on bare arrays; the factor algebra
 (``multiply``, ``add``, ``eliminate``, ``restrict``) runs them on factors.
+Only the factor constructor and the sweep call ``_finite``, on what they keep.
 
 A factor holds one real value per joint assignment of its scope.  The scope
 is always kept sorted by variable id, so factors over the same variables are
@@ -206,7 +207,7 @@ def _aligned(scope: Sequence[int], over: Sequence[int], cards) -> tuple[int, ...
     return tuple([cards[v] if v in scope else 1 for v in over])
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
+def _finite(values):
     # A product of finite tables can overflow to inf, and inf times 0 is NaN.
     if not np.logical_and.reduce(np.isfinite(values), axis=None):
         raise ValueError("factor values must be finite")
@@ -214,12 +215,12 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 
 def _fold(arrays, shapes, op):
-    """Left fold of ``op`` over the arrays, each viewed in its broadcast shape;
-    checked for finiteness when it combined anything."""
+    """Left fold of ``op`` over the arrays, each viewed in its broadcast
+    shape; unchecked, since only what is kept is checked for finiteness."""
     acc = arrays[0].reshape(shapes[0])
     for a, shape in zip(arrays[1:], shapes[1:]):
         acc = op(acc, a.reshape(shape))
-    return _finite(acc) if len(arrays) > 1 else acc
+    return acc
 
 
 def _merged_scope(factors: Sequence[DiscreteFactor]) -> tuple[tuple[int, ...], tuple[int, ...]]:

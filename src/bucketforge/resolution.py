@@ -106,17 +106,15 @@ def directional_resolution(theory: CnfTheory, ordering: Ordering) -> Directional
         else:
             # No filed clause is tautological, so a resolvent is one exactly
             # when the positive side holds the negation of a literal of the
-            # negative side.
+            # negative side.  Without a unit clause no side, and so no
+            # resolvent, is empty.
             positive = [c - {prop} for c in bucket if prop in c]
             negative = [(c - {-prop}, frozenset(-lit for lit in c))
                         for c in bucket if -prop in c]
             for a_rest in positive:
                 for b_rest, b_negated in negative:
                     if a_rest.isdisjoint(b_negated):
-                        resolvent = a_rest | b_rest
-                        if not resolvent:
-                            return unsat
-                        file_clause(resolvent)
+                        file_clause(a_rest | b_rest)
 
     extension = DirectionalExtension(ordering, theory.num_props,
                                      {p: tuple(cs) for p, cs in buckets.items()}, True)

@@ -24,6 +24,15 @@ DIAG_TEXT = """BAYES
 4 0.05 0.95 0.6 0.4
 """
 
+# Two influence diagrams whose expected utility overflows only as the sweep
+# folds it into its running sum: two empty-scope utilities of 1e308, and a
+# chance bucket's average and a decision bucket's maximum of 1e308 each.
+OVERFLOW_DIAGRAMS = {
+    "inf.id": "ID\n1\n2\n1 0\n0\n2\n0\n1 1e308\n0\n1 1e308\n",
+    "inf2.id": ("ID\n2\n2 2\n1 0\n1\n1 1\n2 0.5 0.5\n2\n1 1\n2 1e308 1e308\n"
+                "1 0\n2 1e308 1e308\n"),
+}
+
 DIAG_MORAL_EDGES = {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 4),
                     (4, 5)}
 

@@ -9,7 +9,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bucketforge import BucketSchedule, Evidence, Ordering, forward_decode, partition
+from bucketforge import (BucketSchedule, Evidence, EvidenceError, Ordering, forward_decode,
+                         partition)
 from bucketforge.buckets import FOLD, execute, plan
 from bucketforge.factor import DiscreteFactor
 from bucketforge.randgen import (random_evidence, random_influence_diagram,
@@ -469,3 +470,16 @@ def test_a_plans_trace_is_the_step_by_step_trace():
                     kinds["varying" if cut else "evidence" if len(ev) else "plain"] += 1
                     kinds["widest > 1"] += widest > 1
     assert min(kinds.values()) >= 50, kinds
+
+
+@pytest.mark.parametrize("build, cls, message", [
+    (lambda: BucketSchedule(Ordering((0, 1)), Evidence({7: 0})), EvidenceError,
+     "unknown variable 7"),
+    (lambda: partition([DiscreteFactor((0,), (2,), np.ones(2)),
+                        DiscreteFactor((0, 1), (3, 2), np.ones((3, 2)))], Ordering((0, 1))),
+     ValueError, "cardinality conflict for variable 0"),
+], ids=["evidence variable", "cardinality"])
+def test_a_schedule_refuses_what_its_ordering_or_tables_contradict(build, cls, message):
+    with pytest.raises(Exception) as info:
+        build()
+    assert (type(info.value), str(info.value)) == (cls, message)

@@ -17,7 +17,7 @@ from bucketforge.cli import run
 from bucketforge.model import parse_cnf
 from bucketforge.oracle import oracle_sat
 
-from conftest import DIAG_TEXT
+from conftest import DIAG_TEXT, OVERFLOW_DIAGRAMS
 
 CHAIN_TEXT = """BAYES
 3
@@ -717,6 +717,28 @@ def test_non_finite_table_entry_is_an_invalid_input_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: table entry must be finite, found 'nan' (line 8, column 3)\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("name", sorted(OVERFLOW_DIAGRAMS))
+def test_meu_whose_expected_utility_overflows_is_refused(tmp_path, capsys, name, json_flag):
+    path = write(tmp_path, name, OVERFLOW_DIAGRAMS[name])
+    assert run(["meu", path, *json_flag]) == 1
+    assert capsys.readouterr() == ("", "error: factor values must be finite\n")
+
+
+@pytest.mark.parametrize("spec, code, expected", [
+    ("0,,1", 0, None),
+    (",", 1, ("", "error: empty id list ','\n")),
+], ids=["empty token", "no id"])
+def test_an_id_list_skips_empty_tokens_but_not_every_token(tmp_path, capsys, spec, code,
+                                                           expected):
+    net = write(tmp_path, "chain.net", CHAIN_TEXT)
+    if expected is None:  # the same as the list without its empty token
+        assert run(["map", net, "--hyp", "0,1"]) == 0
+        expected = capsys.readouterr()
+    assert run(["map", net, "--hyp", spec]) == code
+    assert capsys.readouterr() == expected
 
 
 @pytest.mark.parametrize("order", [None, "min-degree", "given:1,0,2", "chain.ord"])

@@ -61,3 +61,18 @@ def test_exit_answer_and_trace_differences_are_counted_apart():
     assert [argv for argv, *_ in diffs["exit"]] == [["mpe"]]
     assert [argv for argv, *_ in diffs["answer"]] == [["mpe"], ["map"], ["dr"]]
     assert [argv for argv, *_ in diffs["trace"]] == [["bel"], ["map"]]
+
+
+def test_the_command_set_runs_meu_on_diagrams_whose_sums_can_overflow(tmp_path, capsys):
+    from bucketforge.cli import run
+    from bucketforge.model import parse_network
+
+    commands = cli_diff.build_commands(400, 3, str(tmp_path))
+    scaled = [argv for argv in commands if argv[1].endswith(".big.id")]
+    assert scaled and {argv[0] for argv in scaled} == {"meu"}
+    for argv in scaled:
+        diagram = parse_network(Path(argv[1]).read_text())
+        assert all(1e290 <= abs(f.values).max() <= 10 ** 308.25 for f in diagram.utilities)
+    codes = [run(argv) for argv in scaled]
+    err = capsys.readouterr().err
+    assert 0 in codes and "error: factor values must be finite\n" in err

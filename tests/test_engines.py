@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bucketforge import (Evidence, IterationRecord, Ordering,
+from bucketforge import (Evidence, EvidenceError, IterationRecord, Ordering,
                          OrderingConstraintError, ZeroMassError, engines,
                          parse_network, solve_belief, solve_map, solve_meu,
                          solve_mpe, solve_mpe_conditioned)
@@ -25,7 +25,7 @@ from bucketforge.randgen import (random_evidence, random_influence_diagram,
                                  random_network, shuffled_ordering,
                                  uniform_network)
 
-from conftest import DIAG_GOOD_ORDER
+from conftest import DIAG_GOOD_ORDER, OVERFLOW_DIAGRAMS
 
 SINGLE = """BAYES
 1
@@ -761,3 +761,25 @@ def test_meu_rejects_utilities_whose_sum_overflows(var):
     diagram = parse_network(UTILITY_OVERFLOW.format(var=var))
     with pytest.raises(ValueError, match="^factor values must be finite$"):
         solve_meu(diagram, None, None)
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_DIAGRAMS))
+def test_meu_rejects_an_expected_utility_that_overflows_as_it_folds(name):
+    diagram = parse_network(OVERFLOW_DIAGRAMS[name])
+    with pytest.raises(ValueError, match="^factor values must be finite$"):
+        solve_meu(diagram, None, None)
+
+
+@pytest.mark.parametrize("call, cls, message", [
+    (lambda net: solve_mpe(net, Evidence({9: 0})), EvidenceError, "unknown variable 9"),
+    (lambda net: solve_map(net, [0], Evidence({1: 2})), EvidenceError,
+     "value 2 out of range for variable 1"),
+    (lambda net: solve_belief(net, 0, None, Ordering((0, 1, 2, 3, 4))), OrderingConstraintError,
+     "ordering must list each of the model's 6 variables exactly once"),
+    (lambda net: solve_belief(net, 9), EvidenceError, "unknown query variable 9"),
+    (lambda net: solve_mpe_conditioned(net, [1, 9]), ValueError, "unknown cutset variable 9"),
+], ids=["evidence variable", "evidence value", "ordering", "query", "cutset"])
+def test_engines_refuse_variables_and_orderings_outside_the_model(diag_net, call, cls, message):
+    with pytest.raises(Exception) as info:
+        call(diag_net)
+    assert (type(info.value), str(info.value)) == (cls, message)

@@ -230,6 +230,16 @@ def test_a_kept_array_still_passes_every_check():
         DiscreteFactor((0, 0), (2, 2), values)
 
 
+@pytest.mark.parametrize("scope, cards, message", [
+    ((0, 1), (2,), "scope and cardinalities differ in length"),
+    ((0,), (0,), "cardinalities must be >= 1"),
+], ids=["lengths", "cardinality"])
+def test_the_constructor_refuses_a_malformed_scope(scope, cards, message):
+    with pytest.raises(ValueError) as info:
+        DiscreteFactor(scope, cards, np.zeros(2))
+    assert (type(info.value), str(info.value)) == (ValueError, message)
+
+
 def test_non_finite_entries_are_rejected():
     with pytest.raises(ValueError):
         DiscreteFactor.from_table([0], [2], [float("nan"), 0.5])
@@ -406,6 +416,33 @@ def test_bucket_product_of_inf_and_zero_is_rejected():
     zero = DiscreteFactor.from_table([0, 1], [2, 2], [0.0, 1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="finite"):
         bucket_of(huge, also, zero).process(1, "max")
+
+
+def test_a_scalar_that_overflows_as_it_folds_is_rejected():
+    scalar = DiscreteFactor((), (), 1e200)
+    schedule = partition([scalar], Ordering((0, 1)))
+    with pytest.raises(ValueError, match="^factor values must be finite$"):
+        schedule.place(scalar)
+    # The refused table left the schedule as it was.
+    assert (schedule.scalar, schedule.slots) == (1e200, [None])
+    schedule.place(DiscreteFactor.from_table([1], [2], [1e200, 1e200]))
+    with pytest.raises(ValueError, match="^factor values must be finite$"):
+        schedule.process(1, "sum")
+    with pytest.raises(ValueError, match="^factor values must be finite$"):
+        partition([], Ordering((0,)), utilities=[DiscreteFactor((), (), 1e308)] * 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_max_bucket_passes_over_a_product_cell_that_overflows_to_minus_inf():
+    # Only a library caller's factors can be negative: each row's maximum is
+    # exact, and the -inf cell it passes over is never kept.
+    low = DiscreteFactor.from_table([0, 1], [2, 2], [-1e200, 1.0, -1e200, 2.0])
+    high = DiscreteFactor.from_table([1], [2], [1e200, 1.0])
+    schedule = bucket_of(low, high)
+    schedule.process(1, "max")
+    assert schedule.arg_tables[1][1].tolist() == [1, 1]
+    schedule.process(0, "max")
+    assert schedule.scalar == 2.0
 
 
 def test_algebra_results_are_write_locked():

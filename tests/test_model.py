@@ -15,6 +15,15 @@ from bucketforge import (BeliefNetwork, CnfTheory, CycleError, DiscreteFactor,
 from bucketforge.randgen import (random_cnf, random_evidence,
                                  random_influence_diagram, random_network)
 
+CHILD = DiscreteFactor.from_table([0, 1], [2, 2], [0.5, 0.5, 0.5, 0.5])
+
+
+def _diagram(decisions, prior=None, utilities=()):
+    """Binary 0 -> 1, variable 0 with ``prior`` as its table."""
+    return InfluenceDiagram(BeliefNetwork((2, 2), ((), (0,)), (prior, CHILD)),
+                            decisions, utilities)
+
+
 TWO_NODE = """BAYES
 2
 2 3
@@ -393,3 +402,26 @@ def test_dimacs_errors_carry_each_literals_position():
     # columns count from the line's first non-blank character.
     _assert_each_token_is_located(DIMACS_ROWS, parse_cnf, first_data_token=7,
                                   from_line_start=False)
+
+
+@pytest.mark.parametrize("build, cls, message", [
+    (lambda: _diagram((0,)).network.table_list(), ModelError,
+     "variables [0] have no conditional table"),
+    (lambda: _diagram((0, 0)), ModelError, "duplicate decision variable"),
+    (lambda: _diagram((5,)), ModelError, "unknown decision variable 5"),
+    (lambda: _diagram((1,)), ModelError, "decision variable 1 has parents"),
+    (lambda: _diagram((0,), DiscreteFactor((0,), (2,), [0.5, 0.5])), ModelError,
+     "decision variable 0 has a conditional table"),
+    (lambda: _diagram(()), ModelError, "chance variable 0 has no conditional table"),
+    (lambda: _diagram((0,), utilities=(DiscreteFactor((7,), (2,), np.zeros(2)),)),
+     ModelError, "utility mentions unknown variable 7"),
+    (lambda: _diagram((0,), utilities=(DiscreteFactor((1,), (3,), np.zeros(3)),)),
+     ModelError, "utility disagrees on cardinality of variable 1"),
+    (lambda: Evidence({0: -1}), EvidenceError, "negative value for variable 0"),
+], ids=["missing table", "duplicate decision", "unknown decision", "decision parents",
+        "decision table", "chance table", "utility variable", "utility cardinality",
+        "negative evidence"])
+def test_models_and_evidence_built_in_the_library_are_checked(build, cls, message):
+    with pytest.raises(ModelError) as info:
+        build()
+    assert (type(info.value), str(info.value)) == (cls, message)

@@ -56,6 +56,15 @@ def test_unsatisfiable_core_needs_two_steps():
     assert extension.clause_count() == 0
 
 
+def test_a_theory_with_an_empty_clause_has_an_unsatisfiable_extension():
+    theory = CnfTheory(2, clauses({1, 2}, set()))
+    extension = directional_resolution(theory, Ordering((1, 0)))
+    assert not extension.satisfiable
+    assert extension.clause_count() == 0
+    with pytest.raises(UnsatisfiableError):
+        generate_model(extension)
+
+
 def test_model_generation_walks_the_ordering():
     theory = CnfTheory(3, clauses({1, -2}, {2, 3}))
     extension = directional_resolution(theory, Ordering((0, 1, 2)))

@@ -8,7 +8,9 @@ directory, and so is a damaged copy of each network and diagram file: one
 token replaced, deleted, or the text cut after it.  Every command
 (``bel``, ``mpe``, ``map``, ``meu``, ``cond-mpe``, ``dr``, ``stats``, with
 a random mix of ``--evidence``, ``--order``, ``--trace``, ``--json``,
-``--oracle`` and ``--lax``, plus ``mpe`` or ``meu`` on each damaged copy)
+``--oracle`` and ``--lax``, plus ``mpe`` or ``meu`` on each damaged copy,
+and ``meu`` on a copy of each diagram whose utilities are scaled into
+1e290 .. 1e308, where the sweep's sums can overflow)
 then runs through ``bucketforge.cli.run`` once per tree, each tree in its
 own subprocess that imports ``bucketforge`` from that tree only.
 
@@ -112,6 +114,20 @@ def _damaged(rng: random.Random, files: _Files, suffix: str, text: str) -> str:
     return files.put(".bad" + suffix, "".join(" ".join(row) + "\n" for row in rows))
 
 
+def _scaled(rng: random.Random, files: _Files, diagram) -> str:
+    """A copy of ``diagram`` with each utility table scaled so that its
+    largest magnitude is 10**e, e in 290 .. 308.25.  Exponents near the top
+    are drawn most often, so that the sums of some copies overflow."""
+    from bucketforge.factor import DiscreteFactor
+    from bucketforge.model import InfluenceDiagram, serialize_network
+
+    def scale(values):
+        return values * (10 ** (308.25 - 18.25 * rng.random() ** 4) / (abs(values).max() or 1.0))
+    utilities = tuple(DiscreteFactor(f.scope, f.cards, scale(f.values)) for f in diagram.utilities)
+    scaled = InfluenceDiagram(diagram.network, diagram.decisions, utilities)
+    return files.put(".big.id", serialize_network(scaled))
+
+
 def _network_commands(rng: random.Random, files: _Files) -> list[list[str]]:
     from bucketforge.model import serialize_evidence, serialize_network
     from bucketforge.randgen import random_evidence, random_network
@@ -172,6 +188,8 @@ def _diagram_commands(rng: random.Random, files: _Files) -> list[list[str]]:
         commands.append(["stats", path, *ev, *_order(rng, files, diagram.n),
                          *_flags(rng, trace=False, oracle=False)])
     commands.append(["meu", _damaged(rng, files, ".id", text), *_flags(rng, oracle=False)])
+    commands.append(["meu", _scaled(rng, files, diagram), *ev,
+                     *_order(rng, files, diagram.n, diagram.decisions, observed), *_flags(rng)])
     return commands
 
 
