@@ -337,9 +337,13 @@ def _run_cond_mpe(args) -> int:
 
 def _run_dr(args) -> int:
     theory = _load_cnf(args, _read(args.cnf))
-    ordering = _resolve_ordering(args.order, theory.num_props,
-                                 lambda: interaction_graph(theory), base=1)
-    extension = directional_resolution(theory, ordering)
+    built = []  # the interaction graph, once a heuristic ordering has built it
+
+    def graph():
+        built.append(interaction_graph(theory))
+        return built[0]
+    ordering = _resolve_ordering(args.order, theory.num_props, graph, base=1)
+    extension = directional_resolution(theory, ordering, *built)
     if not extension.satisfiable:
         return _refuse(args, "UNSAT", {"sat": 0})
     model = generate_model(extension)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnsatisfiableError
-from .graph import Ordering, induced_width, interaction_graph
+from .graph import GraphView, Ordering, induced_width, interaction_graph
 from .model import CnfTheory, sorted_clause
 
 
@@ -50,14 +50,16 @@ class DirectionalExtension:
         return "\n".join(lines) + "\n"
 
 
-def directional_resolution(theory: CnfTheory, ordering: Ordering) -> DirectionalExtension:
+def directional_resolution(theory: CnfTheory, ordering: Ordering,
+                           graph: GraphView | None = None) -> DirectionalExtension:
     """Resolution sweep over buckets; empty resolvent means unsatisfiable.
 
     A clause that contains a clause already filed is not filed: the smaller
     clause sits in the same or an earlier bucket, so model generation has
     satisfied it first, and every resolvent of the larger one contains it
     or a resolvent of it.  On an unsatisfiable theory the returned
-    extension is empty.
+    extension is empty.  ``graph`` is the theory's interaction graph, if
+    the caller has built it; the width check builds one otherwise.
     """
     n = theory.num_props
     if len(ordering) != n:
@@ -119,7 +121,9 @@ def directional_resolution(theory: CnfTheory, ordering: Ordering) -> Directional
     extension = DirectionalExtension(ordering, theory.num_props,
                                      {p: tuple(cs) for p, cs in buckets.items()}, True)
     # Resolvent size is capped by the interaction graph's induced width.
-    bound = induced_width(interaction_graph(theory), ordering).induced_width + 1
+    if graph is None:
+        graph = interaction_graph(theory)
+    bound = induced_width(graph, ordering).induced_width + 1
     longest = max((len(c) for c in extension.all_clauses()), default=0)
     if longest > bound:
         raise AssertionError(f"a clause of {longest} literals exceeded the "

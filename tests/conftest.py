@@ -33,6 +33,23 @@ OVERFLOW_DIAGRAMS = {
                 "1 0\n2 1e308 1e308\n"),
 }
 
+# An influence diagram whose two utility tables over {var} sum to more than
+# the largest float in np.add: in the decision bucket when var is 0, in the
+# chance bucket when it is 1.
+UTILITY_OVERFLOW = """ID
+2
+2 2
+1 0
+1
+2 0 1
+4 0.2 0.8 0.9 0.1
+2
+1 {var}
+2 1e308 1.0
+1 {var}
+2 1e308 1.0
+"""
+
 DIAG_MORAL_EDGES = {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 4),
                     (4, 5)}
 

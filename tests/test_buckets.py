@@ -1,6 +1,7 @@
 """Bucket filing, the observation rule, and the backward sweep mechanics."""
 
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -182,6 +183,25 @@ def test_a_utility_only_sum_bucket_is_refused_and_kept():
     assert snapshot(schedule) == before and schedule.trace == []
 
 
+@pytest.mark.parametrize("tables, op", [
+    ([((1,), [1e200, 1.0]), ((0, 1), [1e200, 1.0, 1.0, 1.0])], "sum"),
+    ([((1,), [1e200, 1.0]), ((0, 1), [1e200, 1.0, 1.0, 1.0]),
+      ((0, 1), [0.0, 1.0, 1.0, 1.0])], "max"),
+    ([((), 1e200), ((1,), [1e200, 1e200])], "sum"),
+], ids=["product overflows", "inf times zero", "scalar overflows as it folds"])
+def test_a_refused_process_leaves_the_schedule_as_it_was(tables, op):
+    schedule = partition([DiscreteFactor(scope, (2,) * len(scope), values)
+                          for scope, values in tables], Ordering((0, 1)))
+    before = snapshot(schedule), schedule.scalar, len(schedule.slots)
+    for _ in range(2):  # the refused bucket is still there to refuse again
+        with pytest.raises(ValueError, match="^factor values must be finite$"):
+            schedule.process(1, op)
+        assert (snapshot(schedule), schedule.scalar, len(schedule.slots)) == before
+        assert schedule.trace == [] and schedule.arg_tables == {}
+    schedule.process(0, op)  # the rest of the sweep still runs
+    assert schedule.trace[-1].variable == 0
+
+
 @pytest.mark.parametrize("op", ["sum", "max"])
 def test_a_batched_sweep_is_each_of_its_rows_bit_for_bit(diag_net, op):
     # Variables 1 and 4 vary mid-order along four rows, 5 is observed.
@@ -242,7 +262,8 @@ def test_a_table_is_freed_once_its_bucket_is_processed(diag_net):
 @pytest.mark.parametrize("evidence", [{}, {4: 0}], ids=["unobserved", "observed mid-order"])
 def test_no_slot_outlives_the_step_that_consumes_it(diag_net, evidence):
     # Along the good ordering, bucket 5 sends a table to bucket 4; with 4
-    # observed that table is scattered instead of summed.
+    # observed that table, over no variable once 4 is fixed, is folded
+    # instead of summed.
     tables = diag_net.factor_list()
     planned = plan([f.scope for f in tables], diag_net.cards, Ordering(DIAG_GOOD_ORDER),
                    evidence, dict.fromkeys(DIAG_GOOD_ORDER, "sum"))
@@ -253,7 +274,7 @@ def test_no_slot_outlives_the_step_that_consumes_it(diag_net, evidence):
             # Every generated slot an earlier step consumed is gone by now.
             gc.collect()
             for before in planned.steps[:index]:
-                for slot in before.inputs:
+                for slot in before.reads:
                     if slot in made:
                         assert made[slot]() is None, slot
                         checked.append(slot)
@@ -262,7 +283,7 @@ def test_no_slot_outlives_the_step_that_consumes_it(diag_net, evidence):
                 if slot != FOLD:
                     made[slot] = weakref.ref(out)
             return outs, choices
-        return step._replace(run=run)
+        return step._replace(run=run) if step.run else step
 
     watching = planned._replace(steps=tuple(
         watched(i, step) for i, step in enumerate(planned.steps)))
@@ -279,28 +300,37 @@ def test_no_slot_outlives_the_step_that_consumes_it(diag_net, evidence):
 @pytest.mark.parametrize("observed, varying", [({1, 4, 5}, set()), ({4}, {1, 5})],
                          ids=["single values", "a batch"])
 def test_a_scattered_slot_shares_no_memory_with_its_input(diag_net, op, observed, varying):
-    # Along the good ordering, bucket 5 sends a table over (4,) to bucket 4:
-    # in a batch, 4 slices a batched table and an unbatched one.
+    # A fixed observed variable's slices are views of the tables handed to
+    # execute, taken before the sweep, and its bucket runs nothing; a
+    # varying variable's bucket gathers copies.  So no slot holds a view of
+    # a table a step computed, and none keeps one alive.
     tables = diag_net.factor_list()
+    arrays = [f.values for f in tables]
     planned = plan([f.scope for f in tables], diag_net.cards, Ordering(DIAG_GOOD_ORDER),
                    observed, dict.fromkeys(DIAG_GOOD_ORDER, op), varying=varying)
-    scattered = []
+    made, scattered = [], []
 
     def watched(step):
-        def run(arrays, values):
-            outs, choices = step.run(arrays, values)
+        def run(ins, values):
+            for a in ins:
+                assert all(a is m or not np.shares_memory(a, m) for m in made)
+                assert any(a is m for m in made) or any(np.shares_memory(a, t) for t in arrays)
+            outs, choices = step.run(ins, values)
             for out in outs:
-                assert not any(np.shares_memory(out, a) for a in arrays)
-            scattered.append((step.variable, [np.ndim(a) for a in arrays]))
+                assert not any(np.shares_memory(out, a) for a in [*ins, *made])
+            made.extend(outs)
+            if step.entry.op == "assign":
+                scattered.append((step.variable, [np.ndim(a) for a in ins]))
             return outs, choices
-        return step._replace(run=run) if step.entry.op == "assign" else step
+        return step._replace(run=run) if step.run else step
 
     values = {v: np.array([0, 1, 1, 0]) if v in varying else 1 for v in observed | varying}
-    execute(planned._replace(steps=tuple(map(watched, planned.steps))),
-            [f.values for f in tables], values)
-    assert sorted(v for v, _ in scattered) == sorted(observed | varying)
-    if varying:  # bucket 4 sliced the batched (4,) and the unbatched (1, 2, 4)
-        assert sorted(dict(scattered)[4]) == [2, 3]
+    execute(planned._replace(steps=tuple(map(watched, planned.steps))), arrays, values)
+    assert [s.variable for s in planned.steps if s.entry.op == "assign" and not s.run] == \
+        [v for v in reversed(DIAG_GOOD_ORDER) if v in observed]
+    assert sorted(v for v, _ in scattered) == sorted(varying)
+    if varying:  # bucket 5 gathered the table over (4, 5), already restricted at 4
+        assert dict(scattered)[5] == [1]
 
 
 def test_full_sum_sweep_reproduces_total_mass(diag_net):
@@ -470,6 +500,90 @@ def test_a_plans_trace_is_the_step_by_step_trace():
                     kinds["varying" if cut else "evidence" if len(ev) else "plain"] += 1
                     kinds["widest > 1"] += widest > 1
     assert min(kinds.values()) >= 50, kinds
+
+
+def _mid_order_cases(rng, count):
+    """Criterion 1's random networks, each with random evidence and up to
+    two free cutset variables, under an ordering that puts the observed and
+    cutset variables anywhere."""
+    for case in range(count):
+        model = random_network(rng, max_vars=8, max_card=3,
+                               hard_rows=0.3 if case % 3 == 0 else 0.0)
+        evidence = random_evidence(rng, model, max_observed=3)
+        free = [v for v in range(model.n) if v not in evidence]
+        cut = rng.sample(free, min(len(free), rng.randint(0, 2)))
+        yield model, evidence, cut, shuffled_ordering(rng, model.n)
+
+
+def test_a_fixed_variables_bucket_runs_nothing_and_is_still_traced():
+    """In a plan of a network or a diagram, no bucket of an observed
+    variable with one value carries a ``run``, each still has its
+    ``assign`` entry in the trace, and every varying variable's bucket
+    gathers."""
+    rng = random.Random(27101)
+    cases = [(model, model.factor_list(), (), evidence, cut, order,
+              [dict.fromkeys(order, "sum"), dict.fromkeys(order, "max")])
+             for model, evidence, cut, order in _mid_order_cases(rng, 150)]
+    for _ in range(60):
+        model = random_influence_diagram(rng, max_vars=8, max_card=3)
+        head = set(model.decisions)
+        order = shuffled_ordering(rng, model.n, prefix=list(model.decisions))
+        cases.append((model, model.chance_factors(), model.utilities,
+                      random_evidence(rng, model, exclude=model.decisions), [], order,
+                      [{v: "decide" if v in head else "sum" for v in order}]))
+    kinds = Counter()
+    for model, tables, utilities, evidence, cut, order, rules in cases:
+        for ops in rules:
+            planned = plan([f.scope for f in [*tables, *utilities]], model.cards, order,
+                           evidence.assignments, ops, len(utilities), varying=cut)
+            trace = planned.trace
+            assert len(trace) == len(planned.steps)
+            for step, entry in zip(planned.steps, trace):
+                var = step.variable
+                observed = var in evidence or var in cut
+                assert entry.op == ("skip" if not step.inputs else "assign" if observed
+                                    else "max" if ops[var] == "decide" else ops[var])
+                assert (step.run is None) == (not step.inputs or var in evidence)
+                if observed and entry.op != "skip":
+                    kinds["fixed" if var in evidence else "gathered"] += 1
+                    kinds["with utilities"] += bool(utilities) and var in evidence
+    assert min(kinds.values()) >= 50 and kinds["fixed"] >= 300, kinds
+
+
+def test_a_batched_plan_with_fixed_evidence_is_the_step_by_step_sweep_bit_for_bit():
+    """One cond-mpe plan with fixed evidence variables and a varying cutset,
+    both anywhere in the ordering: each row of its batched sweep has the
+    scalar, the choice tables and the decode of the step-by-step sweep
+    with the row's cutset values added to the evidence, bit for bit."""
+    kinds = Counter()
+    for model, evidence, cut, order in _mid_order_cases(random.Random(27202), 120):
+        tables = model.factor_list()
+        ops = dict.fromkeys(order, "max")
+        planned = plan([f.scope for f in tables], model.cards, order, evidence.assignments,
+                       ops, varying=cut)
+        rows = list(itertools.product(*(range(model.cards[v]) for v in cut)))
+        values = {**evidence.assignments,
+                  **{v: np.array([row[j] for row in rows]) for j, v in enumerate(cut)}}
+        batch = execute(planned, [f.values for f in tables], values)
+        for r, row in enumerate(rows):
+            pinned = Evidence({**evidence.assignments, **dict(zip(cut, row))})
+            schedule = _step_by_step(tables, (), order, pinned, ops)
+            picked = batch.row(r)
+            assert picked.scalar.hex() == schedule.scalar.hex()
+            assert picked.arg_tables.keys() == schedule.arg_tables.keys()
+            for var, (scope, choices) in schedule.arg_tables.items():
+                other_scope, other = picked.arg_tables[var]
+                assert scope == other_scope
+                assert choices.dtype == other.dtype and choices.tobytes() == other.tobytes()
+            assert forward_decode(picked, range(model.n)) == \
+                forward_decode(schedule, range(model.n))
+            kinds["rows"] += 1
+            kinds["zero mass"] += schedule.scalar == 0.0
+        first = min((order.index_of(v) for v in evidence.assignments), default=model.n)
+        kinds["observed mid-order"] += any(v not in evidence for v in order.sequence[first:])
+        kinds["with a cutset"] += bool(cut) and len(evidence) > 0
+    assert kinds["rows"] >= 300 and kinds["zero mass"] > 0, kinds
+    assert kinds["observed mid-order"] >= 40 and kinds["with a cutset"] >= 40, kinds
 
 
 @pytest.mark.parametrize("build, cls, message", [

@@ -17,7 +17,7 @@ from bucketforge.cli import run
 from bucketforge.model import parse_cnf
 from bucketforge.oracle import oracle_sat
 
-from conftest import DIAG_TEXT, OVERFLOW_DIAGRAMS
+from conftest import DIAG_TEXT, OVERFLOW_DIAGRAMS, UTILITY_OVERFLOW
 
 CHAIN_TEXT = """BAYES
 3
@@ -724,6 +724,16 @@ def test_non_finite_table_entry_is_an_invalid_input_file(tmp_path, capsys):
 def test_meu_whose_expected_utility_overflows_is_refused(tmp_path, capsys, name, json_flag):
     path = write(tmp_path, name, OVERFLOW_DIAGRAMS[name])
     assert run(["meu", path, *json_flag]) == 1
+    assert capsys.readouterr() == ("", "error: factor values must be finite\n")
+
+
+# Under the default filter a numpy RuntimeWarning would print as a
+# ``warning:`` line, as it does outside the tests.
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@pytest.mark.parametrize("var", [0, 1], ids=["decision bucket", "chance bucket"])
+def test_a_utility_sum_that_overflows_prints_only_the_refusal(tmp_path, capsys, var):
+    path = write(tmp_path, "sum.id", UTILITY_OVERFLOW.format(var=var))
+    assert run(["meu", path]) == 1
     assert capsys.readouterr() == ("", "error: factor values must be finite\n")
 
 

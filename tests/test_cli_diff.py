@@ -76,3 +76,26 @@ def test_the_command_set_runs_meu_on_diagrams_whose_sums_can_overflow(tmp_path, 
     codes = [run(argv) for argv in scaled]
     err = capsys.readouterr().err
     assert 0 in codes and "error: factor values must be finite\n" in err
+
+
+def test_a_third_of_the_query_orderings_leave_the_observed_variables_anywhere(tmp_path):
+    from bucketforge.graph import Ordering
+    from bucketforge.model import parse_evidence, parse_network
+
+    commands = cli_diff.build_commands(600, 3, str(tmp_path))
+    queries = [argv for argv in commands if argv[0] in ("bel", "mpe", "map")
+               and not argv[1].endswith(".bad.net")]
+    mid_order = 0
+    for argv in queries:
+        if "--evidence" not in argv or "--order" not in argv:
+            continue
+        net = parse_network(Path(argv[1]).read_text())
+        evidence = parse_evidence(Path(argv[argv.index("--evidence") + 1]).read_text(), net)
+        spec = argv[argv.index("--order") + 1]
+        if spec in ("min-fill", "min-degree"):
+            continue
+        seq = ([int(v) for v in spec[len("given:"):].split(",")] if spec.startswith("given:")
+               else list(Ordering.parse(Path(spec).read_text(), net.n)))
+        first = min(seq.index(v) for v, _ in evidence.items())
+        mid_order += any(v not in evidence for v in seq[first:])
+    assert mid_order >= len(queries) // 8

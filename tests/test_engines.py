@@ -25,7 +25,7 @@ from bucketforge.randgen import (random_evidence, random_influence_diagram,
                                  random_network, shuffled_ordering,
                                  uniform_network)
 
-from conftest import DIAG_GOOD_ORDER, OVERFLOW_DIAGRAMS
+from conftest import DIAG_GOOD_ORDER, OVERFLOW_DIAGRAMS, UTILITY_OVERFLOW
 
 SINGLE = """BAYES
 1
@@ -733,26 +733,13 @@ def test_a_cutset_mid_order_shares_the_buckets_that_do_not_depend_on_it(monkeypa
         assert set(ran.values()) == {1}  # one batch holds every combination
         for step, ins, outs in calls:
             entry = step.entry
-            batched = [a.ndim > len(scope) for a, scope in
-                       zip((*ins, *outs), (*entry.input_scopes, *entry.output_scopes))]
+            # Each array is over the scope its slot keeps once the evidence
+            # is applied.
+            slots = (*step.inputs, *range(step.first, step.first + len(step.outputs)))
+            batched = [a.ndim > len(step.planner.kept[i]) for a, i in zip((*ins, *outs), slots)]
             assert batched == expected[step.variable]
             shared += entry.op == "max" and not any(batched)
     assert shared >= 40
-
-
-UTILITY_OVERFLOW = """ID
-2
-2 2
-1 0
-1
-2 0 1
-4 0.2 0.8 0.9 0.1
-2
-1 {var}
-2 1e308 1.0
-1 {var}
-2 1e308 1.0
-"""
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -783,3 +770,32 @@ def test_engines_refuse_variables_and_orderings_outside_the_model(diag_net, call
     with pytest.raises(Exception) as info:
         call(diag_net)
     assert (type(info.value), str(info.value)) == (cls, message)
+
+
+# Chance variable 1 is observed at 0; both utilities over (1, 2) sum past the
+# float range only where 1 takes value 1.
+OVERFLOW_ONLY_OFF_THE_EVIDENCE = """ID
+3
+2 2 2
+1 0
+2
+2 0 1
+2 1 2
+4 0.5 0.5 0.5 0.5
+4 0.3 0.7 0.6 0.4
+2
+2 1 2
+4 1.0 2.0 1e308 1e308
+2 1 2
+4 1.0 2.0 1e308 1e308
+"""
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)], ids=["observed mid-order", "last"])
+def test_a_cell_at_an_unobserved_value_is_never_computed(order):
+    # With the observed variable mid-order, bucket 2 sums the utilities
+    # before bucket 1 is processed; the evidence, applied first, leaves out
+    # the cells that overflow, so both orderings give the same answer.
+    diagram = parse_network(OVERFLOW_ONLY_OFF_THE_EVIDENCE)
+    result = solve_meu(diagram, Evidence({1: 0}), Ordering(order))
+    assert result.value == pytest.approx(3.4) and result.assignment == {0: 0}

@@ -245,3 +245,51 @@ def test_width_bound_violation_raises_under_python_O(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised 1 "), proc.stdout
+
+
+def _band_cnf(rng, props, band, count):
+    """A seeded 3-CNF whose clauses each lie in ``band`` consecutive
+    propositions."""
+    out = []
+    for _ in range(count):
+        low = rng.randint(1, props - band + 1)
+        out.append(frozenset(p if rng.random() < 0.5 else -p
+                             for p in rng.sample(range(low, low + band), 3)))
+    return CnfTheory(props, tuple(out))
+
+
+def test_a_passed_interaction_graph_gives_the_extension_built_without_it():
+    rng = random.Random(2027)
+    sat = 0
+    for case in range(40):
+        props = rng.randint(6, 40)
+        theory = _band_cnf(rng, props, rng.randint(3, min(6, props)),
+                           rng.randint(props, 3 * props))
+        graph = interaction_graph(theory)
+        for ordering in (order_heuristic(graph, "min_fill"), shuffled_ordering(rng, props)):
+            built = directional_resolution(theory, ordering)
+            passed = directional_resolution(theory, ordering, graph)
+            assert passed == built
+            assert passed.to_dimacs() == built.to_dimacs()
+            sat += built.satisfiable
+    assert 0 < sat < 80
+
+
+@pytest.mark.parametrize("order", [None, "min-degree", "given:3,1,2,4"], ids=str)
+def test_dr_builds_the_interaction_graph_once(tmp_path, capsys, monkeypatch, order):
+    import bucketforge.cli as cli
+    path = tmp_path / "band.cnf"
+    path.write_text("p cnf 4 3\n1 -2 3 0\n-1 2 4 0\n2 -3 -4 0\n", encoding="utf-8")
+    argv = ["dr", str(path), *([] if order is None else ["--order", order])]
+    assert cli.run(argv) == 0
+    expected = capsys.readouterr()
+    built = []
+
+    def counted(theory):
+        built.append(theory)
+        return interaction_graph(theory)
+    monkeypatch.setattr(cli, "interaction_graph", counted)
+    monkeypatch.setattr(bucketforge.resolution, "interaction_graph", counted)
+    assert cli.run(argv) == 0
+    assert capsys.readouterr() == expected
+    assert len(built) == 1

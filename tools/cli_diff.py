@@ -12,7 +12,9 @@ a random mix of ``--evidence``, ``--order``, ``--trace``, ``--json``,
 and ``meu`` on a copy of each diagram whose utilities are scaled into
 1e290 .. 1e308, where the sweep's sums can overflow)
 then runs through ``bucketforge.cli.run`` once per tree, each tree in its
-own subprocess that imports ``bucketforge`` from that tree only.
+own subprocess that imports ``bucketforge`` from that tree only.  A third
+of the ``bel``, ``mpe`` and ``map`` commands take a given ordering with the
+observed variables anywhere in it; the others order them last.
 
 The report counts commands whose exit code differs, whose answer differs
 (stdout without its trace lines, or the JSON object without its trace
@@ -97,6 +99,19 @@ def _order(rng: random.Random, files: _Files, n: int, prefix=(), suffix=(),
     return ["--order", files.put(".order", " ".join(map(str, seq)) + "\n")]
 
 
+def _query_order(rng: random.Random, aside: random.Random, files: _Files, n: int, prefix,
+                 observed) -> list[str]:
+    """The ordering of a ``bel``, ``mpe`` or ``map`` command: one that pins
+    the observed variables last, or once in three a given list or file
+    with them anywhere after ``prefix``.  The second is drawn from
+    ``aside``, and the first always from ``rng``, so that the rest of a
+    seed's command set does not depend on which is taken."""
+    pinned = _order(rng, files, n, prefix, [v for v in observed if v not in prefix])
+    if aside.random() < 1 / 3:
+        return _order(aside, files, n, prefix, kinds=("given", "file"))
+    return pinned
+
+
 def _damaged(rng: random.Random, files: _Files, suffix: str, text: str) -> str:
     """A copy of ``text`` with one token, drawn from a random line, replaced,
     deleted, or with the text cut after it."""
@@ -128,7 +143,8 @@ def _scaled(rng: random.Random, files: _Files, diagram) -> str:
     return files.put(".big.id", serialize_network(scaled))
 
 
-def _network_commands(rng: random.Random, files: _Files) -> list[list[str]]:
+def _network_commands(rng: random.Random, files: _Files,
+                      aside: random.Random) -> list[list[str]]:
     from bucketforge.model import serialize_evidence, serialize_network
     from bucketforge.randgen import random_evidence, random_network
 
@@ -143,14 +159,14 @@ def _network_commands(rng: random.Random, files: _Files) -> list[list[str]]:
 
     query = rng.randrange(net.n)
     commands.append(["bel", path, "--query", str(query), *ev,
-                     *_order(rng, files, net.n, [query], [v for v in observed if v != query]),
+                     *_query_order(rng, aside, files, net.n, [query], observed),
                      *_flags(rng)])
-    commands.append(["mpe", path, *ev, *_order(rng, files, net.n, suffix=observed),
+    commands.append(["mpe", path, *ev, *_query_order(rng, aside, files, net.n, [], observed),
                      *_flags(rng)])
     hyp = rng.sample(range(net.n), rng.randint(1, min(3, net.n)))
     hyp_spec = ",".join(net.names[v] if rng.random() < 0.2 else str(v) for v in hyp)
     commands.append(["map", path, "--hyp", hyp_spec, *ev,
-                     *_order(rng, files, net.n, hyp, [v for v in observed if v not in hyp]),
+                     *_query_order(rng, aside, files, net.n, hyp, observed),
                      *_flags(rng)])
     if rng.random() < 0.5:
         cut = sorted(rng.sample(range(net.n), rng.randint(0, min(3, net.n))))
@@ -215,14 +231,15 @@ def _cnf_commands(rng: random.Random, files: _Files) -> list[list[str]]:
 
 def build_commands(count: int, seed: int, workdir: str) -> list[list[str]]:
     """At least ``count`` commands over seeded inputs written to ``workdir``."""
-    rng = random.Random(seed)
+    rng, aside = random.Random(seed), random.Random(f"anywhere {seed}")
     files = _Files(workdir)
     commands: list[list[str]] = []
     while len(commands) < count:
         r = rng.random()
-        make = (_network_commands if r < 0.7 else
-                _diagram_commands if r < 0.85 else _cnf_commands)
-        commands += make(rng, files)
+        if r < 0.7:
+            commands += _network_commands(rng, files, aside)
+        else:
+            commands += (_diagram_commands if r < 0.85 else _cnf_commands)(rng, files)
     return commands
 
 
