@@ -62,6 +62,7 @@ A refused ``process`` call leaves it as it was.
 from __future__ import annotations
 
 import math
+import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
@@ -199,6 +200,7 @@ class _Planner:
         # every slot's scope once built.
         self.given: dict[int, tuple[int, ...]] = {}
         self._built: list[tuple[int, ...]] = []
+        self._building = threading.Lock()  # a plan's trace may be read on several threads
         self.widest = 0  # the largest scope a sum or max rule generated
 
     def mask(self, scope: Sequence[int]) -> int:
@@ -218,16 +220,17 @@ class _Planner:
         fixed ones its mask holds.  Built for new slots when read."""
         built, masks, kept, fixed_mask = self._built, self.masks, self.kept, self.fixed_mask
         sequence, bit = self.ordering.sequence, self.bit
-        for i in range(len(built), len(masks)):
-            fixed = masks[i] & fixed_mask
-            if not fixed:
-                built.append(kept[i])
-            elif i in self.given:
-                built.append(self.given[i])
-            elif i in self.source:  # a slice: what its mask keeps of the table's scope
-                built.append(tuple([v for v in built[self.source[i]] if bit[v] & masks[i]]))
-            else:
-                built.append(tuple(sorted((*kept[i], *[sequence[p] for p in _bits(fixed)]))))
+        with self._building:
+            for i in range(len(built), len(masks)):
+                fixed = masks[i] & fixed_mask
+                if not fixed:
+                    built.append(kept[i])
+                elif i in self.given:
+                    built.append(self.given[i])
+                elif i in self.source:  # a slice: what its mask keeps of the table's scope
+                    built.append(tuple([v for v in built[self.source[i]] if bit[v] & masks[i]]))
+                else:
+                    built.append(tuple(sorted((*kept[i], *[sequence[p] for p in _bits(fixed)]))))
         return built
 
     def file(self, mask: int, kept: tuple[int, ...], utility: bool, batched: bool = False,

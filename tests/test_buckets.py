@@ -4,6 +4,8 @@ import gc
 import itertools
 import math
 import random
+import sys
+import threading
 import weakref
 from collections import Counter
 
@@ -548,6 +550,36 @@ def test_a_fixed_variables_bucket_runs_nothing_and_is_still_traced():
                     kinds["fixed" if var in evidence else "gathered"] += 1
                     kinds["with utilities"] += bool(utilities) and var in evidence
     assert min(kinds.values()) >= 50 and kinds["fixed"] >= 300, kinds
+
+
+def test_a_plans_trace_read_on_several_threads_at_once_is_its_trace():
+    """The scopes a plan builds when its trace is first read are built
+    once, whichever of several threads reading it gets there first."""
+    n = 2000  # a window-3 chain, every other variable observed mid-order
+    scopes = [tuple(range(max(0, i - 2), i + 1)) for i in range(n)]
+    order = Ordering(tuple(range(n)))
+
+    def planned():
+        return plan(scopes, [2] * n, order, range(0, n, 2), dict.fromkeys(range(n), "max"))
+    expected = planned().trace
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            shared, seen, ready = planned(), [], threading.Barrier(6)
+
+            def read():
+                ready.wait(timeout=30)
+                seen.append(shared.trace)
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [expected] * 6
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_a_batched_plan_with_fixed_evidence_is_the_step_by_step_sweep_bit_for_bit():
