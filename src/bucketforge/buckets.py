@@ -219,6 +219,8 @@ class _Planner:
         """Each slot's scope, in id order: the variables it keeps, and the
         fixed ones its mask holds.  Built for new slots when read."""
         built, masks, kept, fixed_mask = self._built, self.masks, self.kept, self.fixed_mask
+        if len(built) == len(masks):  # the list only grows, under the lock, to this length
+            return built
         sequence, bit = self.ordering.sequence, self.bit
         with self._building:
             for i in range(len(built), len(masks)):
