@@ -12,7 +12,9 @@ only on the scopes, the ordering, the observed set and each bucket's rule,
 never on a table's numbers or an observed value.  :func:`plan` works all of
 that out once; :func:`execute` runs the plan on arrays, and can run it again
 for other numbers or other observed values.  A table is held in a numbered
-slot and dropped once the step that consumes it has run.  The planner files
+slot and dropped once the step that consumes it has run; each table a step
+keeps is a fresh array, and the intermediates of its wide buckets live in
+one scratch per :func:`execute` call.  The planner files
 a slot by its position mask (bit ``p`` for the variable at ordering
 position ``p``) and builds its scope only when read.
 
@@ -73,8 +75,8 @@ import numpy as np
 from .errors import EvidenceError
 # ``multiply`` is not called here, but perfbench/tracing.py wraps
 # ``buckets.multiply`` by name and fails to install without it.
-from .factor import (DiscreteFactor, _aligned, _finite, _fold, fold_max,  # noqa: F401
-                     fold_sum, multiply)
+from .factor import (DiscreteFactor, Scratch, _aligned, _finite, _fold,  # noqa: F401
+                     _narrow, fold_max, fold_sum, multiply)
 from .graph import Ordering, _bits
 from .model import Evidence
 
@@ -106,10 +108,19 @@ def _generated_scope(entry: TraceEntry) -> int:
     return max(map(len, entry.output_scopes), default=0)
 
 
+class Context(NamedTuple):
+    """What one sweep hands each step it runs: the observed values, and the
+    scratch memory the step's kernels write their intermediates in."""
+
+    values: Mapping[int, int]
+    scratch: Scratch
+
+
 class Step(NamedTuple):
-    """One planned bucket.  ``run(arrays, values) -> (results, choices)`` is
-    its rule with the shapes bound, run on the arrays its ``reads`` slots
-    hold; ``choices`` is a maximizing rule's choice table, else None.
+    """One planned bucket.  ``run(arrays, context) -> (results, choices)``
+    is its rule with the shapes bound, run on the arrays its ``reads`` slots
+    hold in a :class:`Context`; ``choices`` is a maximizing rule's choice
+    table, else None.  Each result and choice table is a fresh array.
     Result ``j`` is over ``planner.scopes[first + j]``, a folded one too.
 
     An empty bucket has no ``run``, and neither has the bucket of a fixed
@@ -427,8 +438,8 @@ def _assign(var, masks, kept, utilities, cards, batched):
             partial(_take, var, [s.index(var) + b for s, b in zip(kept, batched)]))
 
 
-def _take(var, axes, arrays, values):
-    value = values[var]
+def _take(var, axes, arrays, context):
+    value = context.values[var]
     # take copies, so a slice does not keep the table it came from alive.
     return [a.take(value, axis) for a, axis in zip(arrays, axes)], None
 
@@ -443,8 +454,8 @@ def _gather(var, masks, kept, utilities, cards, batched):
             partial(_gathered, var, [s.index(var) + b for s, b in zip(kept, batched)], batched))
 
 
-def _gathered(var, axes, batched, arrays, values):
-    index = values[var]
+def _gathered(var, axes, batched, arrays, context):
+    index = context.values[var]
     rows = np.arange(len(index))
     # Indexing by arrays copies, so no result keeps its table alive.
     return [np.moveaxis(a, axis, 1)[rows, index] if b else np.moveaxis(a, axis, 0)[index]
@@ -468,30 +479,66 @@ def _eliminate(var, masks, kept, utilities, cards, batched, reduce):
     lead = any(batched)  # the batch axis comes first
     axis = over.index(var) + lead
     mask = _joined(masks[:k])
+    rows = batched.index(True) if lead else None  # an input with the batch axis
+    full = _wide(shapes, over, over, cards, rows)
     if not utilities:
-        return [(mask, scope, False, lead)], partial(_reduced, shapes, reduce, axis)
+        return [(mask, scope, False, lead)], partial(_reduced, shapes, full, rows, reduce, axis)
     joint = _union(kept)
     rest = _without(joint, var)
+    totals = [_aligned(s, joint, cards) for s in kept[k:]]
+    # The weighted product continues in the product's own array where it
+    # has its shape (None); the product of one table is that table's view.
+    weighted = None if k > 1 and joint == over else _aligned(joint, joint, cards)
     return ([(mask, scope, False, False), (_joined(masks[k:], mask), rest, True, False)],
-            partial(_averaged, k, shapes, reduce, axis, [_aligned(s, joint, cards) for s in kept[k:]],
-                    _aligned(over, joint, cards), joint.index(var), _aligned(scope, rest, cards)))
+            partial(_averaged, k, shapes, full, reduce, axis, totals,
+                    _wide(totals, _union(kept[k:]), joint, cards, None),
+                    _aligned(over, joint, cards), weighted, joint.index(var),
+                    _aligned(rest, rest, cards), _aligned(scope, rest, cards)))
 
 
-def _reduced(shapes, reduce, axis, arrays, values):
+def _wide(shapes, scope, over, cards, rows):
+    """The shape of a fold of arrays in ``shapes`` over ``scope``, viewed
+    over ``over``, if the fold writes in the scratch; None for one that
+    does not: of one array, which is its own view, or of fewer than
+    ``SCRATCH_CELLS`` cells and no batch axis, which :meth:`Scratch.take`
+    would give a fresh array anyway."""
+    if len(shapes) == 1 or (rows is None and _narrow(_cells(scope, cards))):
+        return None
+    return _aligned(scope, over, cards)
+
+
+def _out(scratch, key, full, rows, arrays):
+    """Where a fold of ``arrays`` writes: nowhere given (None) when ``full``
+    is None, else ``scratch``'s buffer ``key`` viewed in shape ``full``,
+    after a batch axis as long as input ``rows`` when that is not None."""
+    if full is None:
+        return None
+    if rows is not None:
+        full = (len(arrays[rows]), *full)
+    return scratch.take(key, full)
+
+
+def _reduced(shapes, full, rows, reduce, axis, arrays, context):
     """The product of the probability tables, reduced over ``axis``."""
-    marginal, choices = reduce(_fold(arrays, shapes, np.multiply), axis)
+    scratch = context.scratch
+    product = _fold(arrays, shapes, np.multiply, _out(scratch, "product", full, rows, arrays))
+    marginal, choices = reduce(product, axis, scratch)
     return [marginal], choices
 
 
-def _averaged(k, shapes, reduce, axis, totals, shape, joint_axis, denom, arrays, values):
+def _averaged(k, shapes, full, reduce, axis, totals, sums, shape, weighted, joint_axis, rest,
+              denom, arrays, context):
     """The marginal of the first ``k`` tables, and the average of the
     utilities after them weighted by their product."""
-    product = _fold(arrays[:k], shapes, np.multiply)
-    marginal, choices = reduce(product, axis)
-    total = _finite(_fold(arrays[k:], totals, np.add))
+    scratch = context.scratch
+    product = _fold(arrays[:k], shapes, np.multiply, _out(scratch, "product", full, None, arrays))
+    marginal, choices = reduce(product, axis, scratch)
+    total = _finite(_fold(arrays[k:], totals, np.add, _out(scratch, "total", sums, None, arrays)))
     # Cells the probability part rules out contribute no utility; where a
     # product cell is > 0 so is d, so its overflow reaches the average.
-    numer = fold_sum(product.reshape(shape) * total, joint_axis)
+    weighted = product if weighted is None else scratch.take("weighted", weighted)
+    np.multiply(product.reshape(shape), total, out=weighted)
+    numer = fold_sum(weighted, joint_axis, scratch.take("numer", rest))
     d = marginal.reshape(denom)
     return [marginal, np.divide(numer, d, out=np.zeros_like(numer), where=d != 0)], choices
 
@@ -513,19 +560,19 @@ def _decide(var, masks, kept, utilities, cards, batched):
                     tuple(cards[v] for v in scope), scope.index(var)))
 
 
-def _decided(k, shapes, full, axis, arrays, values):
+def _decided(k, shapes, full, axis, arrays, context):
     theta = np.zeros(full)
     if len(arrays) > k:
         theta = _finite(theta + _fold(arrays[k:], shapes[k:], np.add))
     alive = np.ones(full, dtype=bool)
     for a, shape in zip(arrays[:k], shapes[:k]):
         alive &= a.reshape(shape) > 0
-    best, choices = fold_max(np.where(alive, theta, -np.inf), axis)
+    best, choices = fold_max(np.where(alive, theta, -np.inf), axis, context.scratch)
     support = alive.any(axis=axis)
     return [np.where(support, best, 0.0), support.astype(np.float64)], choices
 
 
-def _sum_out(product, axis):
+def _sum_out(product, axis, scratch):
     return fold_sum(product, axis), None
 
 
@@ -573,10 +620,11 @@ class Sweep:
             for v, (scope, choices) in self.arg_tables.items()}
         return picked
 
-    def run(self, step: Step) -> None:
-        """Execute ``step``: drop the tables it reads, run its rule, keep any
-        choice table, then file or fold its results.  A computed table is
-        checked as it is filed; a slice is of tables already checked."""
+    def run(self, step: Step, context: Context) -> None:
+        """Execute ``step`` in ``context``: drop the tables it reads, run its
+        rule, keep any choice table, then file or fold its results.  A
+        computed table is checked as it is filed; a slice is of tables
+        already checked."""
         slots = self.slots
         ins = [slots[i] for i in step.reads]
         for i in step.reads:
@@ -585,7 +633,7 @@ class Sweep:
             for a, utility in zip(ins, [u for slot, u in step.outputs if slot == FOLD]):
                 self.fold(a, utility)
             return
-        outs, choices = step.run(ins, self.values)
+        outs, choices = step.run(ins, context)
         if choices is not None:
             self.arg_tables[step.variable] = (step.planner.kept[step.first], choices)
         for (slot, utility), out in zip(step.outputs, outs):
@@ -604,7 +652,9 @@ def execute(plan: Plan, arrays: Sequence[np.ndarray], values: Mapping[int, int])
     restricted once, as a view; then the steps that do something run.  Each
     step drops its inputs before the next runs, so a table lives only until
     its bucket is processed.  A sum or product that overflows is refused by
-    the finiteness checks, not warned about.
+    the finiteness checks, not warned about.  The steps' intermediates share
+    one :class:`Scratch`, dropped when this call returns, so concurrent
+    calls on one plan stay independent.
     """
     slots = [*arrays, *[None] * (len(plan.scopes) - len(arrays))]
     # Each index template holds a fixed variable's id at its axis, -1 at a
@@ -613,13 +663,14 @@ def execute(plan: Plan, arrays: Sequence[np.ndarray], values: Mapping[int, int])
     for slot, template in plan.restricted.items():
         slots[slot] = slots[slot][tuple(map(index, template))]
     sweep = Sweep(plan.ordering, values, slots)
+    context = Context(values, Scratch())
     with np.errstate(over="ignore", invalid="ignore"):
         for slot, utility in plan.folds:
             sweep.fold(slots[slot], utility)
             slots[slot] = None
         for step in plan.steps:
             if step.reads:  # a skipped bucket, or a fixed one that folds nothing, does nothing
-                sweep.run(step)
+                sweep.run(step, context)
     return sweep
 
 
@@ -738,7 +789,7 @@ class BucketSchedule(Sweep):
         self.slots += [None] * (len(planner.scopes) - len(self.slots))
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                self.run(step)
+                self.run(step, Context(self.values, Scratch()))
         except BaseException:
             planner.unstep(step, filed, widest)
             del self.slots[step.first:]

@@ -7,6 +7,15 @@ The bucket sweep runs them on bare arrays; the factor algebra
 (``multiply``, ``add``, ``eliminate``, ``restrict``) runs them on factors.
 Only the factor constructor and the sweep call ``_finite``, on what they keep.
 
+A table a kernel returns to be kept is a fresh array.  Its intermediates
+(a fold that goes on past two arrays, ``fold_max``'s per-slice comparison,
+a sum written where its caller says) can live in a :class:`Scratch`, whose
+buffers one sweep reuses from bucket to bucket; an intermediate of fewer
+than ``SCRATCH_CELLS`` cells, or of a kernel given no scratch, is a fresh
+array.  A fold continues in its own output, so every cell goes through the
+same operations in the same order as with a fresh array per operation, and
+gives the same bits.
+
 A factor holds one real value per joint assignment of its scope.  The scope
 is always kept sorted by variable id, so factors over the same variables are
 comparable entrywise, and ``values`` carries one axis per scope variable in
@@ -22,6 +31,7 @@ to the array that owns the memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -142,14 +152,45 @@ class DiscreteFactor:
         raise ValueError(f"unknown elimination operator {op!r}")
 
 
+# Below this many cells an intermediate is a fresh array: numpy's and
+# malloc's caches hand back warm memory for it, faster than a scratch view
+# is made.  At 2^14 float64 cells (128 KiB, malloc's default threshold for
+# mapping a block from the OS) a fresh array's pages can be new ones, and
+# each first touch of a new page is a page fault.
+SCRATCH_CELLS = 1 << 14
+
+
+def _narrow(cells: int) -> bool:
+    """Whether an intermediate of ``cells`` cells is made fresh."""
+    return cells < SCRATCH_CELLS
+
+
+class Scratch(dict):
+    """Memory reused for the intermediates of the kernels: ``take(key,
+    shape, dtype)`` is a view of the first cells of the buffer ``key``
+    names, which grows to the largest shape asked of it, or a fresh array
+    for a shape of fewer than ``SCRATCH_CELLS`` cells.  A key is taken with
+    one dtype only, and a view is valid until its key is taken again."""
+
+    def take(self, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        n = math.prod(shape)
+        if _narrow(n):
+            return np.empty(shape, dtype)
+        buffer = self.get(key)
+        if buffer is None or buffer.size < n:
+            buffer = self[key] = np.empty(n, dtype)
+        return buffer[:n].reshape(shape)
+
+
 def _slices(values: np.ndarray, axis: int) -> list[np.ndarray]:
     # The trailing Ellipsis keeps 0-d slices arrays rather than scalars.
     head = (slice(None),) * axis
     return [values[head + (i, Ellipsis)] for i in range(values.shape[axis])]
 
 
-def fold_sum(values: np.ndarray, axis: int) -> np.ndarray:
-    """``values.sum(axis)`` as k - 1 additions of whole slices.
+def fold_sum(values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``values.sum(axis)`` as k - 1 additions of whole slices, written in
+    ``out`` if given, else in a fresh array.
 
     numpy reduces a short axis with a length-k inner loop per output cell;
     adding whole slices runs one output-sized loop per value instead.  The
@@ -158,9 +199,11 @@ def fold_sum(values: np.ndarray, axis: int) -> np.ndarray:
     in the last bit.
     """
     slices = _slices(values, axis)
+    out = np.empty(slices[0].shape) if out is None else out
     if len(slices) == 1:
-        return np.array(slices[0])
-    out = np.add(slices[0], slices[1], out=np.empty(slices[0].shape))
+        out[...] = slices[0]
+        return out
+    np.add(slices[0], slices[1], out=out)
     for s in slices[2:]:
         np.add(out, s, out=out)
     return out
@@ -172,9 +215,11 @@ def fold_sum(values: np.ndarray, axis: int) -> np.ndarray:
 REDUCE_CELLS = 256
 
 
-def fold_max(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+def fold_max(values: np.ndarray, axis: int,
+             scratch: Scratch | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``values.max(axis)`` and the lowest index attaining it, the index in
-    the smallest unsigned integer type that holds it.
+    the smallest unsigned integer type that holds it; both are fresh
+    arrays, and the slice fold's per-slice arrays live in ``scratch``.
 
     Below ``REDUCE_CELLS`` cells, numpy's max and argmax reduce the axis at
     once.  Otherwise, or when a maximum is zero, the axis is folded slice by
@@ -195,10 +240,15 @@ def fold_max(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     slices = _slices(values, axis)
     best = np.array(slices[0])
     choices = np.zeros(best.shape, dtype=index)
+    if len(slices) == 1:
+        return best, choices
+    scratch = Scratch() if scratch is None else scratch
+    better = scratch.take("better", best.shape, bool)
+    moved = scratch.take(index, best.shape, index)
     for i, s in enumerate(slices[1:], 1):
-        better = s > best
+        np.greater(s, best, out=better)
         np.maximum(best, s, out=best)
-        np.maximum(choices, better * index(i), out=choices)
+        np.maximum(choices, np.multiply(better, index(i), out=moved), out=choices)
     return best, choices
 
 
@@ -214,12 +264,15 @@ def _finite(values):
     return values
 
 
-def _fold(arrays, shapes, op):
+def _fold(arrays, shapes, op, out=None):
     """Left fold of ``op`` over the arrays, each viewed in its broadcast
-    shape; unchecked, since only what is kept is checked for finiteness."""
+    shape; unchecked, since only what is kept is checked for finiteness.
+    Two or more arrays are folded in ``out``, an array of the shape they
+    broadcast to, if one is given: the first operation writes it and each
+    later one continues in it."""
     acc = arrays[0].reshape(shapes[0])
     for a, shape in zip(arrays[1:], shapes[1:]):
-        acc = op(acc, a.reshape(shape))
+        acc = op(acc, a.reshape(shape), out=out)
     return acc
 
 

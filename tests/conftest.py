@@ -1,8 +1,11 @@
-"""Shared fixtures: a hand-built six-variable network with known widths."""
+"""Shared fixtures: a hand-built six-variable network with known widths,
+and the table kernels as they were before they took scratch memory, kept
+as the reference the kernels are checked against."""
 
+import numpy as np
 import pytest
 
-from bucketforge import parse_network
+from bucketforge import factor, parse_network
 
 # Six binary variables 0..5 with arcs 0->1, 0->2, {0,1}->3, {1,2}->4, 4->5.
 # Small enough to enumerate, wide enough to exercise fill edges and buckets.
@@ -66,3 +69,42 @@ def diag_text():
 @pytest.fixture
 def diag_net():
     return parse_network(DIAG_TEXT)
+
+
+# -- the kernels allocating per operation, as references ---------------------------
+
+def reference_fold(arrays, shapes, op):
+    """The fold as it was before the scratch: a fresh array per operation."""
+    acc = arrays[0].reshape(shapes[0])
+    for a, shape in zip(arrays[1:], shapes[1:]):
+        acc = op(acc, a.reshape(shape))
+    return acc
+
+
+def reference_fold_sum(values, axis):
+    """fold_sum as it was before the scratch: the sum in a fresh array."""
+    slices = factor._slices(values, axis)
+    if len(slices) == 1:
+        return np.array(slices[0])
+    out = np.add(slices[0], slices[1], out=np.empty(slices[0].shape))
+    for s in slices[2:]:
+        np.add(out, s, out=out)
+    return out
+
+
+def reference_fold_max(values, axis):
+    """fold_max as it was before the scratch: the per-slice comparison and
+    index arrays fresh for every slice."""
+    index = np.min_scalar_type(values.shape[axis] - 1).type
+    if values.size < factor.REDUCE_CELLS:
+        best = values.max(axis)
+        if best.all():
+            return np.asarray(best), np.asarray(values.argmax(axis), dtype=index)
+    slices = factor._slices(values, axis)
+    best = np.array(slices[0])
+    choices = np.zeros(best.shape, dtype=index)
+    for i, s in enumerate(slices[1:], 1):
+        better = s > best
+        np.maximum(best, s, out=best)
+        np.maximum(choices, better * index(i), out=choices)
+    return best, choices

@@ -12,14 +12,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bucketforge import (BucketSchedule, Evidence, EvidenceError, Ordering, forward_decode,
-                         partition)
-from bucketforge.buckets import FOLD, execute, plan
-from bucketforge.factor import DiscreteFactor
+from bucketforge import (BucketSchedule, Evidence, EvidenceError, Ordering, buckets, factor,
+                         forward_decode, partition)
+from bucketforge.buckets import FOLD, Context, execute, plan
+from bucketforge.factor import DiscreteFactor, Scratch
 from bucketforge.randgen import (random_evidence, random_influence_diagram,
                                  random_network, shuffled_ordering)
 
-from conftest import DIAG_BAD_ORDER, DIAG_GOOD_ORDER
+from conftest import (DIAG_BAD_ORDER, DIAG_GOOD_ORDER, reference_fold, reference_fold_max,
+                      reference_fold_sum)
 
 
 def scopes_in(bucket):
@@ -629,3 +630,256 @@ def test_a_schedule_refuses_what_its_ordering_or_tables_contradict(build, cls, m
     with pytest.raises(Exception) as info:
         build()
     assert (type(info.value), str(info.value)) == (cls, message)
+
+
+# -- the scratch memory of a sweep ---------------------------------------------------
+
+
+def _reference_bucket(op, var, kept, utilities, cards, batched, arrays):
+    """The sum or max rule as it was before the scratch, allocating per
+    operation: the marginal and choice table of the probability product,
+    and the utilities' sum weighted by it, summed out and divided by the
+    marginal where it is not zero."""
+    k = len(kept) - utilities
+    over = tuple(sorted({v for s in kept[:k] for v in s}))
+    scope = tuple(v for v in over if v != var)
+    shapes = [factor._aligned(s, over, cards) for s in kept[:k]]
+    if any(batched):
+        shapes = [(-1 if b else 1, *shape) for b, shape in zip(batched, shapes)]
+    axis = over.index(var) + any(batched)
+    product = reference_fold(arrays[:k], shapes, np.multiply)
+    if op == "max":
+        marginal, choices = reference_fold_max(product, axis)
+    else:
+        marginal, choices = reference_fold_sum(product, axis), None
+    if not utilities:
+        return [marginal], choices
+    joint = tuple(sorted({v for s in kept for v in s}))
+    rest = tuple(v for v in joint if v != var)
+    total = reference_fold(arrays[k:], [factor._aligned(s, joint, cards) for s in kept[k:]],
+                            np.add)
+    numer = reference_fold_sum(product.reshape(factor._aligned(over, joint, cards)) * total,
+                                joint.index(var))
+    d = marginal.reshape(factor._aligned(scope, rest, cards))
+    return [marginal, np.divide(numer, d, out=np.zeros_like(numer), where=d != 0)], choices
+
+
+def _random_bucket(rng, wide):
+    """A bucket of variable 0: cards of 2 to 4, 1 to 3 probability tables
+    and 0 to 3 utility tables, each over 0 and some of variables 1-11.  A
+    wide bucket's product has at least ``factor.SCRATCH_CELLS`` cells.
+    Values are uniform draws, or from three values (ties and zero maxima),
+    and some buckets hold contexts where every probability of variable 0
+    is zero under negative utilities (a zero-mass context)."""
+    while True:
+        cards = {v: int(rng.integers(2, 5)) for v in range(12)}
+        over = [0, *sorted(rng.choice(np.arange(1, 12), size=int(rng.integers(3, 12)),
+                                      replace=False).tolist())]
+        cells = math.prod(cards[v] for v in over)
+        if (cells >= factor.SCRATCH_CELLS) == wide and cells <= 1 << 18:
+            break
+    k, utilities = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+    kept = [tuple(over)]
+    for _ in range(k - 1 + utilities):
+        others = [v for v in range(1, 12) if rng.random() < 0.4]
+        kept.append(tuple(sorted({0, *others} & set(over) if rng.random() < 0.6
+                                 else {0, *others})))
+    kept[:k] = [kept[i] for i in rng.permutation(k)]
+    kind = rng.integers(3)
+    arrays = []
+    for i, s in enumerate(kept):
+        shape = tuple(cards[v] for v in s)
+        if kind == 1:
+            a = rng.choice([0.0, 0.5, 1.0], size=shape)
+        else:
+            a = rng.uniform(size=shape)
+        if i >= k:
+            a = -1.0 - 10 * a if kind == 2 else 20 * a - 10
+        elif kind == 2 and i == 0:  # zero mass where a context is dead
+            dead = rng.random(shape[1:]) < 0.3
+            a = np.where(dead, 0.0, a)
+        arrays.append(a)
+    return kept, k, utilities, cards, arrays
+
+
+def _assert_same_outputs(got, expected):
+    (outs, choices), (ref_outs, ref_choices) = got, expected
+    assert len(outs) == len(ref_outs)
+    for out, ref in zip(outs, ref_outs):
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()  # bitwise, signed zeros included
+    assert (choices is None) == (ref_choices is None)
+    if choices is not None:
+        assert choices.dtype == ref_choices.dtype and choices.tobytes() == ref_choices.tobytes()
+
+
+def _recorded_buffers(monkeypatch):
+    """Every buffer a :class:`Scratch` holds, recorded as views of it are
+    taken; the list keeps them alive to be checked."""
+    buffers, take = [], Scratch.take
+
+    def recording(self, key, shape, dtype=np.float64):
+        view = take(self, key, shape, dtype)
+        if key in self and not any(self[key] is b for b in buffers):
+            buffers.append(self[key])
+        return view
+    monkeypatch.setattr(Scratch, "take", recording)
+    return buffers
+
+
+def test_the_bucket_kernels_equal_their_allocate_per_op_forms_byte_for_byte():
+    """Sum and max rules, with and without utilities, on random wide
+    buckets and on narrow ones run as wide (the threshold lowered to 0):
+    results and choice tables are byte for byte those of the rules that
+    allocate per operation, though one scratch, left holding the last
+    bucket's numbers, serves every bucket.  Nothing returned shares memory
+    with the scratch."""
+    rng = np.random.default_rng(3030)
+    scratch, seen = Scratch(), Counter()
+    for case in range(160):
+        wide = case % 2 == 0
+        kept, k, utilities, cards, arrays = _random_bucket(rng, wide)
+        op = "max" if case % 4 < 2 else "sum"
+        flags = (False,) * len(kept)
+        with pytest.MonkeyPatch.context() as patch:
+            if not wide:
+                patch.setattr(factor, "SCRATCH_CELLS", 0)
+            _, run = buckets._RULES[op](0, [0] * len(kept), kept, utilities, cards, flags)
+            got = run(arrays, Context({}, scratch))
+        _assert_same_outputs(got, _reference_bucket(op, 0, kept, utilities, cards, flags,
+                                                    arrays))
+        outs, choices = got
+        for a in [*outs, *([choices] if choices is not None else [])]:
+            assert not any(np.shares_memory(a, b) for b in scratch.values())
+        marginal = outs[0]
+        seen[f"{op} {'wide' if wide else 'narrow'}"] += 1
+        seen["utilities"] += utilities > 0
+        seen["ties"] += op == "max" and len(np.unique(arrays[0])) <= 3
+        seen["zero-mass context, negative utilities"] += bool(
+            utilities and (marginal == 0).any() and all((a < 0).all() for a in arrays[k:]))
+    assert scratch.keys() >= {"product", "better", np.uint8}
+    assert min(seen.values()) >= 10, seen
+
+
+def test_a_batched_max_bucket_equals_its_allocate_per_op_form_byte_for_byte():
+    """A max rule with some inputs batched over 2-8 rows, each row's cells
+    at most ``factor.SCRATCH_CELLS`` but the batch's product beyond it."""
+    rng = np.random.default_rng(3031)
+    scratch, seen = Scratch(), Counter()
+    for _ in range(40):
+        cards = {v: int(rng.integers(2, 4)) for v in range(10)}
+        over = [0, *range(1, 10)]
+        kept = [tuple(sorted({0, *[v for v in over if rng.random() < 0.7]})) for _ in range(3)]
+        kept[0] = tuple(over)
+        batched = tuple(bool(b) for b in rng.random(3) < 0.6)
+        if not any(batched):
+            batched = (True, *batched[1:])
+        rows = int(rng.integers(2, 9))
+        arrays = [rng.choice([0.0, 0.25, 1.0], size=(rows,) * b + tuple(cards[v] for v in s))
+                  for s, b in zip(kept, batched)]
+        _, run = buckets._RULES["max"](0, [0] * 3, kept, 0, cards, batched)
+        got = run(arrays, Context({}, scratch))
+        _assert_same_outputs(got, _reference_bucket("max", 0, kept, 0, cards, batched, arrays))
+        seen["wide batch"] += rows * math.prod(cards.values()) >= factor.SCRATCH_CELLS
+    assert seen["wide batch"] >= 10, seen
+
+
+def _wide_window(rng, n=14, window=9, utilities=4):
+    """Ternary tables over windows of ``window + 1`` consecutive variables
+    (3^10 = 59049 cells, and 3^9 with one of them observed, both past
+    ``factor.SCRATCH_CELLS``), the first variable's
+    table positive and the others with zeros; the last ``utilities`` tables
+    are utilities, of either sign, over windows too."""
+    scopes = [tuple(range(max(0, i - window), i + 1)) for i in range(n)]
+    scopes += [tuple(range(i - window, i + 1)) for i in rng.choice(
+        np.arange(window, n), size=utilities).tolist()]
+    arrays = [rng.choice([0.0, 0.5, 1.0, 2.0], size=(3,) * len(s)) for s in scopes]
+    arrays[0] = rng.uniform(0.5, 1.0, size=(3,))
+    for a in arrays[n:]:
+        a *= 10.0 * np.sign(rng.uniform(-1.0, 1.0))
+    return scopes, [3] * n, arrays, Ordering(tuple(range(n)))
+
+
+def _watched(planned, seen):
+    """``planned`` with each run wrapped: ``seen`` gets what each returns."""
+    def wrapped(step):
+        def run(arrays, context):
+            outs, choices = step.run(arrays, context)
+            seen.extend([*outs, *([choices] if choices is not None else [])])
+            return outs, choices
+        return step._replace(run=run) if step.run else step
+    return planned._replace(steps=tuple(map(wrapped, planned.steps)))
+
+
+@pytest.mark.parametrize("ops, observed", [
+    ("sum", {}), ("max", {}), ("mixed", {5: 1}), ("belief", {6: 2})])
+def test_no_array_a_sweep_keeps_shares_memory_with_its_scratch(monkeypatch, ops, observed):
+    """Every table a step files or folds, every choice table, the tables
+    left unprocessed and a BucketSchedule's slots and snapshot: none shares
+    memory with any buffer a scratch held during the sweep."""
+    scopes, cards, arrays, order = _wide_window(np.random.default_rng(len(observed) + len(ops)))
+    n = len(cards)
+    rules = {"sum": dict.fromkeys(range(n), "sum"), "max": dict.fromkeys(range(n), "max"),
+             "mixed": {v: "max" if v < 4 else "sum" for v in range(n)},
+             "belief": {v: "sum" for v in range(1, n)}}[ops]
+    buffers = _recorded_buffers(monkeypatch)
+    planned = plan(scopes, cards, order, observed, rules, utilities=len(scopes) - n)
+    kept = []
+    sweep = execute(_watched(planned, kept), arrays, observed)
+    kept += [c for _, c in sweep.arg_tables.values()]
+    kept += [sweep.slots[i] for slots in planned.left.values() for i in slots]
+    assert any(b.size >= factor.SCRATCH_CELLS for b in buffers)
+    assert len(kept) > n
+    for a in kept:
+        assert not any(np.shares_memory(a, b) for b in buffers)
+
+    tables = [DiscreteFactor(s, (3,) * len(s), a) for s, a in zip(scopes, arrays)]
+    schedule = partition(tables[:n], order, Evidence(observed), tables[n:])
+    for var in reversed(order.sequence):
+        if var in rules:
+            schedule.process(var, rules[var])
+            held = [a for a in schedule.slots if a is not None]
+            held += [c for _, c in schedule.arg_tables.values()]
+            held += [f.values for b in schedule.buckets.values()
+                     for f in (*b.factors, *b.utilities)]
+            for a in held:
+                assert not any(np.shares_memory(a, b) for b in buffers)
+    assert schedule.scalar.hex() == sweep.scalar.hex()
+    assert schedule.util_scalar.hex() == sweep.util_scalar.hex()
+
+
+def test_threads_executing_one_plan_at_once_get_the_serial_results_bit_for_bit():
+    """Each execute call owns its scratch, so three threads sweeping one
+    wide plan at once, on two or more cores while numpy's loops release the
+    interpreter lock, each get the scalars, choice tables and leftover
+    tables of a serial run."""
+    scopes, cards, arrays, order = _wide_window(np.random.default_rng(31))
+    n = len(cards)
+    sweeps = [(dict.fromkeys(range(n), "max"), {}), ({v: "sum" for v in range(1, n)}, {7: 1})]
+
+    def outcome(planned, values):
+        sweep = execute(planned, arrays, values)
+        return (sweep.scalar.hex(), sweep.util_scalar.hex(),
+                {v: (s, c.tobytes()) for v, (s, c) in sweep.arg_tables.items()},
+                [sweep.slots[i].tobytes() for slots in planned.left.values() for i in slots])
+    for ops, values in sweeps:
+        planned = plan(scopes, cards, order, values, ops, utilities=len(scopes) - n)
+        expected = outcome(planned, values)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            seen, ready = [], threading.Barrier(3)
+
+            def sweep():
+                ready.wait(timeout=30)
+                for _ in range(6):
+                    seen.append(outcome(planned, values))
+            threads = [threading.Thread(target=sweep) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert seen == [expected] * 18

@@ -10,8 +10,10 @@ import pytest
 
 from bucketforge import DiscreteFactor, add, factor, multiply
 from bucketforge.buckets import execute, partition, plan
-from bucketforge.factor import fold_max
+from bucketforge.factor import Scratch, fold_max, fold_sum
 from bucketforge.graph import Ordering
+
+from conftest import reference_fold, reference_fold_max, reference_fold_sum
 
 
 def random_factor(rng, max_vars=3, max_card=4, low=0.0, high=1.0):
@@ -391,6 +393,40 @@ def test_fold_max_is_bit_identical_on_both_sides_of_its_cell_threshold(monkeypat
         seen["batched"] += batched
         seen["below"] += values.size < factor.REDUCE_CELLS
         seen["above"] += values.size >= factor.REDUCE_CELLS
+    assert min(seen.values()) > 50, seen
+
+
+def test_the_slice_folds_in_a_scratch_equal_their_allocate_per_op_forms(monkeypatch):
+    """fold_max's cases with every intermediate taken from one scratch (the
+    threshold lowered to 0), left holding the last case's numbers: maxima
+    and choices are byte for byte those of the fold that allocates per
+    slice, fold_sum written in a scratch view is the sum in a fresh array,
+    and a left fold written in a scratch view is the fold allocating per
+    operation.  What fold_max returns shares no memory with the scratch."""
+    monkeypatch.setattr(factor, "SCRATCH_CELLS", 0)
+    rng = np.random.default_rng(30)
+    scratch, seen = Scratch(), Counter()
+    for values, axis, batched in max_cases(rng):
+        best, choices = fold_max(values, axis, scratch)
+        expected = reference_fold_max(values, axis)
+        assert best.dtype == expected[0].dtype and best.tobytes() == expected[0].tobytes()
+        assert choices.dtype == expected[1].dtype and choices.tobytes() == expected[1].tobytes()
+        assert not any(np.shares_memory(a, b) for a in (best, choices) for b in scratch.values())
+        expected = reference_fold_sum(values, axis)
+        out = scratch.take("sum", expected.shape)
+        assert fold_sum(values, axis, out) is out and out.tobytes() == expected.tobytes()
+        # Three tables over the leading axes broadcast to the values' shape.
+        shapes = [values.shape, values.shape[:axis] + (1,) * (values.ndim - axis),
+                  (1,) * axis + values.shape[axis:]]
+        arrays = [values, rng.uniform(-2.0, 2.0, size=shapes[1]), values[(0,) * axis]]
+        for op in (np.add, np.multiply):
+            expected = reference_fold(arrays, shapes, op)
+            out = scratch.take("fold", values.shape)
+            assert factor._fold(arrays, shapes, op, out) is out
+            assert out.tobytes() == expected.tobytes()
+        seen["slice fold"] += values.size >= factor.REDUCE_CELLS or not values.max(axis).all()
+        seen["batched"] += batched
+    assert scratch.keys() >= {"better", "sum", "fold"}
     assert min(seen.values()) > 50, seen
 
 

@@ -3,10 +3,14 @@
 import inspect
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -104,3 +108,37 @@ def test_the_traced_peak_comes_from_one_run_after_the_timed_ones(tmp_path, monke
     assert traced == [False, False, False, True] and not tracemalloc.is_tracing()
     assert out["exit"] == [0]
     assert 8 * 2 ** 14 / 2 ** 20 <= out["traced_peak_mib"] < 64
+
+
+def test_minflt_is_the_median_of_each_timed_runs_minor_page_faults(monkeypatch):
+    """``minflt`` takes the change in ``ru_minflt`` over each timed run, not
+    over the warm-up run or the traced one, and reports their median."""
+    faults = iter([1000, 5, 9, 7, 100, 6, 1000])  # warm-up, five timed runs, traced
+    count = {"minflt": 0}
+
+    def faulting(argv):
+        count["minflt"] += next(faults)
+        return 0
+    monkeypatch.setattr(cli, "run", faulting)
+    monkeypatch.setattr(phase_times.resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_minflt=count["minflt"]))
+    assert phase_times.measure(["bel", "unread.net"], repeats=5)["minflt"] == 7
+
+
+def test_a_run_that_touches_fresh_memory_reads_more_minor_page_faults(monkeypatch):
+    """Each run of this command fills 64 new 128 KiB arrays, each its own
+    mapping from the OS (too small for a huge page) and kept, so none is
+    reused: it reads at least half their pages more than a run that
+    allocates nothing."""
+    held = []
+
+    def filling(argv):
+        held.extend(np.ones(1 << 14) for _ in range(64))
+        return 0
+    monkeypatch.setattr(cli, "run", lambda argv: 0)
+    idle = phase_times.measure(["bel", "unread.net"], repeats=3)["minflt"]
+    monkeypatch.setattr(cli, "run", filling)
+    busy = phase_times.measure(["bel", "unread.net"], repeats=3)["minflt"]
+    pages = 64 * (1 << 17) // resource.getpagesize()
+    assert busy - idle >= pages // 2, (busy, idle)
+    assert len(held) == 64 * 5  # the warm-up, three timed runs and the traced run

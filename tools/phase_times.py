@@ -23,7 +23,10 @@ the runs, the functions the query path calls it by:
 output is their median over the runs, and a phase the command does not
 reach reads 0.  ``gc_collections`` is the median number of cyclic-collector
 passes per run in each generation, and ``gc_s`` the median time per run
-spent in them.  A phase whose functions the imported ``bucketforge`` lacks
+spent in them.  ``minflt`` is the median number of minor page faults per
+run (the change in ``resource.getrusage``'s ``ru_minflt`` over the run): a
+page the process touches for the first time, as a fresh large temporary's
+are, costs one.  A phase whose functions the imported ``bucketforge`` lacks
 reads null.  ``traced_peak_mib`` is the peak of the memory Python and numpy
 allocate (``tracemalloc``, MiB) during one more run, made after the timed
 ones so that tracing slows none of them.  One JSON object is printed.
@@ -39,6 +42,7 @@ import gc
 import inspect
 import io
 import json
+import resource
 import statistics
 import sys
 import time
@@ -111,6 +115,7 @@ def measure(argv: list[str], repeats: int = REPEATS) -> dict:
     samples: dict[str, list[float]] = {phase: [] for phase in [*PHASES, "total"]}
     collections: list[list[int]] = []
     gc_times: list[float] = []
+    faults: list[int] = []
     codes = set()
     gc.callbacks.append(on_gc)
     try:
@@ -120,9 +125,11 @@ def measure(argv: list[str], repeats: int = REPEATS) -> dict:
             collecting["spent"] = 0.0
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
                 codes.add(cli.run(list(argv)))
                 total = time.perf_counter() - start
+                minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
             if run == 0:
                 continue
             for phase in PHASES:
@@ -130,6 +137,7 @@ def measure(argv: list[str], repeats: int = REPEATS) -> dict:
             samples["total"].append(total)
             collections.append([g["collections"] - b for g, b in zip(gc.get_stats(), before)])
             gc_times.append(collecting["spent"])
+            faults.append(minflt)
         tracemalloc.start()
         try:
             sink = io.StringIO()
@@ -153,6 +161,7 @@ def measure(argv: list[str], repeats: int = REPEATS) -> dict:
         "gc_collections": [statistics.median(c[g] for c in collections)
                            for g in range(len(collections[0]))],
         "gc_s": statistics.median(gc_times),
+        "minflt": statistics.median(faults),
         "traced_peak_mib": peak / 2 ** 20,
     }
 
