@@ -479,61 +479,50 @@ def _eliminate(var, masks, kept, utilities, cards, batched, reduce):
     lead = any(batched)  # the batch axis comes first
     axis = over.index(var) + lead
     mask = _joined(masks[:k])
-    rows = batched.index(True) if lead else None  # an input with the batch axis
-    full = _wide(shapes, over, over, cards, rows)
+    probe = batched.index(True) if lead else 0  # see _out
     if not utilities:
-        return [(mask, scope, False, lead)], partial(_reduced, shapes, full, rows, reduce, axis)
+        return [(mask, scope, False, lead)], partial(_reduced, shapes, probe, reduce, axis)
     joint = _union(kept)
     rest = _without(joint, var)
-    totals = [_aligned(s, joint, cards) for s in kept[k:]]
     # The weighted product continues in the product's own array where it
     # has its shape (None); the product of one table is that table's view.
     weighted = None if k > 1 and joint == over else _aligned(joint, joint, cards)
     return ([(mask, scope, False, False), (_joined(masks[k:], mask), rest, True, False)],
-            partial(_averaged, k, shapes, full, reduce, axis, totals,
-                    _wide(totals, _union(kept[k:]), joint, cards, None),
-                    _aligned(over, joint, cards), weighted, joint.index(var),
-                    _aligned(rest, rest, cards), _aligned(scope, rest, cards)))
+            partial(_averaged, k, shapes, reduce, axis,
+                    [_aligned(s, joint, cards) for s in kept[k:]], _aligned(over, joint, cards),
+                    weighted, joint.index(var), _aligned(rest, rest, cards),
+                    _aligned(scope, rest, cards)))
 
 
-def _wide(shapes, scope, over, cards, rows):
-    """The shape of a fold of arrays in ``shapes`` over ``scope``, viewed
-    over ``over``, if the fold writes in the scratch; None for one that
-    does not: of one array, which is its own view, or of fewer than
-    ``SCRATCH_CELLS`` cells and no batch axis, which :meth:`Scratch.take`
-    would give a fresh array anyway."""
-    if len(shapes) == 1 or (rows is None and _narrow(_cells(scope, cards))):
+def _out(scratch, key, shapes, arrays, probe=0):
+    """Where a fold of ``arrays`` viewed in ``shapes`` writes: ``scratch``'s
+    buffer ``key``, in the shape they broadcast to, or None (fresh arrays)
+    for a single array or when input ``probe``, the first or one with the
+    batch axis, has fewer than ``SCRATCH_CELLS`` cells.  The test is made
+    as the step runs, since one on the scopes would cost every plan more."""
+    if len(arrays) == 1 or _narrow(arrays[probe].size):
         return None
-    return _aligned(scope, over, cards)
+    return scratch.take(key, np.broadcast_shapes(*[a.reshape(s).shape
+                                                   for a, s in zip(arrays, shapes)]))
 
 
-def _out(scratch, key, full, rows, arrays):
-    """Where a fold of ``arrays`` writes: nowhere given (None) when ``full``
-    is None, else ``scratch``'s buffer ``key`` viewed in shape ``full``,
-    after a batch axis as long as input ``rows`` when that is not None."""
-    if full is None:
-        return None
-    if rows is not None:
-        full = (len(arrays[rows]), *full)
-    return scratch.take(key, full)
-
-
-def _reduced(shapes, full, rows, reduce, axis, arrays, context):
+def _reduced(shapes, probe, reduce, axis, arrays, context):
     """The product of the probability tables, reduced over ``axis``."""
     scratch = context.scratch
-    product = _fold(arrays, shapes, np.multiply, _out(scratch, "product", full, rows, arrays))
+    product = _fold(arrays, shapes, np.multiply, _out(scratch, "product", shapes, arrays, probe))
     marginal, choices = reduce(product, axis, scratch)
     return [marginal], choices
 
 
-def _averaged(k, shapes, full, reduce, axis, totals, sums, shape, weighted, joint_axis, rest,
-              denom, arrays, context):
+def _averaged(k, shapes, reduce, axis, totals, shape, weighted, joint_axis, rest, denom,
+              arrays, context):
     """The marginal of the first ``k`` tables, and the average of the
     utilities after them weighted by their product."""
     scratch = context.scratch
-    product = _fold(arrays[:k], shapes, np.multiply, _out(scratch, "product", full, None, arrays))
+    probs, utils = arrays[:k], arrays[k:]
+    product = _fold(probs, shapes, np.multiply, _out(scratch, "product", shapes, probs))
     marginal, choices = reduce(product, axis, scratch)
-    total = _finite(_fold(arrays[k:], totals, np.add, _out(scratch, "total", sums, None, arrays)))
+    total = _finite(_fold(utils, totals, np.add, _out(scratch, "total", totals, utils)))
     # Cells the probability part rules out contribute no utility; where a
     # product cell is > 0 so is d, so its overflow reaches the average.
     weighted = product if weighted is None else scratch.take("weighted", weighted)

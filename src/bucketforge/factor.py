@@ -10,10 +10,10 @@ Only the factor constructor and the sweep call ``_finite``, on what they keep.
 A table a kernel returns to be kept is a fresh array.  Its intermediates
 (a fold that goes on past two arrays, ``fold_max``'s per-slice comparison,
 a sum written where its caller says) can live in a :class:`Scratch`, whose
-buffers one sweep reuses from bucket to bucket; an intermediate of fewer
-than ``SCRATCH_CELLS`` cells, or of a kernel given no scratch, is a fresh
-array.  A fold continues in its own output, so every cell goes through the
-same operations in the same order as with a fresh array per operation, and
+buffers one sweep reuses from bucket to bucket for intermediates of
+``SCRATCH_CELLS`` cells or more; smaller ones are fresh arrays.  A fold
+continues in its own output, so every cell goes through the same
+operations in the same order as with a fresh array per operation, and
 gives the same bits.
 
 A factor holds one real value per joint assignment of its scope.  The scope
@@ -153,10 +153,10 @@ class DiscreteFactor:
 
 
 # Below this many cells an intermediate is a fresh array: numpy's and
-# malloc's caches hand back warm memory for it, faster than a scratch view
-# is made.  At 2^14 float64 cells (128 KiB, malloc's default threshold for
-# mapping a block from the OS) a fresh array's pages can be new ones, and
-# each first touch of a new page is a page fault.
+# malloc's caches hand back warm memory for it, and a scratch view costs
+# more to make than it saves.  At 2^14 float64 cells (128 KiB, malloc's
+# default threshold for mapping a block from the OS) a fresh array's pages
+# can be new ones, and each first touch of a new page is a page fault.
 SCRATCH_CELLS = 1 << 14
 
 
@@ -168,14 +168,11 @@ def _narrow(cells: int) -> bool:
 class Scratch(dict):
     """Memory reused for the intermediates of the kernels: ``take(key,
     shape, dtype)`` is a view of the first cells of the buffer ``key``
-    names, which grows to the largest shape asked of it, or a fresh array
-    for a shape of fewer than ``SCRATCH_CELLS`` cells.  A key is taken with
-    one dtype only, and a view is valid until its key is taken again."""
+    names, which grows to the largest shape asked of it.  A key is taken
+    with one dtype only, and a view is valid until its key is taken again."""
 
     def take(self, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         n = math.prod(shape)
-        if _narrow(n):
-            return np.empty(shape, dtype)
         buffer = self.get(key)
         if buffer is None or buffer.size < n:
             buffer = self[key] = np.empty(n, dtype)
@@ -219,7 +216,9 @@ def fold_max(values: np.ndarray, axis: int,
              scratch: Scratch | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``values.max(axis)`` and the lowest index attaining it, the index in
     the smallest unsigned integer type that holds it; both are fresh
-    arrays, and the slice fold's per-slice arrays live in ``scratch``.
+    arrays.  The slice fold's per-slice arrays are made once for all the
+    slices, or taken from ``scratch`` if one is given and they have
+    ``SCRATCH_CELLS`` cells or more.
 
     Below ``REDUCE_CELLS`` cells, numpy's max and argmax reduce the axis at
     once.  Otherwise, or when a maximum is zero, the axis is folded slice by
@@ -242,9 +241,11 @@ def fold_max(values: np.ndarray, axis: int,
     choices = np.zeros(best.shape, dtype=index)
     if len(slices) == 1:
         return best, choices
-    scratch = Scratch() if scratch is None else scratch
-    better = scratch.take("better", best.shape, bool)
-    moved = scratch.take(index, best.shape, index)
+    if scratch is None or _narrow(best.size):
+        better, moved = np.empty(best.shape, bool), np.empty(best.shape, index)
+    else:
+        better, moved = (scratch.take("better", best.shape, bool),
+                         scratch.take(index, best.shape, index))
     for i, s in enumerate(slices[1:], 1):
         np.greater(s, best, out=better)
         np.maximum(best, s, out=best)

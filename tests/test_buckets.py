@@ -666,8 +666,9 @@ def _reference_bucket(op, var, kept, utilities, cards, batched, arrays):
 
 def _random_bucket(rng, wide):
     """A bucket of variable 0: cards of 2 to 4, 1 to 3 probability tables
-    and 0 to 3 utility tables, each over 0 and some of variables 1-11.  A
-    wide bucket's product has at least ``factor.SCRATCH_CELLS`` cells.
+    and 0 to 3 utility tables, each over 0 and some of variables 1-11.  The
+    first table is over the whole product's scope, which in a wide bucket
+    has at least ``factor.SCRATCH_CELLS`` cells.
     Values are uniform draws, or from three values (ties and zero maxima),
     and some buckets hold contexts where every probability of variable 0
     is zero under negative utilities (a zero-mass context)."""
@@ -684,7 +685,6 @@ def _random_bucket(rng, wide):
         others = [v for v in range(1, 12) if rng.random() < 0.4]
         kept.append(tuple(sorted({0, *others} & set(over) if rng.random() < 0.6
                                  else {0, *others})))
-    kept[:k] = [kept[i] for i in rng.permutation(k)]
     kind = rng.integers(3)
     arrays = []
     for i, s in enumerate(kept):
