@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import mmap
 import os
 import resource
 import subprocess
@@ -9,8 +10,6 @@ import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -126,19 +125,25 @@ def test_minflt_is_the_median_of_each_timed_runs_minor_page_faults(monkeypatch):
 
 
 def test_a_run_that_touches_fresh_memory_reads_more_minor_page_faults(monkeypatch):
-    """Each run of this command fills 64 new 128 KiB arrays, each its own
-    mapping from the OS (too small for a huge page) and kept, so none is
-    reused: it reads at least half their pages more than a run that
-    allocates nothing."""
-    held = []
+    """Each run of this command maps 64 new 128 KiB blocks from the OS (too
+    small for a huge page) and writes every page of them: it reads at least
+    half those pages more than a run that touches nothing new."""
+    page, held = resource.getpagesize(), []
 
     def filling(argv):
-        held.extend(np.ones(1 << 14) for _ in range(64))
+        for _ in range(64):
+            block = mmap.mmap(-1, 1 << 17)
+            for offset in range(0, 1 << 17, page):
+                block[offset] = 1
+            held.append(block)
         return 0
-    monkeypatch.setattr(cli, "run", lambda argv: 0)
-    idle = phase_times.measure(["bel", "unread.net"], repeats=3)["minflt"]
-    monkeypatch.setattr(cli, "run", filling)
-    busy = phase_times.measure(["bel", "unread.net"], repeats=3)["minflt"]
-    pages = 64 * (1 << 17) // resource.getpagesize()
-    assert busy - idle >= pages // 2, (busy, idle)
+    try:
+        monkeypatch.setattr(cli, "run", lambda argv: 0)
+        idle = phase_times.measure(["bel", "unread.net"], repeats=3)["minflt"]
+        monkeypatch.setattr(cli, "run", filling)
+        busy = phase_times.measure(["bel", "unread.net"], repeats=3)["minflt"]
+    finally:
+        for block in held:
+            block.close()
+    assert busy - idle >= 64 * (1 << 17) // page // 2, (busy, idle)
     assert len(held) == 64 * 5  # the warm-up, three timed runs and the traced run
