@@ -14,9 +14,10 @@ that out once; :func:`execute` runs the plan on arrays, and can run it again
 for other numbers or other observed values.  A table is held in a numbered
 slot and dropped once the step that consumes it has run; each table a step
 keeps is a fresh array, and the intermediates of its wide buckets live in
-one scratch per :func:`execute` call.  The planner files
-a slot by its position mask (bit ``p`` for the variable at ordering
-position ``p``) and builds its scope only when read.
+one scratch per :func:`execute` call.  The planner files a slot by its
+position mask (bit ``p`` for the variable at ordering position ``p``).  A
+slot's scope is the variables its table keeps when no variable is fixed;
+otherwise every slot's scope is built once, when first read.
 
 The evidence is applied once, before the sweep.  An observed variable with
 one value is fixed: :func:`execute` restricts every table at the fixed
@@ -64,7 +65,6 @@ A refused ``process`` call leaves it as it was.
 from __future__ import annotations
 
 import math
-import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
@@ -121,7 +121,7 @@ class Step(NamedTuple):
     is its rule with the shapes bound, run on the arrays its ``reads`` slots
     hold in a :class:`Context`; ``choices`` is a maximizing rule's choice
     table, else None.  Each result and choice table is a fresh array.
-    Result ``j`` is over ``planner.scopes[first + j]``, a folded one too.
+    Result ``j`` is over ``planner.built()[first + j]``, a folded one too.
 
     An empty bucket has no ``run``, and neither has the bucket of a fixed
     variable: its result ``j`` is the table of input ``j``, already
@@ -150,7 +150,7 @@ class Plan(NamedTuple):
 
     ordering: Ordering
     steps: tuple[Step, ...]
-    scopes: Sequence[tuple[int, ...]]     # scope of each slot
+    planner: "_Planner"                   # the planner of its steps, which holds its slots
     folds: tuple[tuple[int, bool], ...]   # empty-scope inputs: (slot, is a utility)
     left: dict[int, tuple[int, ...]]      # slots holding the probability tables of unprocessed buckets
     max_generated_scope: int
@@ -161,19 +161,10 @@ class Plan(NamedTuple):
         """Each step's trace entry, in the order the steps run."""
         return tuple(step.entry for step in self.steps)
 
-
-class _Scopes(Sequence):
-    """The scope of each slot of a planner, built when read."""
-
-    def __init__(self, planner: "_Planner"):
-        self.planner = planner
-
-    def __len__(self) -> int:
-        return len(self.planner.masks)
-
-    def __getitem__(self, i):
-        scopes = self.planner.built()[i]
-        return tuple(scopes) if isinstance(i, slice) else scopes
+    @property
+    def scopes(self) -> list[tuple[int, ...]]:
+        """The scope of each slot."""
+        return self.planner.built()
 
 
 class _Planner:
@@ -186,12 +177,13 @@ class _Planner:
     are applied to every table before the sweep: slot ``i``'s table is over
     ``kept[i]``, the variables of its scope that are not fixed, in id order,
     and a slice of a fixed variable's bucket is the array of the slot
-    ``source`` maps it to.  :attr:`scopes` reads each slot's scope off
-    ``kept`` and the fixed bits of its mask.
+    ``source`` maps it to.  :meth:`built` gives each slot's scope: ``kept``
+    itself when no variable is fixed, else ``kept`` with the fixed bits of
+    each mask, built once the planning is done.
     """
 
     def __init__(self, ordering: Ordering, cards, observed, varying=frozenset(),
-                 fixed=frozenset()):
+                 fixed=frozenset(), given: Sequence[tuple[int, ...]] = ()):
         self.ordering = ordering
         self.cards = cards        # cards[v]: the cardinality of variable v
         self.observed = observed  # the variables whose buckets scatter
@@ -206,12 +198,8 @@ class _Planner:
         # The slots in each bucket that holds any: probability tables, then
         # utilities.  A processed bucket is dropped.
         self.filed: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
-        self.scopes = _Scopes(self)
-        # The scope of each input slot that holds a fixed variable, and
-        # every slot's scope once built.
-        self.given: dict[int, tuple[int, ...]] = {}
-        self._built: list[tuple[int, ...]] = []
-        self._building = threading.Lock()  # a plan's trace may be read on several threads
+        self.given = given  # the scope of each input slot
+        self._built: list[tuple[int, ...]] | None = None  # every slot's scope, once built
         self.widest = 0  # the largest scope a sum or max rule generated
 
     def mask(self, scope: Sequence[int]) -> int:
@@ -228,22 +216,28 @@ class _Planner:
 
     def built(self) -> list[tuple[int, ...]]:
         """Each slot's scope, in id order: the variables it keeps, and the
-        fixed ones its mask holds.  Built for new slots when read."""
-        built, masks, kept, fixed_mask = self._built, self.masks, self.kept, self.fixed_mask
-        if len(built) == len(masks):  # the list only grows, under the lock, to this length
-            return built
-        sequence, bit = self.ordering.sequence, self.bit
-        with self._building:
-            for i in range(len(built), len(masks)):
-                fixed = masks[i] & fixed_mask
-                if not fixed:
-                    built.append(kept[i])
-                elif i in self.given:
-                    built.append(self.given[i])
-                elif i in self.source:  # a slice: what its mask keeps of the table's scope
-                    built.append(tuple([v for v in built[self.source[i]] if bit[v] & masks[i]]))
-                else:
-                    built.append(tuple(sorted((*kept[i], *[sequence[p] for p in _bits(fixed)]))))
+        fixed ones its mask holds; :attr:`kept` itself when none is fixed.
+        Else the planning is done before anything reads it: the list is built
+        on the first read and published whole, so threads reading at once
+        each build an equal one."""
+        if not self.fixed_mask:
+            return self.kept
+        if self._built is not None:
+            return self._built
+        kept, given, source, bit, fixed_mask = (self.kept, self.given, self.source, self.bit,
+                                                self.fixed_mask)
+        sequence, built = self.ordering.sequence, []
+        for i, mask in enumerate(self.masks):
+            fixed = mask & fixed_mask
+            if not fixed:
+                built.append(kept[i])
+            elif i < len(given):
+                built.append(given[i])
+            elif i in source:  # a slice: what its mask keeps of the table's scope
+                built.append(tuple([v for v in built[source[i]] if bit[v] & mask]))
+            else:
+                built.append(tuple(sorted((*kept[i], *[sequence[p] for p in _bits(fixed)]))))
+        self._built = built
         return built
 
     def file(self, mask: int, kept: tuple[int, ...], utility: bool, batched: bool = False,
@@ -326,10 +320,7 @@ class _Planner:
             if slot != FOLD:
                 bucket = self.ordering.sequence[self.masks[slot].bit_length() - 1]
                 self.filed[bucket][utility].remove(slot)
-        for slot in range(step.first, len(self.masks)):
-            self.source.pop(slot, None)
-            self.batched.discard(slot)
-        for column in (self.masks, self.kept, self._built):
+        for column in (self.masks, self.kept):
             del column[step.first:]
         self.filed[step.variable] = filed
         self.widest = widest
@@ -358,14 +349,13 @@ def plan(scopes: Sequence[tuple[int, ...]], cards, ordering: Ordering,
     varying = frozenset(varying)
     observed = frozenset(observed) | varying
     fixed = frozenset(v for v in observed if v in ops and v in ordering) - varying
-    planner = _Planner(ordering, cards, observed, varying, fixed)
+    planner = _Planner(ordering, cards, observed, varying, fixed, scopes)
     first_utility = len(scopes) - utilities
     folds, restricted = [], {}
     for slot, scope in enumerate(scopes):
         scope, utility = tuple(scope), slot >= first_utility
         kept = scope
         if not fixed.isdisjoint(scope):
-            planner.given[slot] = scope
             restricted[slot] = (*[v if v in fixed else -1 for v in scope], -2)
             kept = tuple([v for v in scope if v not in fixed])
         if planner.file(planner.mask(scope), kept, utility) == FOLD:
@@ -373,7 +363,7 @@ def plan(scopes: Sequence[tuple[int, ...]], cards, ordering: Ordering,
     steps = tuple([planner.step(var, ops[var])
                    for var in reversed(ordering.sequence) if var in ops])
     source = planner.source
-    return Plan(ordering, steps, planner.scopes, tuple(folds),
+    return Plan(ordering, steps, planner, tuple(folds),
                 {v: tuple([source.get(i, i) for i in probs])
                  for v, (probs, _) in planner.filed.items() if probs},
                 planner.widest, restricted)
@@ -645,7 +635,7 @@ def execute(plan: Plan, arrays: Sequence[np.ndarray], values: Mapping[int, int])
     one :class:`Scratch`, dropped when this call returns, so concurrent
     calls on one plan stay independent.
     """
-    slots = [*arrays, *[None] * (len(plan.scopes) - len(arrays))]
+    slots = [*arrays, *[None] * (len(plan.planner.masks) - len(arrays))]
     # Each index template holds a fixed variable's id at its axis, -1 at a
     # free axis and -2 last, so that a fully indexed table stays an array.
     index = {**values, -1: _ALL, -2: Ellipsis}.__getitem__
@@ -721,7 +711,7 @@ class BucketSchedule(Sweep):
     def buckets(self) -> dict[int, Bucket]:
         """A snapshot of the tables filed into each bucket, as copies; file
         new ones with :meth:`place`."""
-        scopes, slots = self._planner.scopes, self.slots
+        scopes, slots = self._planner.built(), self.slots
 
         def tables(filed):
             return [DiscreteFactor(scopes[i], slots[i].shape, slots[i]) for i in filed]
@@ -775,7 +765,7 @@ class BucketSchedule(Sweep):
         filed, widest = planner.filed.get(var), planner.widest
         step = planner.step(var, op)
         saved = [self.slots[i] for i in step.reads], self.scalar, self.util_scalar
-        self.slots += [None] * (len(planner.scopes) - len(self.slots))
+        self.slots += [None] * (len(planner.masks) - len(self.slots))
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 self.run(step, Context(self.values, Scratch()))

@@ -5,7 +5,8 @@ viewed in their broadcast shapes (``_aligned``), ``fold_sum`` and
 ``fold_max`` eliminate an axis, and ``_finite`` rejects a non-finite value.
 The bucket sweep runs them on bare arrays; the factor algebra
 (``multiply``, ``add``, ``eliminate``, ``restrict``) runs them on factors.
-Only the factor constructor and the sweep call ``_finite``, on what they keep.
+Only the factor constructor, the sweep and ``engines.solve_belief`` call
+``_finite``, on what they keep.
 
 A table a kernel returns to be kept is a fresh array.  Its intermediates
 (a fold that goes on past two arrays, ``fold_max``'s per-slice comparison,

@@ -241,6 +241,20 @@ def test_warnings_print_as_one_stderr_line_each_time(tmp_path, capsys):
         "warning: dropped tautological clause near line 3\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 2 1\np cnf 2 1\n1 0\n", "duplicate DIMACS header (line 2, column 1)"),
+    ("p cnf 3\n", "malformed DIMACS header 'p cnf 3' (line 1, column 1)"),
+    ("p dnf 3 1\n", "malformed DIMACS header 'p dnf 3 1' (line 1, column 1)"),
+    ("p cnf x 1\n", "malformed DIMACS header 'p cnf x 1' (line 1, column 1)"),
+    ("p cnf -1 1\n", "negative proposition count (line 1, column 1)"),
+    ("c only a comment\n", "missing DIMACS header"),
+], ids=["duplicate", "short", "not cnf", "not a count", "negative count", "missing"])
+def test_dr_refuses_a_malformed_dimacs_header(tmp_path, capsys, text, message):
+    cnf = write(tmp_path, "header.cnf", text)
+    assert run(["dr", cnf]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_runtime_warnings_stay_errors_inside_the_cli(tmp_path, monkeypatch):
     net = write(tmp_path, "chain.net", CHAIN_TEXT)
 

@@ -242,6 +242,18 @@ def test_the_constructor_refuses_a_malformed_scope(scope, cards, message):
     assert (type(info.value), str(info.value)) == (ValueError, message)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda f: f.restrict(1, 3), "value 3 out of range for variable 1"),
+    (lambda f: f.restrict(1, -1), "value -1 out of range for variable 1"),
+    (lambda f: f.eliminate(1, "prod"), "unknown elimination operator 'prod'"),
+    (lambda f: multiply([]), "multiply needs at least one factor"),
+], ids=["value above", "negative value", "operator", "no factor"])
+def test_the_algebra_refuses_what_it_cannot_compute(call, message):
+    with pytest.raises(Exception) as info:
+        call(DiscreteFactor((0, 1), (2, 3), np.ones((2, 3))))
+    assert (type(info.value), str(info.value)) == (ValueError, message)
+
+
 def test_non_finite_entries_are_rejected():
     with pytest.raises(ValueError):
         DiscreteFactor.from_table([0], [2], [float("nan"), 0.5])

@@ -423,3 +423,21 @@ def test_graph_constructions_reject_a_clique_over_an_unknown_node():
         interaction_graph(SimpleNamespace(num_props=2, clauses=[frozenset({1, 3})]))
     with pytest.raises(ValueError, match="unknown node"):
         moral_graph(SimpleNamespace(n=2, parents=[(), (0,), (5,)]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: Ordering((0, -1)), "ordering contains a negative id: (0, -1)"),
+    (lambda g: induced_width(g, Ordering((0, 1))), "ordering does not cover nodes [2]"),
+    (lambda g: constrained_order(g, prefix=(0, 0)), "prefix/suffix contain duplicates"),
+    (lambda g: constrained_order(g, suffix=(2, 2)), "prefix/suffix contain duplicates"),
+    (lambda g: constrained_order(g, prefix=(7,)), "constrained node 7 is not in the graph"),
+    (lambda g: cutset_heuristic(g, -1), "width bound must be >= 0"),
+], ids=["negative id", "uncovered node", "duplicate prefix", "duplicate suffix",
+        "unknown node", "negative bound"])
+def test_orderings_and_width_bounds_outside_the_graph_are_refused(call, message):
+    g = GraphView(range(3))
+    g.add_edge(0, 1)
+    g.add_edge(1, 2)
+    with pytest.raises(Exception) as info:
+        call(g)
+    assert (type(info.value), str(info.value)) == (ValueError, message)

@@ -12,6 +12,7 @@ from bucketforge import (BeliefNetwork, CnfTheory, CycleError, DiscreteFactor,
                          NormalizationError, ParseError, parse_cnf, parse_cnf_evidence,
                          parse_evidence, parse_network, serialize_cnf,
                          serialize_evidence, serialize_network)
+from bucketforge.model import Tables
 from bucketforge.randgen import (random_cnf, random_evidence,
                                  random_influence_diagram, random_network)
 
@@ -425,3 +426,18 @@ def test_models_and_evidence_built_in_the_library_are_checked(build, cls, messag
     with pytest.raises(ModelError) as info:
         build()
     assert (type(info.value), str(info.value)) == (cls, message)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([((1,), [[0]], np.ones((1, 2, 2)))], "a block needs one variable and one scope per table"),
+    ([((0, 1), [[0, 1]], np.ones((1, 2, 2)))],
+     "a block needs one variable and one scope per table"),
+    ([((1, 1), [[0, 1], [0, 1]], np.ones((2, 2, 2)))], "no place for a table of variable 1"),
+    ([((1,), [[0, 1]], np.ones((1, 2, 2)))] * 2, "no place for a table of variable 1"),
+    ([((2,), [[0, 1]], np.ones((1, 2, 2)))], "no place for a table of variable 2"),
+], ids=["short scope", "two variables", "twice in a block", "twice in two blocks",
+        "unknown variable"])
+def test_table_blocks_that_do_not_fit_the_model_are_refused(blocks, message):
+    with pytest.raises(Exception) as info:
+        Tables(2, blocks)
+    assert (type(info.value), str(info.value)) == (ValueError, message)
