@@ -315,7 +315,9 @@ class _Planner:
 
     def unstep(self, step: Step, filed: tuple[list[int], list[int]], widest: int) -> None:
         """Undo ``step``, the last one planned: take its results out of
-        their buckets and refile its bucket's ``filed`` slots."""
+        their buckets and refile its bucket's ``filed`` slots.  Only a
+        :class:`BucketSchedule` undoes a step, and it fixes and batches no
+        variable, so its slots have no ``source`` and none is batched."""
         for slot, utility in step.outputs:
             if slot != FOLD:
                 bucket = self.ordering.sequence[self.masks[slot].bit_length() - 1]
