@@ -14,10 +14,10 @@ that out once; :func:`execute` runs the plan on arrays, and can run it again
 for other numbers or other observed values.  A table is held in a numbered
 slot and dropped once the step that consumes it has run; each table a step
 keeps is a fresh array, and the intermediates of its wide buckets live in
-one scratch per :func:`execute` call.  The planner files a slot by its
-position mask (bit ``p`` for the variable at ordering position ``p``).  A
-slot's scope is the variables its table keeps when no variable is fixed;
-otherwise every slot's scope is built once, when first read.
+one scratch per :func:`execute` call.  The planner reads only integer
+masks (bit ``p`` for ordering position ``p``) and the variables each table
+keeps, files each step's results by their masks as it plans the step, and
+builds no scope that holds a fixed variable until a scope is read.
 
 The evidence is applied once, before the sweep.  An observed variable with
 one value is fixed: :func:`execute` restricts every table at the fixed
@@ -25,19 +25,17 @@ variables of its scope, each with one basic index, a view and not a copy,
 and each rule runs over the variables its tables keep.  A fixed variable's
 bucket is still planned, filed and traced: its ``assign`` trace entry
 records the paper's observed-bucket step, which the sweep runs as that
-restriction, so the step runs nothing.  Each of its results is the table
-it slices, filed where slicing would file it, and one over no variable
-folds into its scalar where the step stands.  Slicing commutes with
+restriction, so the step runs nothing and numbers no slot: each table it
+holds is refiled by its own slot where slicing would file the slice, and
+one over no variable left folds into its scalar.  Slicing commutes with
 elementwise products and slice folds, so every product, sum, maximum,
 choice table and scalar is the one slicing bucket by bucket gives, bit for
 bit.  A cell at an unobserved value of an observed variable is never
 computed, so a non-finite one is not refused.
 
-A plan records what each step does, not its trace: a step keeps its trace
-op, its input slots and the slot of its first result, and its
-:class:`TraceEntry` is built from the planner's scopes only when
-:attr:`Step.entry` or :attr:`Plan.trace` is read.  A query that prints no
-trace builds none.
+A plan records what each step does, not its trace: a step keeps its op,
+input slots and first result slot, and its :class:`TraceEntry` is built
+only when :attr:`Step.entry` or :attr:`Plan.trace` is read.
 
 A plan can also run a batch of observed values at once.  Its ``varying``
 variables take one value per combination of the batch, and every array that
@@ -81,6 +79,7 @@ from .graph import Ordering, _bits
 from .model import Evidence
 
 FOLD = -1  # the slot of an empty-scope result: it folds into a running scalar
+_new = tuple.__new__  # builds a Step from its fields without NamedTuple's call
 _EMPTY = ((), ())  # the slots of a bucket that holds none
 
 
@@ -124,8 +123,9 @@ class Step(NamedTuple):
     Result ``j`` is over ``planner.built()[first + j]``, a folded one too.
 
     An empty bucket has no ``run``, and neither has the bucket of a fixed
-    variable: its result ``j`` is the table of input ``j``, already
-    restricted, and ``reads`` lists the slots of those it folds."""
+    variable, which numbers no slot: its result ``j`` is input ``j``'s
+    table, already restricted, refiled by the same slot, and ``reads`` lists
+    the slots of those it folds."""
 
     variable: int
     inputs: tuple[int, ...]                # slots consumed: probability tables, then utilities
@@ -139,10 +139,27 @@ class Step(NamedTuple):
     @property
     def entry(self) -> TraceEntry:
         """This step's trace entry, built from the planner's scopes."""
-        scopes, cards = self.planner.built(), self.planner.cards
-        outs = tuple(scopes[self.first:self.first + len(self.outputs)])
-        return TraceEntry(self.variable, self.op, tuple([scopes[i] for i in self.inputs]),
-                          outs, sum(_cells(s, cards) for s in outs))
+        return self.traced(self.planner.built())
+
+    def traced(self, scopes, refiled: dict | None = None) -> TraceEntry:
+        """This step's trace entry over the slot scopes ``scopes``.  An input
+        refiled here by fixed buckets is over what its slot's scope keeps up
+        to this bucket: ``refiled[slot]``, if earlier steps put it there, else
+        that scope cut here.  A fixed bucket puts its results there."""
+        planner, var = self.planner, self.variable
+        if refiled is None:
+            bit, top, refiled = planner.bit, planner.bit[var] << 1, {}
+            ins = tuple([scopes[i] if planner.masks[i] < top else
+                         tuple([v for v in scopes[i] if bit[v] < top]) for i in self.inputs])
+        else:
+            ins = tuple([refiled.pop(i, None) or scopes[i] for i in self.inputs])
+        if self.run is None and ins:  # result j is input j's scope less the variable
+            outs = tuple([_without(s, var) for s in ins])
+            refiled.update(zip(self.inputs, outs))
+        else:
+            outs = tuple(scopes[self.first:self.first + len(self.outputs)])
+        cells = [math.prod(map(planner.cards.__getitem__, s)) for s in outs]
+        return TraceEntry(var, self.op, ins, outs, sum(cells))
 
 
 class Plan(NamedTuple):
@@ -154,16 +171,17 @@ class Plan(NamedTuple):
     folds: tuple[tuple[int, bool], ...]   # empty-scope inputs: (slot, is a utility)
     left: dict[int, tuple[int, ...]]      # slots holding the probability tables of unprocessed buckets
     max_generated_scope: int
-    restricted: dict[int, tuple[int, ...]]  # index template of each input holding a fixed variable
+    restricted: tuple[int, ...]           # the input slots whose tables hold a fixed variable
 
     @property
     def trace(self) -> tuple[TraceEntry, ...]:
         """Each step's trace entry, in the order the steps run."""
-        return tuple(step.entry for step in self.steps)
+        scopes, refiled = self.planner.built(), {}
+        return tuple([step.traced(scopes, refiled) for step in self.steps])
 
     @property
     def scopes(self) -> list[tuple[int, ...]]:
-        """The scope of each slot."""
+        """The scope of each slot, as numbered: a fixed bucket refiles a slot as it is."""
         return self.planner.built()
 
 
@@ -172,14 +190,15 @@ class _Planner:
 
     Slot ``i`` holds a table over the variables of ``masks[i]``, bit ``p``
     standing for the variable at ordering position ``p``; it is filed into
-    the bucket of its highest bit, and an empty-scope slot folds into a
-    scalar instead.  The ``fixed`` variables are observed, and their values
-    are applied to every table before the sweep: slot ``i``'s table is over
-    ``kept[i]``, the variables of its scope that are not fixed, in id order,
-    and a slice of a fixed variable's bucket is the array of the slot
-    ``source`` maps it to.  :meth:`built` gives each slot's scope: ``kept``
-    itself when no variable is fixed, else ``kept`` with the fixed bits of
-    each mask, built once the planning is done.
+    the bucket of its highest bit (an empty-scope slot folds instead), and a
+    bucket's inputs are its probability slots, then its utility slots, each
+    in filing order.  The ``fixed`` variables' values are applied to every
+    table before the sweep: slot ``i``'s table is over ``kept[i]``, the
+    unfixed variables of its scope in id order, and a fixed variable's
+    bucket refiles each slot it holds by its bits below the variable's.
+    :meth:`built` gives each slot's scope: ``kept`` itself when no variable
+    is fixed, else ``kept`` with the fixed bits of each mask, built once the
+    planning is done.
     """
 
     def __init__(self, ordering: Ordering, cards, observed, varying=frozenset(),
@@ -193,7 +212,6 @@ class _Planner:
         self.fixed_mask = sum(map(self.bit.__getitem__, fixed))
         self.masks: list[int] = []
         self.kept: list[tuple[int, ...]] = []
-        self.source: dict[int, int] = {}
         self.batched: set[int] = set()  # the slots with a leading batch axis
         # The slots in each bucket that holds any: probability tables, then
         # utilities.  A processed bucket is dropped.
@@ -201,18 +219,6 @@ class _Planner:
         self.given = given  # the scope of each input slot
         self._built: list[tuple[int, ...]] | None = None  # every slot's scope, once built
         self.widest = 0  # the largest scope a sum or max rule generated
-
-    def mask(self, scope: Sequence[int]) -> int:
-        """The position mask of ``scope``."""
-        mask, bit = 0, self.bit
-        try:
-            for v in scope:
-                mask |= bit[v]
-            return mask
-        except KeyError:
-            missing = [v for v in scope if v not in self.bit]
-            raise ValueError(f"table over scope {tuple(scope)} names variables {missing} "
-                             "that the ordering lacks") from None
 
     def built(self) -> list[tuple[int, ...]]:
         """Each slot's scope, in id order: the variables it keeps, and the
@@ -222,102 +228,115 @@ class _Planner:
         each build an equal one."""
         if not self.fixed_mask:
             return self.kept
-        if self._built is not None:
-            return self._built
-        kept, given, source, bit, fixed_mask = (self.kept, self.given, self.source, self.bit,
-                                                self.fixed_mask)
-        sequence, built = self.ordering.sequence, []
-        for i, mask in enumerate(self.masks):
-            fixed = mask & fixed_mask
-            if not fixed:
-                built.append(kept[i])
-            elif i < len(given):
-                built.append(given[i])
-            elif i in source:  # a slice: what its mask keeps of the table's scope
-                built.append(tuple([v for v in built[source[i]] if bit[v] & mask]))
-            else:
-                built.append(tuple(sorted((*kept[i], *[sequence[p] for p in _bits(fixed)]))))
-        self._built = built
-        return built
+        if self._built is None:  # given inputs, then results
+            built, sequence = list(map(tuple, self.given)), self.ordering.sequence
+            first = len(built)
+            for mask, kept in zip(self.masks[first:], self.kept[first:]):
+                fixed = mask & self.fixed_mask
+                built.append(tuple(sorted((*kept, *[sequence[p] for p in _bits(fixed)])))
+                             if fixed else kept)
+            self._built = built
+        return self._built
 
-    def file(self, mask: int, kept: tuple[int, ...], utility: bool, batched: bool = False,
-             source: int | None = None) -> int:
-        """Number a new slot over ``mask`` and file it; returns the slot, or
-        ``FOLD`` for an empty scope.  Its table is over ``kept`` and held by
-        slot ``source`` (by default the new slot)."""
-        slot = len(self.masks)
-        self.masks.append(mask)
-        self.kept.append(kept)
-        if source is not None:
-            self.source[slot] = source
-        if batched:
-            self.batched.add(slot)
-        if not mask:
-            return FOLD
-        self.filed[self.ordering.sequence[mask.bit_length() - 1]][utility].append(slot)
-        return slot
+    def file(self, scopes: Sequence[Sequence[int]], first_utility: int):
+        """File a new slot for a table over each sorted scope, those from
+        ``first_utility`` on utilities.  Returns the (slot, is a utility)
+        pairs of the empty scopes, which fold instead, and the slots whose
+        tables hold a fixed variable."""
+        masks, kept, bit, fixed, filed = self.masks, self.kept, self.bit, self.fixed, self.filed
+        fixed_mask, sequence, folds, restricted = self.fixed_mask, self.ordering.sequence, [], []
+        for j, scope in enumerate(scopes):
+            scope, mask = tuple(scope), 0
+            try:
+                for v in scope:
+                    mask |= bit[v]
+            except KeyError:
+                raise ValueError(f"table over scope {scope} names variables "
+                                 f"{[v for v in scope if v not in bit]} that the ordering "
+                                 "lacks") from None
+            slot, utility = len(masks), j >= first_utility
+            masks.append(mask)
+            if mask & fixed_mask:
+                restricted.append(slot)
+                scope = tuple([v for v in scope if v not in fixed])
+            kept.append(scope)
+            if not mask:
+                folds.append((slot, utility))
+            else:
+                filed[sequence[mask.bit_length() - 1]][utility].append(slot)
+        return folds, restricted
 
     def step(self, var: int, op: str) -> Step:
         """Plan the bucket of ``var`` by rule ``op`` and file its results.
 
         The bucket of an observed variable is scattered whatever ``op`` is,
-        and an empty one is skipped.  The bucket is emptied only once its
-        rule is planned, so a refused step leaves it as it was.
+        and an empty one is skipped.  Each result is filed as the rule gives
+        it, by its mask's bits below the variable's.  The bucket is emptied
+        only once its rule is planned, so a refused step leaves it as it was.
         """
-        bucket = self.filed.get(var)
-        if bucket is None:
-            if var not in self.bit:
-                raise ValueError(f"no bucket for variable {var}: the ordering lacks it")
-            bucket = _EMPTY
-        probs, utils = bucket
+        filed = self.filed
+        probs, utils = filed.get(var, _EMPTY)
+        if not (probs or utils) and var not in self.bit:
+            raise ValueError(f"no bucket for variable {var}: the ordering lacks it")
         if var in self.observed:
             op = "assign"
         elif op not in _RULES:
             raise ValueError(f"no bucket rule {op!r} for unobserved variable {var}: "
                              f"the rules are {', '.join(map(repr, _RULES))}")
-        first = len(self.masks)
         if not (probs or utils):
             # Most buckets of a pruned belief or MAP sweep are empty, so
             # this path plans no rule.
-            return Step(var, (), (), (), "skip", first, None, self)
-        inputs = (*probs, *utils)
-        masks, kept, source, batched = self.masks, self.kept, self.source, self.batched
-        bit = self.bit[var]
+            return Step(var, (), (), (), "skip", len(self.masks), None, self)
+        masks, kept, batched = self.masks, self.kept, self.batched
+        inputs = (*probs, *utils) if utils else tuple(probs)
+        bit, sequence, outputs, first = self.bit[var], self.ordering.sequence, [], len(masks)
         if var in self.fixed:
-            # Each slice is the table it slices: held by the same slot, with
-            # one bit less.
-            del self.filed[var]
-            k = len(probs)
-            outputs = tuple([(self.file(masks[i] ^ bit, kept[i], j >= k, i in batched,
-                                        source.get(i, i)), j >= k) for j, i in enumerate(inputs)])
-            reads = tuple([source.get(i, i) for i, (slot, _) in zip(inputs, outputs) if slot == FOLD])
-            return Step(var, inputs, reads, outputs, op, first, None, self)
-        # Only a plan with varying variables has batched slots, and only one
-        # with fixed variables has slices held by another slot.
-        flags = tuple([i in batched for i in inputs]) if batched else (False,) * len(inputs)
+            # Each slot is refiled as it stands, its table restricted before
+            # the sweep; one with no variable left folds where the step stands.
+            reads, below, k = [], bit - 1, len(probs)
+            for j, i in enumerate(inputs):
+                mask, utility = masks[i] & below, j >= k
+                if mask:
+                    filed[sequence[mask.bit_length() - 1]][utility].append(i)
+                    outputs.append((i, utility))
+                else:
+                    outputs.append((FOLD, utility))
+                    reads.append(i)
+            del filed[var]
+            return _new(Step, (var, inputs, tuple(reads), tuple(outputs), op, first, None, self))
+        # Only a plan with varying variables has batched slots.
+        flags = [i in batched for i in inputs] if batched else None
+        ms, ks = [masks[i] for i in inputs], [kept[i] for i in inputs]
         if op == "assign":
-            rule = _gather if var in self.varying else _assign
-        elif any(flags) and (utils or op == "decide"):
+            results, run = _assign(var, ms, ks, len(utils), flags, var in self.varying)
+        elif flags and any(flags) and (utils or op == "decide"):
             raise ValueError(f"the bucket of {var} would batch utilities or a decision: "
                              "only probability sweeps run in batches")
         else:
-            rule = _RULES[op]
-        results, run = rule(var, [masks[i] ^ bit for i in inputs], [kept[i] for i in inputs],
-                            len(utils), self.cards, flags)
-        del self.filed[var]
-        outputs = tuple([(self.file(mask, scope, utility, b), utility)
-                         for mask, scope, utility, b in results])
+            results, run = _RULES[op](var, ms, ks, len(utils), self.cards, flags)
+        del filed[var]
+        widest, below = self.widest, bit - 1
+        for mask, scope, utility, lead in results:
+            mask &= below  # less the variable, and the fixed ones above it
+            slot = len(masks)
+            masks.append(mask)
+            kept.append(scope)
+            if lead:
+                batched.add(slot)
+            if mask:
+                filed[sequence[mask.bit_length() - 1]][utility].append(slot)
+                widest = max(widest, mask.bit_count())
+            else:
+                slot = FOLD
+            outputs.append((slot, utility))
         if op != "assign":
-            op = "max" if op == "decide" else op
-            self.widest = max(self.widest, *[mask.bit_count() for mask, _, _, _ in results])
-        reads = tuple([source.get(i, i) for i in inputs]) if source else inputs
-        return Step(var, inputs, reads, outputs, op, first, run, self)
+            op, self.widest = "max" if op == "decide" else op, widest
+        return _new(Step, (var, inputs, inputs, tuple(outputs), op, first, run, self))
 
     def unstep(self, step: Step, filed: tuple[list[int], list[int]], widest: int) -> None:
-        """Undo ``step``, the last one planned: take its results out of
-        their buckets and refile its bucket's ``filed`` slots.  Only a
-        :class:`BucketSchedule` undoes a step, and it fixes and batches no
-        variable, so its slots have no ``source`` and none is batched."""
+        """Undo ``step``, the last one planned: take its results out of their
+        buckets and refile its bucket's ``filed`` slots.  Only a schedule,
+        which fixes and batches no variable, undoes a step."""
         for slot, utility in step.outputs:
             if slot != FOLD:
                 bucket = self.ordering.sequence[self.masks[slot].bit_length() - 1]
@@ -345,34 +364,19 @@ def plan(scopes: Sequence[tuple[int, ...]], cards, ordering: Ordering,
     Every other observed variable whose bucket is processed is fixed: its
     value is applied once, before the sweep.  ``execute`` restricts each
     table at the fixed variables of its scope, each rule runs over the
-    variables its tables keep, and a fixed variable's bucket runs nothing,
-    though it is planned, filed and traced as the scatter it stands for.
+    variables its tables keep, and a fixed variable's bucket refiles its
+    tables and runs nothing, though it is traced as the scatter it stands for.
     """
     varying = frozenset(varying)
     observed = frozenset(observed) | varying
-    fixed = frozenset(v for v in observed if v in ops and v in ordering) - varying
+    fixed = observed.intersection(ops, ordering.sequence) - varying
     planner = _Planner(ordering, cards, observed, varying, fixed, scopes)
-    first_utility = len(scopes) - utilities
-    folds, restricted = [], {}
-    for slot, scope in enumerate(scopes):
-        scope, utility = tuple(scope), slot >= first_utility
-        kept = scope
-        if not fixed.isdisjoint(scope):
-            restricted[slot] = (*[v if v in fixed else -1 for v in scope], -2)
-            kept = tuple([v for v in scope if v not in fixed])
-        if planner.file(planner.mask(scope), kept, utility) == FOLD:
-            folds.append((slot, utility))
-    steps = tuple([planner.step(var, ops[var])
-                   for var in reversed(ordering.sequence) if var in ops])
-    source = planner.source
+    folds, restricted = planner.file(scopes, len(scopes) - utilities)
+    step = planner.step
+    steps = tuple([step(var, ops[var]) for var in reversed(ordering.sequence) if var in ops])
     return Plan(ordering, steps, planner, tuple(folds),
-                {v: tuple([source.get(i, i) for i in probs])
-                 for v, (probs, _) in planner.filed.items() if probs},
-                planner.widest, restricted)
-
-
-def _cells(scope: Sequence[int], cards) -> int:
-    return math.prod(map(cards.__getitem__, scope))
+                {v: tuple(probs) for v, (probs, _) in planner.filed.items() if probs},
+                planner.widest, tuple(restricted))
 
 
 def _without(scope: tuple[int, ...], var: int) -> tuple[int, ...]:
@@ -394,24 +398,15 @@ _ALL = slice(None)
 
 
 # Each bucket rule is called once per step, at plan time, with the variable,
-# the position masks of its inputs without the variable's bit (the last
-# ``utilities`` of them utilities), the variables each input's array keeps,
-# the cards and whether each input is batched; it returns the results as
-# (mask, kept variables, is a utility, is batched), in filing order, and
-# ``run``, whose shapes are built over the kept variables.
-
-def _batched_shapes(ins, over, cards, batched) -> list[tuple[int, ...]]:
-    """Each input's shape broadcast over the sorted superset ``over``.  When
-    an input is batched, every shape gets a leading batch axis: the batch
-    (-1) for a batched input, 1 for the others."""
-    shapes = [_aligned(s, over, cards) for s in ins]
-    if any(batched):
-        return [(-1 if b else 1, *shape) for b, shape in zip(batched, shapes)]
-    return shapes
-
+# the position masks of its inputs (the last ``utilities`` of them
+# utilities), the variables each input's array keeps, the cards, and whether
+# each input is batched, or None when none is.  It returns the results as
+# (mask, kept variables, is a utility, is batched), in filing order, each
+# mask its inputs' union, which the step files by its bits below the
+# variable's; and ``run``, whose shapes are built over the kept variables.
 
 def _union(scopes) -> tuple[int, ...]:
-    return tuple(sorted({v for s in scopes for v in s}))
+    return tuple(sorted(set().union(*scopes))) if len(scopes) > 1 else scopes[0]
 
 
 def _joined(masks, mask: int = 0) -> int:
@@ -421,29 +416,23 @@ def _joined(masks, mask: int = 0) -> int:
     return mask
 
 
-def _assign(var, masks, kept, utilities, cards, batched):
+def _assign(var, masks, kept, utilities, batched, gather):
     """Observation rule: slice each input at the observed value; nothing is
-    multiplied.  A batched input keeps its batch axis."""
-    k = len(kept) - utilities
-    return ([(m, _without(s, var), i >= k, b)
+    multiplied.  A batched input keeps its batch axis.  A varying variable
+    ``gather``s: ``values[var]`` is an index vector with one value per batch
+    row, row ``r`` of each result is its input (row ``r`` of it, if batched)
+    sliced at value ``values[var][r]``, and every result is batched."""
+    k, batched = len(kept) - utilities, batched or [False] * len(kept)
+    axes = [s.index(var) + b for s, b in zip(kept, batched)]
+    return ([(m, _without(s, var), i >= k, gather or b)
              for i, (m, s, b) in enumerate(zip(masks, kept, batched))],
-            partial(_take, var, [s.index(var) + b for s, b in zip(kept, batched)]))
+            partial(_gathered, var, axes, batched) if gather else partial(_take, var, axes))
 
 
 def _take(var, axes, arrays, context):
     value = context.values[var]
     # take copies, so a slice does not keep the table it came from alive.
     return [a.take(value, axis) for a, axis in zip(arrays, axes)], None
-
-
-def _gather(var, masks, kept, utilities, cards, batched):
-    """Observation rule for a varying variable: ``values[var]`` is an index
-    vector with one value per batch row, and row ``r`` of each result is its
-    input (row ``r`` of it, if batched) sliced at value ``values[var][r]``.
-    Every result is batched."""
-    k = len(kept) - utilities
-    return ([(m, _without(s, var), i >= k, True) for i, (m, s) in enumerate(zip(masks, kept))],
-            partial(_gathered, var, [s.index(var) + b for s, b in zip(kept, batched)], batched))
 
 
 def _gathered(var, axes, batched, arrays, context):
@@ -454,7 +443,7 @@ def _gathered(var, axes, batched, arrays, context):
             for a, axis, b in zip(arrays, axes, batched)], None
 
 
-def _eliminate(var, masks, kept, utilities, cards, batched, reduce):
+def _eliminate(reduce, var, masks, kept, utilities, cards, batched):
     """Sum or max rule: eliminate the variable from the probability product
     by ``reduce(product, axis) -> (marginal, choices)``.
 
@@ -465,15 +454,21 @@ def _eliminate(var, masks, kept, utilities, cards, batched, reduce):
     k = len(kept) - utilities
     if not k:
         raise ValueError("multiply needs at least one factor")
-    over = _union(kept[:k])
-    scope = _without(over, var)
-    shapes = _batched_shapes(kept[:k], over, cards, batched[:k])
-    lead = any(batched)  # the batch axis comes first
-    axis = over.index(var) + lead
-    mask = _joined(masks[:k])
-    probe = batched.index(True) if lead else 0  # see _out
+    probs = kept[:k] if utilities else kept
+    over = _union(probs)
+    axis = over.index(var)
+    scope, mask = over[:axis] + over[axis + 1:], 0
+    for m in masks[:k] if utilities else masks:
+        mask |= m
+    shapes = []
+    for s in probs:  # each input's shape broadcast over the product's scope
+        shapes.append(tuple([cards[v] if v in s else 1 for v in over]))
+    if batched and any(batched):  # a leading batch axis: -1 on a batched input, else 1
+        return ([(mask, scope, False, True)],
+                partial(_reduced, [(-1 if b else 1, *shape) for b, shape in zip(batched, shapes)],
+                        batched.index(True), reduce, axis + 1))  # see _out for the probe
     if not utilities:
-        return [(mask, scope, False, lead)], partial(_reduced, shapes, probe, reduce, axis)
+        return [(mask, scope, False, False)], partial(_reduced, shapes, 0, reduce, axis)
     joint = _union(kept)
     rest = _without(joint, var)
     # The weighted product continues in the product's own array where it
@@ -558,8 +553,8 @@ def _sum_out(product, axis, scratch):
 
 
 # The rules an unobserved bucket may apply; an observed one applies _assign.
-_RULES = {"sum": partial(_eliminate, reduce=_sum_out),
-          "max": partial(_eliminate, reduce=fold_max), "decide": _decide}
+_RULES = {"sum": partial(_eliminate, _sum_out), "max": partial(_eliminate, fold_max),
+          "decide": _decide}
 
 
 class Sweep:
@@ -638,11 +633,11 @@ def execute(plan: Plan, arrays: Sequence[np.ndarray], values: Mapping[int, int])
     calls on one plan stay independent.
     """
     slots = [*arrays, *[None] * (len(plan.planner.masks) - len(arrays))]
-    # Each index template holds a fixed variable's id at its axis, -1 at a
-    # free axis and -2 last, so that a fully indexed table stays an array.
-    index = {**values, -1: _ALL, -2: Ellipsis}.__getitem__
-    for slot, template in plan.restricted.items():
-        slots[slot] = slots[slot][tuple(map(index, template))]
+    if plan.restricted:  # each axis at its fixed variable's value, or whole
+        index = dict.fromkeys(plan.ordering.sequence, _ALL)
+        index.update({v: values[v] for v in plan.planner.fixed})
+        for slot in plan.restricted:  # Ellipsis last keeps a fully indexed table an array
+            slots[slot] = slots[slot][(*map(index.__getitem__, plan.planner.given[slot]), ...)]
     sweep = Sweep(plan.ordering, values, slots)
     context = Context(values, Scratch())
     with np.errstate(over="ignore", invalid="ignore"):
@@ -733,9 +728,9 @@ class BucketSchedule(Sweep):
                 raise ValueError(f"value {self.values[v]} out of range for variable {v}")
         if not f.scope:
             self.fold(f.values, utility)  # an overflow raises before anything is filed
-        slot = self._planner.file(self._planner.mask(f.scope), f.scope, utility)
+        folds, _ = self._planner.file([f.scope], 0 if utility else 1)
         cards.update(zip(f.scope, f.cards))
-        self.slots.append(None if slot == FOLD else f.values)
+        self.slots.append(None if folds else f.values)
 
     def record(self, entry: TraceEntry) -> None:
         self.trace.append(entry)

@@ -1,6 +1,7 @@
 """Bucket filing, the observation rule, and the backward sweep mechanics."""
 
 import gc
+import importlib.util
 import itertools
 import math
 import random
@@ -8,12 +9,13 @@ import sys
 import threading
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bucketforge import (BucketSchedule, Evidence, EvidenceError, Ordering, buckets, factor,
-                         forward_decode, partition)
+                         forward_decode, parse_network, partition)
 from bucketforge.buckets import FOLD, Context, execute, plan
 from bucketforge.factor import DiscreteFactor, Scratch
 from bucketforge.randgen import (random_evidence, random_influence_diagram,
@@ -617,6 +619,67 @@ def test_a_batched_plan_with_fixed_evidence_is_the_step_by_step_sweep_bit_for_bi
         kinds["with a cutset"] += bool(cut) and len(evidence) > 0
     assert kinds["rows"] >= 300 and kinds["zero mass"] > 0, kinds
     assert kinds["observed mid-order"] >= 40 and kinds["with a cutset"] >= 40, kinds
+
+
+def _long_chain(n=400, seed=3232):
+    """perfbench's seeded binary window-6 network of ``n`` variables, the
+    shape of the long-chain workload, as factors, with half of its variables
+    observed (never variable 0)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)  # its dataclasses look their module up
+    rng = np.random.default_rng(seed)
+    net = gen.window_network(rng, n, 2, 6)
+    return (parse_network(gen.network_text(net)).factor_list(), list(net.cards),
+            gen.observe(rng, net, fraction=0.5, exclude=[0]))
+
+
+@pytest.mark.parametrize("renamed", [False, True], ids=["natural order", "shuffled order"])
+def test_a_long_chain_plan_is_the_step_by_step_sweep_bit_for_bit(renamed):
+    """A 400-variable window chain with half its variables observed, so that
+    hundreds of fixed buckets refile their tables into computing steps: the
+    sum, max and belief sweeps of the plan, and each row of a max sweep
+    batched over two cutset variables, are the step-by-step sweeps bit for
+    bit (scalar, choice tables, decode and leftover tables), and the plan's
+    trace is theirs.  The shuffled order eliminates along the same chain
+    with the variables renamed at random, so ids no longer follow positions
+    while the tables stay narrow."""
+    tables, cards, observed = _long_chain()
+    n = len(cards)
+    name = list(range(n))
+    if renamed:
+        random.Random(3233).shuffle(name)
+        tables = [DiscreteFactor.from_table([name[v] for v in f.scope], f.cards, f.values)
+                  for f in tables]
+        cards = [cards[v] for v in sorted(range(n), key=name.__getitem__)]
+        observed = {name[v]: x for v, x in observed.items()}
+    order, evidence = Ordering(tuple(name)), Evidence(observed)
+    sweeps = {"sum": dict.fromkeys(order, "sum"), "max": dict.fromkeys(order, "max"),
+              "belief": dict.fromkeys(order.sequence[1:], "sum")}
+    for ops in sweeps.values():
+        _assert_same_sweep(_step_by_step(tables, (), order, evidence, ops),
+                           *_planned(tables, (), cards, order, evidence, ops), n)
+
+    ops = sweeps["max"]
+    cut = [v for v in order.sequence[n // 2:] if v not in observed][:2]
+    planned = plan([f.scope for f in tables], cards, order, observed, ops, varying=cut)
+    rows = list(itertools.product(range(2), repeat=2))
+    values = {**observed, **{v: np.array([row[j] for row in rows]) for j, v in enumerate(cut)}}
+    batch = execute(planned, [f.values for f in tables], values)
+    fixed = [s for s in planned.steps if s.op == "assign" and s.run is None]
+    assert len(fixed) >= 150 and sum(map(len, (s.inputs for s in fixed))) >= 400
+    for r, row in enumerate(rows):
+        schedule = _step_by_step(tables, (), order, Evidence({**observed, **dict(zip(cut, row))}),
+                                 ops)
+        picked = batch.row(r)
+        assert planned.trace == tuple(schedule.trace)
+        assert picked.scalar.hex() == schedule.scalar.hex() and schedule.scalar > 0.0
+        assert picked.arg_tables.keys() == schedule.arg_tables.keys()
+        for var, (scope, choices) in schedule.arg_tables.items():
+            assert picked.arg_tables[var][0] == scope
+            assert picked.arg_tables[var][1].tobytes() == choices.tobytes()
+        assert forward_decode(picked, range(n)) == forward_decode(schedule, range(n))
 
 
 @pytest.mark.parametrize("build, cls, message", [

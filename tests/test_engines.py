@@ -18,7 +18,7 @@ from bucketforge import (Evidence, EvidenceError, IterationRecord, Ordering,
                          solve_mpe, solve_mpe_conditioned)
 from bucketforge.buckets import TraceEntry, forward_decode, partition
 from bucketforge.factor import DiscreteFactor, add, fold_max, multiply
-from bucketforge.oracle import (oracle_belief, oracle_map, oracle_meu,
+from bucketforge.oracle import (CELL_LIMIT, oracle_belief, oracle_map, oracle_meu,
                                 oracle_mpe, score_assignment, score_decisions,
                                 score_hypothesis)
 from bucketforge.randgen import (random_evidence, random_influence_diagram,
@@ -609,6 +609,32 @@ def _window_chain():
     spec.loader.exec_module(gen)  # its dataclasses look their module up
     chain = gen.window_network(np.random.default_rng(7), 24, 2, window=2, max_parents=2)
     return parse_network(gen.network_text(chain))
+
+
+def test_a_batch_is_sized_from_the_plans_masks_without_building_a_scope():
+    """On criterion 1's random networks with evidence and a cutset, the
+    batch size read off the plan's position masks is the one the input
+    scopes of each trace entry give, and a cond-mpe run with fixed evidence
+    leaves its plan's scope list unbuilt."""
+    rng = random.Random(3201)
+    seen = Counter()
+    for case in range(80):
+        net = random_network(rng, max_vars=8, max_card=3)
+        evidence = random_evidence(rng, net, max_observed=3)
+        free = [v for v in range(net.n) if v not in evidence]
+        if not free:
+            continue
+        cut = sorted(rng.sample(free, rng.randint(1, min(3, len(free)))))
+        result = solve_mpe_conditioned(net, cut, evidence, shuffled_ordering(rng, net.n))
+        planner = result.plan.planner
+        assert planner._built is None
+        size = engines._batch_size(result.plan, net.cards, cut)
+        widest = max((math.prod(net.cards[v] for v in set().union(*entry.input_scopes))
+                      for entry in result.trace), default=1)
+        assert size == max(1, CELL_LIMIT // max(widest, len(cut), 1))
+        seen["fixed evidence"] += planner.fixed_mask != 0
+        seen["widest > 3"] += widest > 3
+    assert seen["fixed evidence"] >= 30 and seen["widest > 3"] >= 30, seen
 
 
 def test_conditioning_keeps_one_float_per_combination():

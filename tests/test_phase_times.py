@@ -86,6 +86,36 @@ def test_an_order_file_is_timed_as_ordering_and_the_classmethod_put_back(tmp_pat
     assert out["exit"] == [0] and out["median_s"]["order"] > 0
 
 
+def test_plan_steps_counts_the_computing_fixed_and_skipped_steps_of_the_query(tmp_path):
+    """``plan_steps`` is read off the plan the query built: with variable 5
+    observed its bucket is fixed, and a belief query on variable 2 keeps
+    only the tables of 2 and its ancestors, so it skips the buckets that
+    leaves empty.  dr builds no plan and counts none."""
+    net = tmp_path / "diag.net"
+    net.write_text(DIAG_TEXT)
+    ev = tmp_path / "obs.ev"
+    ev.write_text("1 5 1\n")
+    model = cli.parse_network(DIAG_TEXT)
+    evidence = cli.parse_evidence("1 5 1\n", model)
+    for argv, result in [(["mpe", str(net), "--evidence", str(ev)],
+                          engines.solve_mpe(model, evidence)),
+                         (["bel", str(net), "--query", "2"], engines.solve_belief(model, 2))]:
+        steps = result.plan.steps
+        out = phase_times.measure(argv, repeats=2)
+        assert out["plan_steps"] == {
+            "computing": sum(step.run is not None for step in steps),
+            "fixed": sum(step.entry.op == "assign" and step.run is None for step in steps),
+            "skipped": sum(step.entry.op == "skip" for step in steps)}
+        assert sum(out["plan_steps"].values()) == len(steps) > 0
+    assert out["plan_steps"]["skipped"] > 0
+    assert phase_times.measure(["mpe", str(net), "--evidence", str(ev)],
+                               repeats=1)["plan_steps"]["fixed"] == 1
+    cnf = tmp_path / "theory.cnf"
+    cnf.write_text("p cnf 2 1\n1 2 0\n")
+    assert phase_times.measure(["dr", str(cnf)], repeats=1)["plan_steps"] == {
+        "computing": 0, "fixed": 0, "skipped": 0}
+
+
 def test_the_traced_peak_comes_from_one_run_after_the_timed_ones(tmp_path, monkeypatch):
     """Only the last run is traced, and its peak holds what the command
     allocates: here cond-mpe's value per cutset combination."""

@@ -27,9 +27,15 @@ spent in them.  ``minflt`` is the median number of minor page faults per
 run (the change in ``resource.getrusage``'s ``ru_minflt`` over the run): a
 page the process touches for the first time, as a fresh large temporary's
 are, costs one.  A phase whose functions the imported ``bucketforge`` lacks
-reads null.  ``traced_peak_mib`` is the peak of the memory Python and numpy
-allocate (``tracemalloc``, MiB) during one more run, made after the timed
-ones so that tracing slows none of them.  One JSON object is printed.
+reads null.  ``plan_steps`` counts the steps of the plans ``engines.plan``
+returned in the last timed run: ``computing`` (a bucket rule runs),
+``fixed`` (a fixed observed variable's bucket, planned and traced but run
+as the restriction applied before the sweep) and ``skipped`` (an empty
+bucket), so plan time per step can be read off the plan median; it is null
+when the imported ``bucketforge`` has no ``engines.plan``.
+``traced_peak_mib`` is the peak of the memory Python and numpy allocate
+(``tracemalloc``, MiB) during one more run, made after the timed ones so
+that tracing slows none of them.  One JSON object is printed.
 
 ``bucketforge`` is imported from ``sys.path``, so ``PYTHONPATH`` selects the
 tree to measure; this is how one copy of the tool measures two commits.
@@ -79,15 +85,18 @@ def measure(argv: list[str], repeats: int = REPEATS) -> dict:
     from bucketforge import cli, engines
     modules = {"cli": cli, "engines": engines}
     spent: dict[str, float] = {}
-    saved = []
+    saved, plans = [], []  # plans: what engines.plan returned in the current run
 
     def wrap(fn, phase):
         def timed(*args, **kwargs):
             start = time.perf_counter()
             try:
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
             finally:
                 spent[phase] += time.perf_counter() - start
+            if phase == "plan":
+                plans.append(out)
+            return out
         return timed
 
     found = set()
@@ -121,6 +130,7 @@ def measure(argv: list[str], repeats: int = REPEATS) -> dict:
     try:
         for run in range(repeats + 1):
             spent.update(dict.fromkeys(PHASES, 0.0))
+            plans.clear()
             before = [g["collections"] for g in gc.get_stats()]
             collecting["spent"] = 0.0
             sink = io.StringIO()
@@ -138,6 +148,7 @@ def measure(argv: list[str], repeats: int = REPEATS) -> dict:
             collections.append([g["collections"] - b for g, b in zip(gc.get_stats(), before)])
             gc_times.append(collecting["spent"])
             faults.append(minflt)
+        steps = [step for planned in plans for step in planned.steps]
         tracemalloc.start()
         try:
             sink = io.StringIO()
@@ -162,6 +173,11 @@ def measure(argv: list[str], repeats: int = REPEATS) -> dict:
                            for g in range(len(collections[0]))],
         "gc_s": statistics.median(gc_times),
         "minflt": statistics.median(faults),
+        "plan_steps": {
+            "computing": sum(step.run is not None for step in steps),
+            "fixed": sum(step.run is None and step.op != "skip" for step in steps),
+            "skipped": sum(step.op == "skip" for step in steps),
+        } if "plan" in found else None,
         "traced_peak_mib": peak / 2 ** 20,
     }
 
