@@ -141,25 +141,26 @@ class Step(NamedTuple):
         """This step's trace entry, built from the planner's scopes."""
         return self.traced(self.planner.built())
 
-    def traced(self, scopes, refiled: dict | None = None) -> TraceEntry:
+    def traced(self, scopes) -> TraceEntry:
         """This step's trace entry over the slot scopes ``scopes``.  An input
-        refiled here by fixed buckets is over what its slot's scope keeps up
-        to this bucket: ``refiled[slot]``, if earlier steps put it there, else
-        that scope cut here.  A fixed bucket puts its results there."""
+        that fixed buckets refiled here is over its slot's scope cut at this
+        bucket: the variables above it are fixed ones already processed."""
         planner, var = self.planner, self.variable
-        if refiled is None:
-            bit, top, refiled = planner.bit, planner.bit[var] << 1, {}
-            ins = tuple([scopes[i] if planner.masks[i] < top else
-                         tuple([v for v in scopes[i] if bit[v] < top]) for i in self.inputs])
-        else:
-            ins = tuple([refiled.pop(i, None) or scopes[i] for i in self.inputs])
+        bit, masks, cards, top = planner.bit, planner.masks, planner.cards, planner.bit[var] << 1
+        ins = []
+        for i in self.inputs:
+            scope = scopes[i]
+            if masks[i] >= top:
+                scope = tuple([v for v in scope if bit[v] < top])
+            ins.append(scope)
         if self.run is None and ins:  # result j is input j's scope less the variable
             outs = tuple([_without(s, var) for s in ins])
-            refiled.update(zip(self.inputs, outs))
         else:
             outs = tuple(scopes[self.first:self.first + len(self.outputs)])
-        cells = [math.prod(map(planner.cards.__getitem__, s)) for s in outs]
-        return TraceEntry(var, self.op, ins, outs, sum(cells))
+        cells = 0
+        for scope in outs:
+            cells += math.prod(map(cards.__getitem__, scope))
+        return TraceEntry(var, self.op, tuple(ins), outs, cells)
 
 
 class Plan(NamedTuple):
@@ -176,13 +177,25 @@ class Plan(NamedTuple):
     @property
     def trace(self) -> tuple[TraceEntry, ...]:
         """Each step's trace entry, in the order the steps run."""
-        scopes, refiled = self.planner.built(), {}
-        return tuple([step.traced(scopes, refiled) for step in self.steps])
+        scopes = self.planner.built()
+        return tuple([step.traced(scopes) for step in self.steps])
 
     @property
     def scopes(self) -> list[tuple[int, ...]]:
-        """The scope of each slot, as numbered: a fixed bucket refiles a slot as it is."""
+        """The scope of each slot, as numbered.  Slot ``i``'s array is over
+        ``planner.kept[i]``, its fixed variables applied; the scope of a slot
+        that fixed buckets refile keeps the fixed variables of the buckets it
+        passes through (:meth:`Step.traced` cuts it at each bucket)."""
         return self.planner.built()
+
+    def widest_read(self) -> int:
+        """The most cells in the scope union of one step's inputs (1 if
+        none), read off their masks up to the step's variable."""
+        planner, sequence = self.planner, self.ordering.sequence
+        unions = (_joined(map(planner.masks.__getitem__, step.inputs))
+                  & ((planner.bit[step.variable] << 1) - 1) for step in self.steps)
+        return max((math.prod([planner.cards[sequence[p]] for p in _bits(union)])
+                    for union in unions), default=1)
 
 
 class _Planner:
@@ -325,7 +338,8 @@ class _Planner:
                 batched.add(slot)
             if mask:
                 filed[sequence[mask.bit_length() - 1]][utility].append(slot)
-                widest = max(widest, mask.bit_count())
+                if mask.bit_count() > widest:
+                    widest = mask.bit_count()
             else:
                 slot = FOLD
             outputs.append((slot, utility))

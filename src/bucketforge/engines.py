@@ -19,11 +19,11 @@ import numpy as np
 # ``partition``, ``add`` and ``multiply`` are not called here, but
 # perfbench/tracing.py wraps them by name on this module and fails to
 # install without them.
-from .buckets import (Plan, Sweep, TraceEntry, _joined, execute,  # noqa: F401
-                      forward_decode, partition, plan)
+from .buckets import (Plan, Sweep, TraceEntry, execute, forward_decode,  # noqa: F401
+                      partition, plan)
 from .errors import EvidenceError, OrderingConstraintError, ZeroMassError
 from .factor import _finite, add, multiply  # noqa: F401
-from .graph import (Ordering, _bits, augmented_graph, constrained_order, moral_graph,
+from .graph import (Ordering, augmented_graph, constrained_order, moral_graph,
                     observed_suffix)
 from .model import BeliefNetwork, Evidence, InfluenceDiagram, Table
 from .oracle import CELL_LIMIT
@@ -332,7 +332,7 @@ def _max_sweep(net: BeliefNetwork, cut: list[int], evidence: Evidence | None,
                             ordering, dict.fromkeys(ordering.sequence, "max"),
                             varying=varying)
     # Sizing a batch walks the whole plan, so a single combination skips it.
-    size = _batch_size(planned, net.cards, cut) if count > 1 else 1
+    size = _batch_size(planned, cut) if count > 1 else 1
 
     best = assignment = None
     values = np.empty(count)
@@ -354,16 +354,11 @@ def _max_sweep(net: BeliefNetwork, cut: list[int], evidence: Evidence | None,
                    iterations=Iterations(cut, ranges, values, planned.max_generated_scope))
 
 
-def _batch_size(planned: Plan, cards, cut: Sequence[int]) -> int:
+def _batch_size(planned: Plan, cut: Sequence[int]) -> int:
     """The most cutset combinations one execution of ``planned`` may batch.
 
     Every batched array of one combination fits the scope union of a step's
-    inputs (a product, or a table sliced out of one), read off their masks
-    up to the step's variable without building a scope.  B times the cells
-    of the largest union, and B times the cutset's size, stay within
-    ``oracle.CELL_LIMIT``; B is at least 1."""
-    masks, bit, sequence = planned.planner.masks, planned.planner.bit, planned.ordering.sequence
-    unions = (_joined(map(masks.__getitem__, step.inputs)) & ((bit[step.variable] << 1) - 1)
-              for step in planned.steps)
-    widest = max((math.prod([cards[sequence[p]] for p in _bits(u)]) for u in unions), default=1)
-    return max(1, CELL_LIMIT // max(widest, len(cut), 1))
+    inputs: a product, or a table sliced out of one.  B times the cells of
+    the largest union (:meth:`Plan.widest_read`), and B times the cutset's
+    size, stay within ``oracle.CELL_LIMIT``; B is at least 1."""
+    return max(1, CELL_LIMIT // max(planned.widest_read(), len(cut)))

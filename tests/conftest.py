@@ -1,6 +1,11 @@
 """Shared fixtures: a hand-built six-variable network with known widths,
-and the table kernels as they were before they took scratch memory, kept
-as the reference the kernels are checked against."""
+the table kernels as they were before they took scratch memory, kept as
+the reference the kernels are checked against, and the benchmark's
+network generators."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,3 +113,14 @@ def reference_fold_max(values, axis):
         np.maximum(best, s, out=best)
         np.maximum(choices, better * index(i), out=choices)
     return best, choices
+
+
+@pytest.fixture(scope="session")
+def generators():
+    """perfbench/generators.py, the benchmark's seeded network generators,
+    loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)  # its dataclasses look their module up
+    return gen

@@ -1,7 +1,6 @@
 """Bucket filing, the observation rule, and the backward sweep mechanics."""
 
 import gc
-import importlib.util
 import itertools
 import math
 import random
@@ -9,7 +8,6 @@ import sys
 import threading
 import weakref
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -621,14 +619,10 @@ def test_a_batched_plan_with_fixed_evidence_is_the_step_by_step_sweep_bit_for_bi
     assert kinds["observed mid-order"] >= 40 and kinds["with a cutset"] >= 40, kinds
 
 
-def _long_chain(n=400, seed=3232):
+def _long_chain(gen, n=400, seed=3232):
     """perfbench's seeded binary window-6 network of ``n`` variables, the
     shape of the long-chain workload, as factors, with half of its variables
     observed (never variable 0)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
-    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
-    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)  # its dataclasses look their module up
     rng = np.random.default_rng(seed)
     net = gen.window_network(rng, n, 2, 6)
     return (parse_network(gen.network_text(net)).factor_list(), list(net.cards),
@@ -636,7 +630,7 @@ def _long_chain(n=400, seed=3232):
 
 
 @pytest.mark.parametrize("renamed", [False, True], ids=["natural order", "shuffled order"])
-def test_a_long_chain_plan_is_the_step_by_step_sweep_bit_for_bit(renamed):
+def test_a_long_chain_plan_is_the_step_by_step_sweep_bit_for_bit(generators, renamed):
     """A 400-variable window chain with half its variables observed, so that
     hundreds of fixed buckets refile their tables into computing steps: the
     sum, max and belief sweeps of the plan, and each row of a max sweep
@@ -645,7 +639,7 @@ def test_a_long_chain_plan_is_the_step_by_step_sweep_bit_for_bit(renamed):
     trace is theirs.  The shuffled order eliminates along the same chain
     with the variables renamed at random, so ids no longer follow positions
     while the tables stay narrow."""
-    tables, cards, observed = _long_chain()
+    tables, cards, observed = _long_chain(generators)
     n = len(cards)
     name = list(range(n))
     if renamed:

@@ -1,13 +1,10 @@
 """Query engines against hand-worked cases and the enumeration oracles."""
 
-import importlib.util
 import math
 import random
-import sys
 import tracemalloc
 from collections import Counter
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -543,7 +540,7 @@ def _stream_watch(monkeypatch, batch):
         state["reduced"] += rows
         return sweep
 
-    monkeypatch.setattr(engines, "_batch_size", lambda planned, cards, cut: batch)
+    monkeypatch.setattr(engines, "_batch_size", lambda planned, cut: batch)
     monkeypatch.setattr(engines, "_max_sweep", watched_sweep)
     monkeypatch.setattr(engines, "execute", watched_execute)
     return state
@@ -600,13 +597,9 @@ def test_iterating_the_records_reads_what_indexing_reads(diag_net, monkeypatch, 
         assert all(type(rec.value) is float for rec in view)
 
 
-def _window_chain():
+def _window_chain(gen):
     """perfbench's seeded 24-variable binary chain, each variable with
     parents among the two before it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
-    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
-    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)  # its dataclasses look their module up
     chain = gen.window_network(np.random.default_rng(7), 24, 2, window=2, max_parents=2)
     return parse_network(gen.network_text(chain))
 
@@ -628,7 +621,7 @@ def test_a_batch_is_sized_from_the_plans_masks_without_building_a_scope():
         result = solve_mpe_conditioned(net, cut, evidence, shuffled_ordering(rng, net.n))
         planner = result.plan.planner
         assert planner._built is None
-        size = engines._batch_size(result.plan, net.cards, cut)
+        size = engines._batch_size(result.plan, cut)
         widest = max((math.prod(net.cards[v] for v in set().union(*entry.input_scopes))
                       for entry in result.trace), default=1)
         assert size == max(1, CELL_LIMIT // max(widest, len(cut), 1))
@@ -637,10 +630,10 @@ def test_a_batch_is_sized_from_the_plans_masks_without_building_a_scope():
     assert seen["fixed evidence"] >= 30 and seen["widest > 3"] >= 30, seen
 
 
-def test_conditioning_keeps_one_float_per_combination():
+def test_conditioning_keeps_one_float_per_combination(generators):
     """What a result holds after the run: at most 16 bytes per cutset
     combination, besides the plan and the decoded answer."""
-    net, cut = _window_chain(), range(16)
+    net, cut = _window_chain(generators), range(16)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
