@@ -151,7 +151,11 @@ class Step(NamedTuple):
         for i in self.inputs:
             scope = scopes[i]
             if masks[i] >= top:
-                scope = tuple([v for v in scope if bit[v] < top])
+                cut = []
+                for v in scope:
+                    if bit[v] < top:
+                        cut.append(v)
+                scope = tuple(cut)
             ins.append(scope)
         if self.run is None and ins:  # result j is input j's scope less the variable
             outs = tuple([_without(s, var) for s in ins])
@@ -271,7 +275,11 @@ class _Planner:
             masks.append(mask)
             if mask & fixed_mask:
                 restricted.append(slot)
-                scope = tuple([v for v in scope if v not in fixed])
+                unfixed = []
+                for v in scope:
+                    if v not in fixed:
+                        unfixed.append(v)
+                scope = tuple(unfixed)
             kept.append(scope)
             if not mask:
                 folds.append((slot, utility))
@@ -319,7 +327,10 @@ class _Planner:
             return _new(Step, (var, inputs, tuple(reads), tuple(outputs), op, first, None, self))
         # Only a plan with varying variables has batched slots.
         flags = [i in batched for i in inputs] if batched else None
-        ms, ks = [masks[i] for i in inputs], [kept[i] for i in inputs]
+        ms, ks = [], []
+        for i in inputs:
+            ms.append(masks[i])
+            ks.append(kept[i])
         if op == "assign":
             results, run = _assign(var, ms, ks, len(utils), flags, var in self.varying)
         elif flags and any(flags) and (utils or op == "decide"):
@@ -476,7 +487,10 @@ def _eliminate(reduce, var, masks, kept, utilities, cards, batched):
         mask |= m
     shapes = []
     for s in probs:  # each input's shape broadcast over the product's scope
-        shapes.append(tuple([cards[v] if v in s else 1 for v in over]))
+        shape = []
+        for v in over:
+            shape.append(cards[v] if v in s else 1)
+        shapes.append(tuple(shape))
     if batched and any(batched):  # a leading batch axis: -1 on a batched input, else 1
         return ([(mask, scope, False, True)],
                 partial(_reduced, [(-1 if b else 1, *shape) for b, shape in zip(batched, shapes)],
