@@ -8,34 +8,28 @@ contents and files the results further down.  Empty-scope results fold into
 running scalars.
 
 Which tables meet in which bucket, and every shape along the way, depends
-only on the scopes, the ordering, the observed set and each bucket's rule,
-never on a table's numbers or an observed value.  :func:`plan` works all of
-that out once; :func:`execute` runs the plan on arrays, and can run it again
-for other numbers or other observed values.  A table is held in a numbered
-slot and dropped once the step that consumes it has run; each table a step
-keeps is a fresh array, and the intermediates of its wide buckets live in
-one scratch per :func:`execute` call.  The planner reads only integer
-masks (bit ``p`` for ordering position ``p``) and the variables each table
-keeps, files each step's results by their masks as it plans the step, and
-builds no scope that holds a fixed variable until a scope is read.
+only on the scopes, the ordering, the observed set and each bucket's rule.
+:func:`plan` works all of that out once, from integer position masks (bit
+``p`` for ordering position ``p``) and the variables each table keeps;
+:func:`execute` runs the plan on arrays, again for other numbers or other
+observed values.  A table is held in a numbered slot and dropped once the
+step that consumes it has run; each table a step keeps is a fresh array,
+and the intermediates of wide buckets live in one scratch per
+:func:`execute` call.  A step's :class:`TraceEntry` is built only when
+:attr:`Step.entry` or :attr:`Plan.trace` is read.
 
 The evidence is applied once, before the sweep.  An observed variable with
 one value is fixed: :func:`execute` restricts every table at the fixed
-variables of its scope, each with one basic index, a view and not a copy,
-and each rule runs over the variables its tables keep.  A fixed variable's
-bucket is still planned, filed and traced: its ``assign`` trace entry
-records the paper's observed-bucket step, which the sweep runs as that
-restriction, so the step runs nothing and numbers no slot: each table it
-holds is refiled by its own slot where slicing would file the slice, and
-one over no variable left folds into its scalar.  Slicing commutes with
-elementwise products and slice folds, so every product, sum, maximum,
-choice table and scalar is the one slicing bucket by bucket gives, bit for
-bit.  A cell at an unobserved value of an observed variable is never
-computed, so a non-finite one is not refused.
-
-A plan records what each step does, not its trace: a step keeps its op,
-input slots and first result slot, and its :class:`TraceEntry` is built
-only when :attr:`Step.entry` or :attr:`Plan.trace` is read.
+variables of its scope, each with one basic index, a view, and each rule
+runs over the variables its tables keep.  A fixed variable's bucket is
+still planned and traced as ``assign``, the paper's observed-bucket step,
+but runs nothing and numbers no slot: each table it holds is refiled by its
+own slot where slicing would file the slice, and one over no variable left
+folds into its scalar.  Slicing commutes with elementwise products and
+slice folds, so every product, sum, maximum, choice table and scalar is the
+one slicing bucket by bucket gives, bit for bit.  A cell at an unobserved
+value of an observed variable is never computed, so a non-finite one is not
+refused.
 
 A plan can also run a batch of observed values at once.  Its ``varying``
 variables take one value per combination of the batch, and every array that
@@ -100,13 +94,6 @@ class TraceEntry:
                 f"out={scopes(self.output_scopes)} cells={self.cells}")
 
 
-def _generated_scope(entry: TraceEntry) -> int:
-    """Largest table scope a sum or max entry generated (0 for the others)."""
-    if entry.op not in ("sum", "max"):
-        return 0
-    return max(map(len, entry.output_scopes), default=0)
-
-
 class Context(NamedTuple):
     """What one sweep hands each step it runs: the observed values, and the
     scratch memory the step's kernels write their intermediates in."""
@@ -161,9 +148,7 @@ class Step(NamedTuple):
             outs = tuple([_without(s, var) for s in ins])
         else:
             outs = tuple(scopes[self.first:self.first + len(self.outputs)])
-        cells = 0
-        for scope in outs:
-            cells += math.prod(map(cards.__getitem__, scope))
+        cells = sum([math.prod(map(cards.__getitem__, s)) for s in outs])
         return TraceEntry(var, self.op, tuple(ins), outs, cells)
 
 
@@ -186,10 +171,9 @@ class Plan(NamedTuple):
 
     @property
     def scopes(self) -> list[tuple[int, ...]]:
-        """The scope of each slot, as numbered.  Slot ``i``'s array is over
-        ``planner.kept[i]``, its fixed variables applied; the scope of a slot
-        that fixed buckets refile keeps the fixed variables of the buckets it
-        passes through (:meth:`Step.traced` cuts it at each bucket)."""
+        """The scope of each slot as numbered; its array is over ``planner.kept``'s.
+        A slot that fixed buckets refile keeps the fixed variables of each
+        bucket it passes through (:meth:`Step.traced` cuts them off)."""
         return self.planner.built()
 
     def widest_read(self) -> int:
@@ -213,9 +197,6 @@ class _Planner:
     table before the sweep: slot ``i``'s table is over ``kept[i]``, the
     unfixed variables of its scope in id order, and a fixed variable's
     bucket refiles each slot it holds by its bits below the variable's.
-    :meth:`built` gives each slot's scope: ``kept`` itself when no variable
-    is fixed, else ``kept`` with the fixed bits of each mask, built once the
-    planning is done.
     """
 
     def __init__(self, ordering: Ordering, cards, observed, varying=frozenset(),
@@ -387,10 +368,8 @@ def plan(scopes: Sequence[tuple[int, ...]], cards, ordering: Ordering,
     utilities or decisions may have one.
 
     Every other observed variable whose bucket is processed is fixed: its
-    value is applied once, before the sweep.  ``execute`` restricts each
-    table at the fixed variables of its scope, each rule runs over the
-    variables its tables keep, and a fixed variable's bucket refiles its
-    tables and runs nothing, though it is traced as the scatter it stands for.
+    value is applied to each table before the sweep, and its bucket refiles
+    its tables and runs nothing, though it is traced as the scatter it is.
     """
     varying = frozenset(varying)
     observed = frozenset(observed) | varying
@@ -482,11 +461,9 @@ def _eliminate(reduce, var, masks, kept, utilities, cards, batched):
     probs = kept[:k] if utilities else kept
     over = _union(probs)
     axis = over.index(var)
-    scope, mask = over[:axis] + over[axis + 1:], 0
-    for m in masks[:k] if utilities else masks:
+    scope, mask, shapes = over[:axis] + over[axis + 1:], 0, []
+    for m, s in zip(masks, probs):  # each input's shape broadcast over the product's scope
         mask |= m
-    shapes = []
-    for s in probs:  # each input's shape broadcast over the product's scope
         shape = []
         for v in over:
             shape.append(cards[v] if v in s else 1)
@@ -762,8 +739,9 @@ class BucketSchedule(Sweep):
 
     def record(self, entry: TraceEntry) -> None:
         self.trace.append(entry)
-        self.max_generated_scope = max(self.max_generated_scope,
-                                       _generated_scope(entry))
+        if entry.op in ("sum", "max"):  # the largest table scope a rule generated
+            self.max_generated_scope = max(self.max_generated_scope,
+                                           *map(len, entry.output_scopes))
 
     def scatter(self, var: int) -> None:
         """Observation rule: re-file a slice of each bucket member, one by
