@@ -171,9 +171,9 @@ class Plan(NamedTuple):
 
     @property
     def scopes(self) -> list[tuple[int, ...]]:
-        """The scope of each slot as numbered; its array is over ``planner.kept``'s.
-        A slot that fixed buckets refile keeps the fixed variables of each
-        bucket it passes through (:meth:`Step.traced` cuts them off)."""
+        """Each slot's scope as numbered (its array is over ``planner.kept``'s
+        entry).  A slot that fixed buckets refile keeps their variables here;
+        :meth:`Step.traced` cuts them off at each bucket."""
         return self.planner.built()
 
     def widest_read(self) -> int:
@@ -308,7 +308,7 @@ class _Planner:
             return _new(Step, (var, inputs, tuple(reads), tuple(outputs), op, first, None, self))
         # Only a plan with varying variables has batched slots.
         flags = [i in batched for i in inputs] if batched else None
-        ms, ks = [], []
+        ms, ks = [], []  # loops here and in the rules: a comprehension is a call in Python 3.11
         for i in inputs:
             ms.append(masks[i])
             ks.append(kept[i])
