@@ -148,7 +148,9 @@ class Step(NamedTuple):
             outs = tuple([_without(s, var) for s in ins])
         else:
             outs = tuple(scopes[self.first:self.first + len(self.outputs)])
-        cells = sum([math.prod(map(cards.__getitem__, s)) for s in outs])
+        cells = 0
+        for scope in outs:
+            cells += math.prod(map(cards.__getitem__, scope))
         return TraceEntry(var, self.op, tuple(ins), outs, cells)
 
 
