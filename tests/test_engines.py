@@ -624,6 +624,7 @@ def test_a_batch_is_sized_from_the_plans_masks_without_building_a_scope():
         size = engines._batch_size(result.plan, cut)
         widest = max((math.prod(net.cards[v] for v in set().union(*entry.input_scopes))
                       for entry in result.trace), default=1)
+        assert result.plan.widest_read() == widest
         assert size == max(1, CELL_LIMIT // max(widest, len(cut), 1))
         seen["fixed evidence"] += planner.fixed_mask != 0
         seen["widest > 3"] += widest > 3
