@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
+import threading
 import warnings
 
 from . import engines, oracle
@@ -418,7 +420,36 @@ _COMMANDS = {
 }
 
 
+# The cyclic collector is one switch per process, so calls of run on several
+# threads share one pause: the first to start records whether the collector
+# was enabled and disables it, and the last to return enables it again if so.
+_pause_lock = threading.Lock()
+_pausing = 0  # calls of run in progress
+_resume = False  # whether the first of them found the collector enabled
+
+
 def run(argv) -> int:
+    """Run one command line and return its exit code, with the cyclic
+    collector paused for the whole command, its refusal handlers included:
+    a command makes no reference cycles, so reference counting frees all
+    it allocates, and no pass rescans the objects a long plan keeps alive
+    meanwhile."""
+    global _pausing, _resume
+    with _pause_lock:
+        if not _pausing:
+            _resume = gc.isenabled()
+            gc.disable()
+        _pausing += 1
+    try:
+        return _run(argv)
+    finally:
+        with _pause_lock:
+            _pausing -= 1
+            if not _pausing and _resume:
+                gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     with warnings.catch_warnings():
         # Each warning the command raises prints as one stderr line, every

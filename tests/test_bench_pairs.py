@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: pairs are won by the better side of each metric,
 and a claim needs nine wins in ten and a gain past the parent's spread."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -48,3 +49,24 @@ def test_a_claim_needs_nine_wins_in_ten_and_a_gain_past_the_spread():
                                    list(range(10)), DIRECTIONS)
     assert slight["metrics"]["query_s_tail"]["change_wins"] == "10/10"
     assert not bench_pairs.claim({"w": slight}, "w", "query_s_tail", "lower")["met"]
+
+
+def test_each_querys_median_is_read_per_run_and_compared_per_pair(tmp_path):
+    """A run's per-query medians come from the result.json it left; over the
+    pairs, each query keeps each side's median and the pairs the change
+    won, so a query the change did not speed up shows by name."""
+    sides = {"parent": ([0.12, 0.10, 0.14], [0.05, 0.05]), "change": ([0.11, 0.11], [0.06])}
+    runs = {}
+    for side, (slow, fast) in sides.items():
+        workdir = tmp_path / side / ".perfbench" / "long-chain-s7"
+        workdir.mkdir(parents=True)
+        records = [{"id": "bel", "s_ref": s} for s in slow] + [{"id": "mpe", "s_ref": s}
+                                                              for s in fast]
+        (workdir / "result.json").write_text(json.dumps({"records": records}))
+        medians = bench_pairs.query_medians(str(tmp_path / side), "long-chain", 7)
+        runs[side] = [{"query_s_ref": medians},
+                      {"query_s_ref": {q: t + 0.01 for q, t in medians.items()}}]
+    assert runs["parent"][0]["query_s_ref"] == {"bel": 0.12, "mpe": 0.05}
+    assert bench_pairs.per_query(runs) == {
+        "bel": {"parent": 0.125, "change": 0.115, "change_wins": "2/2"},
+        "mpe": {"parent": 0.055, "change": 0.065, "change_wins": "0/2"}}

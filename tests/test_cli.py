@@ -1,13 +1,16 @@
 """Command-line front end: output lines, exit codes, determinism."""
 
+import gc
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -934,3 +937,223 @@ def test_a_query_without_trace_builds_no_trace_entry(argv, monkeypatch, capsys):
     entries = [line for line in traced if line.startswith("trace var=")]
     assert len(built) == len(entries) > 0
     assert [line for line in traced if not line.startswith("trace ")] == plain.splitlines()
+
+
+# -- the collector pause ------------------------------------------------------
+
+PAUSE_INPUTS = {"net": DIAG_TEXT, "ev": "1 5 1\n", "copy": COPY_TEXT, "conflict": "2 0 0 1 1\n",
+                "off": OFF_ROW_TEXT, "id": DIAGRAM_TEXT, "never": NEVER_ONE_DIAGRAM,
+                "never_ev": "1 1 1\n", "sat": SAT_CNF, "unsat": UNSAT_CNF,
+                "taut": "p cnf 2 2\n1 -1 0\n2 0\n", "bad": "BAYES\n1\n2\n1\n1 0\n3 0.5 0.5\n"}
+
+
+def pause_argv(tmp_path, spec):
+    """``spec``'s words, each ``{name}`` the path of that ``PAUSE_INPUTS``
+    file (``{missing}`` a path with no file)."""
+    paths = {name: write(tmp_path, name, text) for name, text in PAUSE_INPUTS.items()}
+    paths["missing"] = str(tmp_path / "missing.net")
+    return [word.format(**paths) for word in spec.split()]
+
+
+@pytest.mark.parametrize("spec, code", [
+    ("bel {net} --query 0", 0),
+    ("bel {net} --query 2 --evidence {ev} --trace", 0),
+    ("bel {net} --query 2 --evidence {ev} --json --oracle", 0),
+    ("bel {off} --query 0 --lax", 0),
+    ("bel {copy} --query 0 --evidence {conflict}", 3),
+    ("bel {copy} --query 0 --evidence {conflict} --json", 3),
+    ("mpe {net} --evidence {ev} --trace", 0),
+    ("mpe {net} --json --oracle", 0),
+    ("mpe {off} --lax --trace", 0),
+    ("mpe {copy} --evidence {conflict} --trace", 3),
+    ("map {net} --hyp 0,1 --evidence {ev} --trace", 0),
+    ("map {copy} --hyp 0 --evidence {conflict} --json", 3),
+    ("meu {id} --trace --oracle", 0),
+    ("meu {id} --json", 0),
+    ("meu {never} --evidence {never_ev}", 3),
+    ("cond-mpe {net} --cutset 1,2 --evidence {ev} --trace", 0),
+    ("cond-mpe {net} --wbound 1 --parallel 2 --json", 0),
+    ("dr {sat} --trace --oracle", 0),
+    ("dr {taut} --json", 0),
+    ("dr {unsat} --trace", 3),
+    ("stats {net} --evidence {ev}", 0),
+    ("stats {sat} --json --order given:3,2,1", 0),
+    ("stats {off} --lax", 0),
+    ("", 1),
+    ("bel {net} --query 9", 1),
+    ("dr {sat} --bogus", 1),
+    ("cond-mpe {net} --wbound -1", 1),
+    ("mpe {missing}", 2),
+    ("bel {bad} --query 0", 2),
+    ("mpe {off}", 2),
+], ids=lambda x: x if isinstance(x, str) and x else None)
+def test_no_command_leaves_cyclic_garbage(tmp_path, capsys, spec, code):
+    """``run`` pauses the cyclic collector, which is safe only while
+    reference counting frees everything a command allocates: a command
+    that built a cycle per step or per table would grow memory under the
+    pause, and fails here instead."""
+    argv = pause_argv(tmp_path, spec)
+    assert run(argv) == code  # one-time imports and caches
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv) == code
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+
+
+def _raise(exc):
+    def command(args):
+        raise exc
+    return command
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("spec, exit, command", [
+    ("bel {net} --query 0", 0, None),
+    ("bel {copy} --query 0 --evidence {conflict}", 3, None),
+    ("bel {net} --query 9", 1, None),
+    ("bel {net} --query 0 --bogus", 1, None),
+    ("bel {bad} --query 0", 2, None),
+    ("bel --help", SystemExit, None),
+    ("stats {net}", BrokenPipeError, _raise(BrokenPipeError())),
+    ("stats {net}", RuntimeError, _raise(RuntimeError("unexpected"))),
+], ids=["return 0", "return 3", "usage error", "unknown flag", "model error",
+        "help", "broken pipe", "unexpected error"])
+def test_run_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, enabled,
+                                                 spec, exit, command):
+    if command is not None:
+        monkeypatch.setitem(bucketforge.cli._COMMANDS, "stats", command)
+    argv = pause_argv(tmp_path, spec)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if isinstance(exit, int):
+            assert run(argv) == exit
+        else:
+            with pytest.raises(exit):
+                run(argv)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_overlapping_runs_on_many_threads_leave_the_collector_as_they_found_it(tmp_path,
+                                                                               capsys):
+    """More threads than cores start together at a barrier, each running a
+    query and a usage error in turn as fast as it can, with the interpreter
+    switching threads every microsecond: however the calls overlap, the
+    collector ends as it was before the first began, enabled or disabled."""
+    argvs = [pause_argv(tmp_path, "mpe {net} --evidence {ev} --trace"),
+             pause_argv(tmp_path, "bel {net} --query 9")]
+    count, rounds = max(8, (os.cpu_count() or 1) + 1), 20
+    was, interval = gc.isenabled(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for enabled in (True, False, True):
+            (gc.enable if enabled else gc.disable)()
+            barrier, codes = threading.Barrier(count), []
+
+            def commands():
+                barrier.wait()
+                codes.extend(run(argvs[i % 2]) for i in range(rounds))
+            threads = [threading.Thread(target=commands) for _ in range(count)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            half = count * rounds // 2
+            assert sorted(codes) == [0] * half + [1] * half
+            assert gc.isenabled() is enabled
+    finally:
+        sys.setswitchinterval(interval)
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_a_call_that_begins_as_another_returns_leaves_the_collector_enabled(monkeypatch):
+    """Thread A's command runs when thread B calls ``run``, and A returns
+    while B's call is starting.  Had B read the collector's state while A
+    held it disabled, and disabled it after A had enabled it again, both
+    would return with it disabled, and so would every later call; one
+    pause shared under a lock ends with it enabled."""
+    a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
+    threads = {}
+
+    def isenabled():
+        enabled = gc.isenabled()
+        if threading.current_thread() is threads.get("b"):
+            b_in.set()
+            a_done.wait(5)
+        return enabled
+
+    def command(args):
+        if threading.current_thread() is threads["b"]:
+            b_in.set()
+            a_done.wait(5)
+        else:
+            a_in.set()
+            b_in.wait(5)
+        return 0
+
+    def call_a():
+        run(["stats", "unread.net"])
+        a_done.set()
+    monkeypatch.setattr(bucketforge.cli, "gc",
+                        SimpleNamespace(isenabled=isenabled, disable=gc.disable,
+                                        enable=gc.enable))
+    monkeypatch.setitem(bucketforge.cli._COMMANDS, "stats", command)
+    assert gc.isenabled()
+    threads["a"] = threading.Thread(target=call_a)
+    threads["b"] = threading.Thread(target=run, args=(["stats", "unread.net"],))
+    threads["a"].start()
+    assert a_in.wait(5)
+    threads["b"].start()
+    for t in threads.values():
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads.values())
+    assert a_done.is_set() and gc.isenabled()
+
+
+def test_no_collector_pass_starts_inside_run_on_a_long_chain(tmp_path, capsys, generators):
+    """A seeded 2500-variable window chain with half its variables observed,
+    long-chain's shape: its plan keeps tens of thousands of objects alive.
+    ``bel`` refuses with exit 3 once its sweep underflows, by an exception
+    whose traceback keeps the sweep's frames, and so the plan, alive until
+    the handler has printed the refusal; the pause covers that handler too.
+    The same command run past the pause starts passes."""
+    rng = np.random.default_rng(3301)
+    chain = generators.window_network(rng, 2500, 2, 6)
+    half = generators.observe(rng, chain, fraction=0.5, exclude=[0])
+    net = write(tmp_path, "chain.net", generators.network_text(chain))
+    ev = write(tmp_path, "chain.ev", generators.evidence_text(half))
+    order = write(tmp_path, "chain.order", generators.order_text(range(chain.n)))
+    started = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    def passes(command, argv):
+        assert gc.isenabled()
+        gc.collect()
+        started.clear()
+        gc.callbacks.append(on_gc)
+        try:
+            code = command(argv)
+        finally:
+            gc.callbacks.remove(on_gc)
+        return code, list(started)
+
+    refused = ["bel", net, "--query", "0", "--evidence", ev, "--order", order]
+    assert passes(run, refused) == (3, [])
+    assert passes(run, ["mpe", net, "--order", order, "--trace"]) == (0, [])
+    code, unpaused = passes(bucketforge.cli._run, refused)
+    assert code == 3 and len(unpaused) > 10
+    assert capsys.readouterr().out.endswith("IMPOSSIBLE EVIDENCE\n")

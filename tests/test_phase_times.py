@@ -11,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -177,3 +179,20 @@ def test_a_run_that_touches_fresh_memory_reads_more_minor_page_faults(monkeypatc
             block.close()
     assert busy - idle >= 64 * (1 << 17) // page // 2, (busy, idle)
     assert len(held) == 64 * 5  # the warm-up, three timed runs and the traced run
+
+
+def test_a_query_runs_no_collector_pass(tmp_path, generators):
+    """``cli.run`` pauses the cyclic collector, so a query whose plan keeps
+    thousands of objects alive (a seeded 1000-variable window chain, half
+    observed) reads no pass in any generation."""
+    rng = np.random.default_rng(3302)
+    chain = generators.window_network(rng, 1000, 2, 6)
+    net = tmp_path / "chain.net"
+    net.write_text(generators.network_text(chain))
+    ev = tmp_path / "chain.ev"
+    ev.write_text(generators.evidence_text(
+        generators.observe(rng, chain, fraction=0.5, exclude=[0])))
+    out = phase_times.measure(["bel", str(net), "--query", "0", "--evidence", str(ev),
+                               "--order", "given:" + ",".join(map(str, range(chain.n)))],
+                              repeats=3)
+    assert out["gc_collections"] == [0, 0, 0] and out["gc_s"] == 0

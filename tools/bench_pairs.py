@@ -12,10 +12,14 @@ side at ``--seconds``: one pair.  The side that runs first alternates from
 pair to pair.  The output file holds, per workload and end-to-end metric,
 each side's median and quartiles (``statistics.quantiles``, n=4) over the
 pairs, every run, and how many pairs the change won; failures, attempts and
-the machine speed each run reported; and, for ``--claim``, whether the
-change won at least nine pairs in ten and its median differs from the
-parent's by more than the spread between the parent's quartiles.  Which
-direction is better comes from ``BENCHMARK.json``.
+the machine speed each run reported; per query id (``queries``), each
+side's median over the pairs of the run's median ``s_ref`` for that query,
+read from the ``.perfbench/<workload>-s<seed>/result.json`` the run left,
+and how many pairs the change won, so that a query a change left as it was
+shows by name; and, for ``--claim``, whether the change won at least nine
+pairs in ten and its median differs from the parent's by more than the
+spread between the parent's quartiles.  Which direction is better comes
+from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -61,7 +65,19 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{tree}: {workload} seed {seed} failed:\n{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])
     result["speed"] = float(SPEED.search(proc.stdout).group(1))
+    result["query_s_ref"] = query_medians(tree, workload, seed)
     return result
+
+
+def query_medians(tree: str, workload: str, seed: int) -> dict[str, float]:
+    """Each query id's median ``s_ref`` (its time at reference speed) in the
+    run that last wrote ``tree``'s ``result.json`` for this workload and
+    seed."""
+    path = Path(tree) / ".perfbench" / f"{workload}-s{seed}" / "result.json"
+    times: dict[str, list[float]] = {}
+    for r in json.loads(path.read_text(encoding="utf-8"))["records"]:
+        times.setdefault(r["id"], []).append(r["s_ref"])
+    return {qid: statistics.median(v) for qid, v in times.items()}
 
 
 def _summary(values: list[float]) -> dict:
@@ -94,6 +110,19 @@ def summarize(runs: dict, seeds: list[int], directions: dict[str, str]) -> dict:
             "parent": _summary(values["parent"]), "change": _summary(values["change"]),
             "change_wins": f"{_wins(values['parent'], values['change'], better)}"
                            f"/{len(seeds)}"}
+    return out
+
+
+def per_query(runs: dict) -> dict:
+    """Per query id, each side's median over the pairs of the runs'
+    ``query_s_ref`` for it, and the pairs the change won (lower is better)."""
+    out = {}
+    for qid in runs["parent"][0]["query_s_ref"]:
+        values = {side: [r["query_s_ref"][qid] for r in rs] for side, rs in runs.items()}
+        out[qid] = {"parent": round(statistics.median(values["parent"]), 6),
+                    "change": round(statistics.median(values["change"]), 6),
+                    "change_wins": f"{_wins(values['parent'], values['change'], 'lower')}"
+                                   f"/{len(values['parent'])}"}
     return out
 
 
@@ -140,6 +169,7 @@ def main(argv=None) -> int:
                       f"{json.dumps({k: v['value'] for k, v in runs[side][-1]['metrics'].items()})}",
                       file=sys.stderr, flush=True)
         workloads[workload] = summarize(runs, args.seeds, directions)
+        workloads[workload]["queries"] = per_query(runs)
 
     out = {"change": args.title,
            "parent_commit": _commit(trees["parent"]),

@@ -22,8 +22,11 @@ the runs, the functions the query path calls it by:
 (``time.perf_counter``), summed per run over the calls of one phase; the
 output is their median over the runs, and a phase the command does not
 reach reads 0.  ``gc_collections`` is the median number of cyclic-collector
-passes per run in each generation, and ``gc_s`` the median time per run
-spent in them.  ``minflt`` is the median number of minor page faults per
+passes per run in each generation that start during the ``cli.run`` call,
+and ``gc_s`` the median time per run spent in them.  ``cli.run`` pauses
+the collector for the whole command, so a query reads ``[0, 0, 0]``: a
+nonzero count means a pass on a path outside that pause, or a tree from
+before it.  ``minflt`` is the median number of minor page faults per
 run (the change in ``resource.getrusage``'s ``ru_minflt`` over the run): a
 page the process touches for the first time, as a fresh large temporary's
 are, costs one.  A phase whose functions the imported ``bucketforge`` lacks
@@ -113,11 +116,16 @@ def measure(argv: list[str], repeats: int = REPEATS) -> dict:
             setattr(owner, name, staticmethod(timed) if isinstance(raw, classmethod) else timed)
             found.add(phase)
 
-    collecting = {"start": 0.0, "spent": 0.0}
+    # Passes count only while cli.run runs: a pass in this tool's own code
+    # just before or after the call is not the command's.
+    collecting = {"inside": False, "start": 0.0, "spent": 0.0, "passes": []}
 
     def on_gc(stage, info):
+        if not collecting["inside"]:
+            return
         if stage == "start":
             collecting["start"] = time.perf_counter()
+            collecting["passes"][info["generation"]] += 1
         else:
             collecting["spent"] += time.perf_counter() - collecting["start"]
 
@@ -131,21 +139,23 @@ def measure(argv: list[str], repeats: int = REPEATS) -> dict:
         for run in range(repeats + 1):
             spent.update(dict.fromkeys(PHASES, 0.0))
             plans.clear()
-            before = [g["collections"] for g in gc.get_stats()]
-            collecting["spent"] = 0.0
+            collecting.update(spent=0.0, passes=[0] * len(gc.get_stats()))
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                command = list(argv)
                 minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                collecting["inside"] = True
                 start = time.perf_counter()
-                codes.add(cli.run(list(argv)))
+                codes.add(cli.run(command))
                 total = time.perf_counter() - start
+                collecting["inside"] = False
                 minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
             if run == 0:
                 continue
             for phase in PHASES:
                 samples[phase].append(spent[phase])
             samples["total"].append(total)
-            collections.append([g["collections"] - b for g, b in zip(gc.get_stats(), before)])
+            collections.append(collecting["passes"])
             gc_times.append(collecting["spent"])
             faults.append(minflt)
         steps = [step for planned in plans for step in planned.steps]
