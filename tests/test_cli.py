@@ -1013,7 +1013,7 @@ def _raise(exc):
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-@pytest.mark.parametrize("spec, exit, command", [
+@pytest.mark.parametrize("spec, outcome, command", [
     ("bel {net} --query 0", 0, None),
     ("bel {copy} --query 0 --evidence {conflict}", 3, None),
     ("bel {net} --query 9", 1, None),
@@ -1025,17 +1025,19 @@ def _raise(exc):
 ], ids=["return 0", "return 3", "usage error", "unknown flag", "model error",
         "help", "broken pipe", "unexpected error"])
 def test_run_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, enabled,
-                                                 spec, exit, command):
+                                                 spec, outcome, command):
+    """Whichever way ``run`` ends, a return or an exception, the collector
+    is as it was before: a caller that disabled it finds it disabled."""
     if command is not None:
         monkeypatch.setitem(bucketforge.cli._COMMANDS, "stats", command)
     argv = pause_argv(tmp_path, spec)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        if isinstance(exit, int):
-            assert run(argv) == exit
+        if isinstance(outcome, int):
+            assert run(argv) == outcome
         else:
-            with pytest.raises(exit):
+            with pytest.raises(outcome):
                 run(argv)
         assert gc.isenabled() is enabled
     finally:
