@@ -21,7 +21,8 @@ from . import engines, oracle
 from .errors import ModelError, TooLargeError, ZeroMassError
 from .graph import (Ordering, augmented_graph, constrained_order,
                     cutset_heuristic, induced_width, interaction_graph,
-                    moral_graph, observed_suffix, order_heuristic)
+                    moral_graph, observed_suffix, order_and_width,
+                    order_heuristic)
 from .model import (CnfTheory, InfluenceDiagram, parse_cnf, parse_cnf_evidence,
                     parse_evidence, parse_network)
 from .resolution import directional_resolution, generate_model
@@ -112,22 +113,28 @@ def _read(path: str) -> str:
             raise ModelError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _parse_id_list(spec: str, n: int, names=(), base: int = 0) -> list[int]:
-    """The one id rule for ``--hyp``, ``--cutset`` and ``given:`` lists.
+def _parse_id_list(spec: str, n: int, model=None, base: int = 0) -> list[int]:
+    """The one id rule for ``--query``, ``--hyp``, ``--cutset`` and
+    ``given:`` lists.
 
-    Each comma-separated token is a variable name or an integer in
-    ``base .. base + n - 1``; the ids are returned 0-based.
+    Each comma-separated token is an integer in ``base .. base + n - 1`` or
+    a variable name; the ids are returned 0-based.  The names are
+    ``model.names``, read only for a token that is not an integer (no name
+    is one); a CNF theory's propositions have none (``model`` None).
     """
-    index = {name: i for i, name in enumerate(names)}
+    index = None
     out = []
     for tok in spec.split(","):
         tok = tok.strip()
         if not tok:
             continue
         try:
-            v = index[tok] if tok in index else int(tok) - base
+            v = int(tok) - base
         except ValueError:
-            v = -1
+            if index is None:
+                index = {name: i for i, name in enumerate(() if model is None
+                                                          else model.names)}
+            v = index.get(tok, -1)
         if not 0 <= v < n:
             raise _UsageError(f"not a variable id or name: {tok!r}")
         out.append(v)
@@ -136,22 +143,28 @@ def _parse_id_list(spec: str, n: int, names=(), base: int = 0) -> list[int]:
     return out
 
 
-def _resolve_ordering(spec, n, graph, names=(), base=0, prefix=(), observed=()):
-    """Ordering from a file, a heuristic name, or an inline given: list.
+def _resolve_ordering(spec, n, graph, model=None, base=0, prefix=(), observed=()):
+    """Ordering from a file, a heuristic name, or an inline given: list,
+    and its induced width on ``graph()`` when that comes free, else None.
 
     Ids in a file or a list count from ``base`` (1 for DIMACS propositions);
-    the ordering holds them 0-based.  A heuristic ordering runs on the graph
-    ``graph()`` returns, called only then, and pins ``prefix`` first and the
+    the ordering holds them 0-based, and a list may name ``model``'s
+    variables.  A heuristic ordering runs on the graph ``graph()``
+    returns, called only then, and pins ``prefix`` first and the
     ``observed`` variables outside it last (``graph.observed_suffix``).
+    With nothing pinned, its greedy elimination gives the width too.
     """
     if spec is None:
         spec = "min-fill"
     if spec in HEURISTICS:
+        suffix = observed_suffix(observed, prefix)
+        if not prefix and not suffix:
+            return order_and_width(graph(), HEURISTICS[spec])
         return constrained_order(graph(), HEURISTICS[spec], prefix=prefix,
-                                 suffix=observed_suffix(observed, prefix))
+                                 suffix=suffix), None
     if spec.startswith("given:"):
-        return Ordering(tuple(_parse_id_list(spec[len("given:"):], n, names, base)))
-    return Ordering.parse(_read(spec), n, base=base)
+        return Ordering(tuple(_parse_id_list(spec[len("given:"):], n, model, base))), None
+    return Ordering.parse(_read(spec), n, base=base), None
 
 
 def _load_evidence(args, model):
@@ -250,11 +263,11 @@ def _emit_common(out: _Output, result, args) -> None:
 
 def _run_bel(args) -> int:
     net, evidence = _load(args, args.network, "bayes")
-    query = _parse_id_list(args.query, net.n, net.names)
+    query = _parse_id_list(args.query, net.n, net)
     if len(query) != 1:
         raise _UsageError(f"--query takes one variable, got {args.query!r}")
-    ordering = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net.names,
-                                 prefix=query, observed=_observed(evidence))
+    ordering, _ = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net,
+                                    prefix=query, observed=_observed(evidence))
     result = engines.solve_belief(net, query[0], evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
@@ -269,8 +282,8 @@ def _run_bel(args) -> int:
 
 def _run_mpe(args) -> int:
     net, evidence = _load(args, args.network, "bayes")
-    ordering = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net.names,
-                                 observed=_observed(evidence))
+    ordering, _ = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net,
+                                    observed=_observed(evidence))
     result = engines.solve_mpe(net, evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
@@ -283,9 +296,9 @@ def _run_mpe(args) -> int:
 def _run_map(args) -> int:
     net, evidence = _load(args, args.network, "bayes")
     # Checked before the ordering, whose resolver has its own duplicate check.
-    hyp = engines.check_hypothesis(net, _parse_id_list(args.hyp, net.n, net.names))
-    ordering = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net.names,
-                                 prefix=hyp, observed=_observed(evidence))
+    hyp = engines.check_hypothesis(net, _parse_id_list(args.hyp, net.n, net))
+    ordering, _ = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net,
+                                    prefix=hyp, observed=_observed(evidence))
     result = engines.solve_map(net, hyp, evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
@@ -297,9 +310,9 @@ def _run_map(args) -> int:
 
 def _run_meu(args) -> int:
     diagram, evidence = _load(args, args.diagram, "id")
-    ordering = _resolve_ordering(args.order, diagram.n, lambda: augmented_graph(diagram),
-                                 diagram.names, prefix=list(diagram.decisions),
-                                 observed=_observed(evidence))
+    ordering, _ = _resolve_ordering(args.order, diagram.n, lambda: augmented_graph(diagram),
+                                    diagram, prefix=list(diagram.decisions),
+                                    observed=_observed(evidence))
     result = engines.solve_meu(diagram, evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
@@ -320,11 +333,11 @@ def _run_cond_mpe(args) -> int:
     observed = _observed(evidence)
     graph = moral_graph(net)
     if args.cutset is not None:
-        cut = sorted(set(_parse_id_list(args.cutset, net.n, net.names)))
+        cut = sorted(set(_parse_id_list(args.cutset, net.n, net)))
     else:
         cut = sorted(cutset_heuristic(graph.without(observed), args.wbound))
-    ordering = _resolve_ordering(args.order, net.n, lambda: graph, net.names,
-                                 observed=sorted(set(cut) | set(observed)))
+    ordering, _ = _resolve_ordering(args.order, net.n, lambda: graph, net,
+                                    observed=sorted(set(cut) | set(observed)))
     result = engines.solve_mpe_conditioned(net, cut, evidence, ordering)
     out = _Output(args.json)
     out.put("cutset", " ".join(str(v) for v in cut), list(cut))
@@ -339,13 +352,11 @@ def _run_cond_mpe(args) -> int:
 
 def _run_dr(args) -> int:
     theory = _load_cnf(args, _read(args.cnf))
-    built = []  # the interaction graph, once a heuristic ordering has built it
-
-    def graph():
-        built.append(interaction_graph(theory))
-        return built[0]
-    ordering = _resolve_ordering(args.order, theory.num_props, graph, base=1)
-    extension = directional_resolution(theory, ordering, *built)
+    # A heuristic ordering's greedy gives its width, so the width check
+    # eliminates no graph of its own.
+    ordering, width = _resolve_ordering(args.order, theory.num_props,
+                                        lambda: interaction_graph(theory), base=1)
+    extension = directional_resolution(theory, ordering, width=width)
     if not extension.satisfiable:
         return _refuse(args, "UNSAT", {"sat": 0})
     model = generate_model(extension)
@@ -390,13 +401,13 @@ def _run_stats(args) -> int:
         g = g.without(_observed(_load_evidence(args, model)))
         out.put("kind", kind)
         out.put("variables", str(model.n), model.n)
-        n, names, base = model.n, model.names, 0
+        n, named, base = model.n, model, 0
     else:
         theory = _load_cnf(args, text)
         g = interaction_graph(theory)
         out.put("kind", "cnf")
         out.put("propositions", str(theory.num_props), theory.num_props)
-        n, names, base = theory.num_props, (), 1  # propositions print 1-based
+        n, named, base = theory.num_props, None, 1  # propositions print 1-based
     if args.order is None:
         for spec in ("min-degree", "min-fill"):
             _stats_block(out, spec, g, order_heuristic(g, HEURISTICS[spec]), base)
@@ -404,7 +415,7 @@ def _run_stats(args) -> int:
         label = (args.order if args.order in HEURISTICS else
                  "given" if args.order.startswith("given:") else "file")
         _stats_block(out, label, g,
-                     _resolve_ordering(args.order, n, lambda: g, names, base), base)
+                     _resolve_ordering(args.order, n, lambda: g, named, base)[0], base)
     out.flush()
     return 0
 
@@ -462,7 +473,8 @@ def _run(argv) -> int:
             return _COMMANDS[args.command](args)
         except (_UsageError, ValueError, TooLargeError) as exc:
             # ValueError covers OrderingConstraintError; TooLargeError is an
-            # --oracle query past the enumeration cap.
+            # --oracle query past the enumeration cap, or a dr sweep past
+            # its filing cap.
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except BrokenPipeError:

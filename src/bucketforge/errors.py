@@ -43,4 +43,5 @@ class OrderingConstraintError(ValueError):
 
 
 class TooLargeError(Exception):
-    """The instance exceeds the exhaustive-enumeration guard."""
+    """The instance exceeds the exhaustive-enumeration guard, or directional
+    resolution's filing cap."""

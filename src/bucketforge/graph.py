@@ -217,15 +217,20 @@ def _score(mask: list[int], v: int, fill: bool) -> int:
 
 
 def _greedy(g: GraphView, kind: str, candidates: Iterable[int] | None = None,
-            bound: int | None = None) -> list[int] | None:
+            bound: int | None = None) -> tuple[list[int], int] | None:
     """Greedy elimination of ``candidates`` (default: every node), lowest
     (score, id) first; nodes outside ``candidates`` stay in the graph.
 
-    Returns the nodes in elimination order, or None as soon as a node would
-    be eliminated with more than ``bound`` neighbours.  Scores are cached and
-    recomputed only where an elimination can change them: at the node's
-    neighbours, and for min-fill also at the common neighbours of each fill
-    edge, whose neighbourhoods gain that edge.
+    Returns the nodes in elimination order and the largest neighbour count
+    one of them was eliminated with, or None as soon as a node would be
+    eliminated with more than ``bound`` neighbours.  With every node a
+    candidate, that count is the induced width along the reversed
+    elimination order: :func:`induced_width` eliminates the same nodes in
+    the same order.
+
+    Scores are cached and recomputed only where an elimination can change
+    them: at the node's neighbours, and for min-fill also at the common
+    neighbours of each fill edge, whose neighbourhoods gain that edge.
     """
     if kind not in ("min_degree", "min_fill"):
         raise ValueError(f"unknown ordering heuristic {kind!r}")
@@ -235,12 +240,16 @@ def _greedy(g: GraphView, kind: str, candidates: Iterable[int] | None = None,
              for v in (range(len(ids)) if candidates is None else map(index.__getitem__, candidates))}
     heap = sorted((s, v) for v, s in score.items())
     taken: list[int] = []
+    width = 0
     while heap:
         s, v = heappop(heap)
         if score.get(v) != s:
             continue  # eliminated, or rescored since this entry was pushed
-        if bound is not None and mask[v].bit_count() > bound:
+        d = mask[v].bit_count()
+        if bound is not None and d > bound:
             return None
+        if d > width:
+            width = d
         del score[v]
         taken.append(ids[v])
         touched, added = _eliminate(mask, v)
@@ -253,7 +262,7 @@ def _greedy(g: GraphView, kind: str, candidates: Iterable[int] | None = None,
                 if s != score[u]:
                     score[u] = s
                     heappush(heap, (s, u))
-    return taken
+    return taken, width
 
 
 def induced_width(g: GraphView, order: Sequence[int] | Ordering) -> WidthReport:
@@ -295,7 +304,15 @@ def conditional_induced_width(g: GraphView, order: Sequence[int] | Ordering,
 
 def order_heuristic(g: GraphView, kind: str) -> Ordering:
     """Greedy elimination ordering; ties always break toward the lowest id."""
-    return Ordering(tuple(reversed(_greedy(g, kind))))
+    return order_and_width(g, kind)[0]
+
+
+def order_and_width(g: GraphView, kind: str) -> tuple[Ordering, int]:
+    """:func:`order_heuristic`'s ordering and its induced width, which is
+    ``induced_width(g, ordering).induced_width``, read off the one
+    elimination that built the ordering."""
+    taken, width = _greedy(g, kind)
+    return Ordering(tuple(reversed(taken))), width
 
 
 def constrained_order(g: GraphView, kind: str = "min_fill",
@@ -319,7 +336,7 @@ def constrained_order(g: GraphView, kind: str = "min_fill",
             raise ValueError(f"constrained node {v} is not in the graph")
     rest = g.without(suffix)
     free = set(rest.nodes) - set(prefix)
-    middle = _greedy(rest, kind, candidates=free)
+    middle, _ = _greedy(rest, kind, candidates=free)
     return Ordering((*prefix, *reversed(middle), *suffix))
 
 

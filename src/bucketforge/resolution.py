@@ -15,9 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsatisfiableError
+from .errors import TooLargeError, UnsatisfiableError
 from .graph import GraphView, Ordering, induced_width, interaction_graph
 from .model import CnfTheory, sorted_clause
+
+# The most clauses one sweep may try to file: the theory's own and every
+# resolvent, kept or dropped as subsumed.  A sweep past it is refused: on
+# dense theories the resolvents grow exponentially in the induced width.
+FILING_CAP = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -51,15 +56,23 @@ class DirectionalExtension:
 
 
 def directional_resolution(theory: CnfTheory, ordering: Ordering,
-                           graph: GraphView | None = None) -> DirectionalExtension:
+                           graph: GraphView | None = None,
+                           width: int | None = None) -> DirectionalExtension:
     """Resolution sweep over buckets; empty resolvent means unsatisfiable.
 
     A clause that contains a clause already filed is not filed: the smaller
     clause sits in the same or an earlier bucket, so model generation has
     satisfied it first, and every resolvent of the larger one contains it
     or a resolvent of it.  On an unsatisfiable theory the returned
-    extension is empty.  ``graph`` is the theory's interaction graph, if
-    the caller has built it; the width check builds one otherwise.
+    extension is empty.
+
+    Every kept clause must have at most the ordering's induced width plus
+    one literals.  ``width`` is that induced width on the theory's
+    interaction graph, if the caller knows it (``graph.order_and_width``
+    returns it with a greedy ordering); without it the check eliminates
+    ``graph``, the interaction graph, along the ordering, building the
+    graph if it is None.  Raises TooLargeError once the sweep has tried to
+    file more than ``FILING_CAP`` clauses.
     """
     n = theory.num_props
     if len(ordering) != n:
@@ -78,7 +91,14 @@ def directional_resolution(theory: CnfTheory, ordering: Ordering,
     for position, node in enumerate(ordering):
         rank[node + 1] = rank[-node - 1] = position
 
+    filed = 0
+
     def file_clause(clause: frozenset[int]) -> None:
+        nonlocal filed
+        filed += 1
+        if filed > FILING_CAP:
+            raise TooLargeError(f"directional resolution tried to file {filed} clauses, "
+                                f"past the cap of {FILING_CAP}")
         # A subset of the clause has its highest proposition among the
         # clause's, so it is filed in the bucket of one of them.
         for lit in clause:
@@ -121,10 +141,12 @@ def directional_resolution(theory: CnfTheory, ordering: Ordering,
     extension = DirectionalExtension(ordering, theory.num_props,
                                      {p: tuple(cs) for p, cs in buckets.items()}, True)
     # Resolvent size is capped by the interaction graph's induced width.
-    if graph is None:
-        graph = interaction_graph(theory)
-    bound = induced_width(graph, ordering).induced_width + 1
-    longest = max((len(c) for c in extension.all_clauses()), default=0)
+    if width is None:
+        if graph is None:
+            graph = interaction_graph(theory)
+        width = induced_width(graph, ordering).induced_width
+    bound = width + 1
+    longest = max(map(len, extension.all_clauses()), default=0)
     if longest > bound:
         raise AssertionError(f"a clause of {longest} literals exceeded the "
                              f"induced-width bound {bound}")
@@ -140,21 +162,21 @@ def generate_model(extension: DirectionalExtension) -> dict[int, bool]:
     if not extension.satisfiable:
         raise UnsatisfiableError("theory has no models")
     assignment: dict[int, bool] = {}
-
-    def satisfied(clause: frozenset[int]) -> bool:
-        return any((lit > 0) == assignment[abs(lit)] for lit in clause)
-
+    # The literals made true so far.  A bucket's clauses hold no literal of
+    # a proposition assigned later, so one is satisfied exactly when it
+    # meets this set: the bucket is satisfied when no clause is disjoint
+    # from it, which is tried with the proposition false, then true.
+    true: set[int] = set()
+    unsatisfied = true.isdisjoint
     for node in extension.ordering:
         prop = node + 1
         bucket = extension.buckets.get(prop, ())
-        chosen = None
-        for value in (False, True):
-            assignment[prop] = value
-            if all(satisfied(c) for c in bucket):
-                chosen = value
-                break
-        if chosen is None:
-            raise AssertionError(f"dead end at proposition {prop}; "
-                                 "the extension is not backtrack-free")
-        assignment[prop] = chosen
+        true.add(-prop)
+        if any(map(unsatisfied, bucket)):
+            true.remove(-prop)
+            true.add(prop)
+            if any(map(unsatisfied, bucket)):
+                raise AssertionError(f"dead end at proposition {prop}; "
+                                     "the extension is not backtrack-free")
+        assignment[prop] = prop in true
     return assignment

@@ -783,6 +783,35 @@ def test_bel_query_follows_the_one_id_rule(tmp_path, capsys, order):
     assert capsys.readouterr().out == by_id
 
 
+def test_variable_names_are_built_only_when_a_token_is_not_an_integer(tmp_path, capsys,
+                                                                      monkeypatch):
+    """An id list of integers reads no names; each list with a name among
+    its tokens reads them once; either way the answer is the same."""
+    net = write(tmp_path, "chain.net", CHAIN_TEXT)
+    real = bucketforge.BeliefNetwork.names
+    reads = []
+
+    def counted(model):
+        reads.append(model)
+        return real.fget(model)
+    monkeypatch.setattr(bucketforge.BeliefNetwork, "names", property(counted))
+    for by_id, by_name, lists_named in [
+            (["bel", net, "--query", "1", "--order", "given:1,0,2"],
+             ["bel", net, "--query", "X1", "--order", "given:X1,0,X2"], 2),
+            (["map", net, "--hyp", "0,2"], ["map", net, "--hyp", "2,X0"], 1),
+            (["cond-mpe", net, "--cutset", "1", "--order", "given:0,2,1"],
+             ["cond-mpe", net, "--cutset", "X1", "--order", "given:0,2,1"], 1),
+            (["mpe", net, "--order", "given:2,1,0"], ["mpe", net, "--order", "given:X2,X1,X0"], 1),
+            (["bel", net, "--query", "0"], ["bel", net, "--query", "X0"], 1)]:
+        reads.clear()
+        assert run(by_id) == 0
+        expected = capsys.readouterr()
+        assert reads == []
+        assert run(by_name) == 0
+        assert capsys.readouterr() == expected
+        assert len(reads) == lists_named
+
+
 @pytest.mark.parametrize("order", [None, "min-degree", "given:1,0,2", "chain.ord"])
 def test_a_repeated_hypothesis_id_is_one_error_under_every_ordering(tmp_path, capsys,
                                                                      order):

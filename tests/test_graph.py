@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from bucketforge import (CnfTheory, GraphView, Ordering, ParseError,
@@ -12,11 +13,12 @@ from bucketforge import (CnfTheory, GraphView, Ordering, ParseError,
                          constrained_order, cutset_heuristic, induced_width,
                          interaction_graph, moral_graph, order_heuristic,
                          parse_network)
-from bucketforge.graph import WidthReport
-from bucketforge.randgen import (random_cnf, random_influence_diagram, random_network,
-                                 random_tree_network)
+from bucketforge.graph import WidthReport, order_and_width
+from bucketforge.randgen import (random_cnf, random_evidence, random_influence_diagram,
+                                 random_network, random_tree_network, shuffled_ordering)
 
 from conftest import DIAG_BAD_ORDER, DIAG_GOOD_ORDER, DIAG_MORAL_EDGES
+from test_acceptance import ORDERINGS_PER_CASE, SWEEP_CASES, SWEEP_SEED
 
 
 def complete_graph(n):
@@ -329,6 +331,59 @@ def test_constrained_order_orders_the_free_region_without_the_suffix(kind):
         # With no pinned ends it is the plain heuristic, as `dr` relies on.
         assert (constrained_order(g, kind).sequence
                 == order_heuristic(g, kind).sequence)
+
+
+def criterion_1_graphs():
+    """The moral graph of each network and the augmented graph of each
+    diagram of criterion 1's sweep (tests/test_acceptance.py): its draws
+    from its seed, in its order."""
+    rng = random.Random(SWEEP_SEED)
+    for _ in range(SWEEP_CASES):
+        net = random_network(rng, max_vars=8, max_card=3)
+        query = rng.randrange(net.n)
+        observed = [v for v, _ in random_evidence(rng, net, exclude=[query]).items()]
+        free = [v for v in range(net.n) if v not in set(observed)]
+        hyp = sorted(rng.sample(free, rng.randint(1, len(free))))
+        diagram = random_influence_diagram(rng, max_vars=8, max_card=3)
+        d_observed = [v for v, _ in random_evidence(rng, diagram,
+                                                    exclude=diagram.decisions).items()]
+        for _ in range(ORDERINGS_PER_CASE):  # the sweep's orderings, drawn and dropped
+            shuffled_ordering(rng, net.n, prefix=[query], suffix=observed)
+            shuffled_ordering(rng, net.n, suffix=observed)
+            hyp_prefix = list(hyp)
+            rng.shuffle(hyp_prefix)
+            shuffled_ordering(rng, net.n, prefix=hyp_prefix, suffix=observed)
+            d_prefix = list(diagram.decisions)
+            rng.shuffle(d_prefix)
+            shuffled_ordering(rng, diagram.n, prefix=d_prefix, suffix=d_observed)
+        yield moral_graph(net)
+        yield augmented_graph(diagram)
+
+
+@pytest.mark.parametrize("kind", ["min_degree", "min_fill"])
+def test_the_greedy_width_is_the_induced_width_of_its_ordering(kind, generators):
+    """``order_and_width`` reads the width off the greedy elimination that
+    builds the ordering; a second elimination along the ordering must give
+    the same number.  Graphs: seeded band and random CNFs' interaction
+    graphs, criterion 1's moral and augmented graphs, and random graphs."""
+    rng = random.Random(4110)
+    np_rng = np.random.default_rng(4111)
+    theories = [random_cnf(rng, max_props=12) for _ in range(100)]
+    for n, band in ((40, 4), (120, 8), (200, 8)):
+        cnf = generators.planted_banded_cnf(np_rng, n, band, 2.5)
+        theories.append(CnfTheory(n, tuple(map(frozenset, cnf.clauses))))
+    for n in (10, 20, 30):
+        cnf = generators.random_3cnf(np_rng, n, 4.26)
+        theories.append(CnfTheory(n, tuple(map(frozenset, cnf.clauses))))
+    graphs = [*map(interaction_graph, theories), *criterion_1_graphs(),
+              *random_graphs(200, seed=4112)]
+    widths = []
+    for g in graphs:
+        ordering, width = order_and_width(g, kind)
+        assert ordering == order_heuristic(g, kind)
+        assert width == induced_width(g, ordering).induced_width
+        widths.append(width)
+    assert max(widths) >= 8
 
 
 def test_unknown_heuristic_is_rejected():

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,10 +24,12 @@ from conftest import DIAG_TEXT  # noqa: E402
 
 
 def wrapped():
-    return [cli.parse_network, cli.parse_evidence, cli.parse_cnf,
+    return [cli.parse_network, cli.parse_evidence, cli.parse_cnf, cli.moral_graph,
+            cli.augmented_graph, cli.interaction_graph,
             inspect.getattr_static(cli.Ordering, "parse"), cli.constrained_order,
-            engines.constrained_order, engines.plan, engines.execute, engines.forward_decode,
-            cli.directional_resolution, cli.generate_model, cli._emit_common, cli._Output.flush]
+            cli.order_and_width, engines.constrained_order, engines.plan, engines.execute,
+            engines.forward_decode, cli.directional_resolution, cli.generate_model,
+            cli._emit_common, cli._Output.flush]
 
 
 def test_each_phase_is_timed_and_the_query_path_restored(tmp_path):
@@ -39,8 +42,8 @@ def test_each_phase_is_timed_and_the_query_path_restored(tmp_path):
     assert wrapped() == before
     assert out["runs"] == 3 and out["exit"] == [0]
     times = out["median_s"]
-    assert list(times) == ["parse", "order", "plan", "execute", "decode", "resolve",
-                           "generate", "render", "total"]
+    assert list(times) == ["parse", "graph", "order", "plan", "execute", "decode",
+                           "resolve", "generate", "render", "total"]
     assert times["resolve"] == times["generate"] == 0.0  # dr's phases
     assert all(t > 0 for p, t in times.items() if p not in ("resolve", "generate"))
     # Each phase is at most the run it is part of.
@@ -73,6 +76,28 @@ def test_dr_times_resolution_and_model_generation(tmp_path):
     assert all(times[p] > 0 for p in ("parse", "resolve", "generate", "render"))
     assert times["plan"] == times["execute"] == times["decode"] == 0.0
     assert times["resolve"] + times["generate"] < times["total"]
+
+
+def test_dr_times_its_graph_and_its_ordering_apart(tmp_path, monkeypatch):
+    """The interaction graph is built as an argument of the ordering call, so
+    it lands in ``graph``, not ``order``: a stand-in that takes 20 ms reads
+    its 20 ms there.  dr's min-fill ordering is timed under whatever
+    function cli calls for it; a ``given:`` list builds neither in cli."""
+    cnf = tmp_path / "theory.cnf"
+    cnf.write_text("p cnf 4 3\n1 -2 3 0\n-1 2 4 0\n2 -3 -4 0\n")
+    build = cli.interaction_graph
+
+    def slow(theory):
+        time.sleep(0.02)
+        return build(theory)
+    monkeypatch.setattr(cli, "interaction_graph", slow)
+    out = phase_times.measure(["dr", str(cnf)], repeats=3)
+    assert cli.interaction_graph is slow
+    times = out["median_s"]
+    assert times["graph"] >= 0.02 and 0 < times["order"] < 0.02
+    given = phase_times.measure(["dr", str(cnf), "--order", "given:4,3,2,1"], repeats=3)
+    assert given["exit"] == [0]
+    assert given["median_s"]["graph"] == given["median_s"]["order"] == 0.0
 
 
 def test_an_order_file_is_timed_as_ordering_and_the_classmethod_put_back(tmp_path):

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bucketforge
@@ -293,3 +294,144 @@ def test_dr_builds_the_interaction_graph_once(tmp_path, capsys, monkeypatch, ord
     assert cli.run(argv) == 0
     assert capsys.readouterr() == expected
     assert len(built) == 1
+
+
+def test_an_understated_width_passed_in_still_raises(monkeypatch):
+    """A caller's width replaces the check's own elimination, not the check:
+    the true width of ``_WIDE_THEORY``'s triangle (2) passes without
+    building or eliminating a graph, and an understated one still raises."""
+    props, groups = _WIDE_THEORY
+    theory = CnfTheory(props, clauses(*groups))
+    ordering = Ordering(tuple(range(props)))
+
+    def unused(*args):
+        raise AssertionError("the width check eliminated a graph")
+    monkeypatch.setattr(bucketforge.resolution, "interaction_graph", unused)
+    monkeypatch.setattr(bucketforge.resolution, "induced_width", unused)
+    assert directional_resolution(theory, ordering, width=2).satisfiable
+    for width in (0, 1):
+        with pytest.raises(AssertionError, match=f"induced-width bound {width + 1}$"):
+            directional_resolution(theory, ordering, width=width)
+
+
+@pytest.mark.parametrize("order", [None, "min-degree", "given:3,1,2,4"], ids=str)
+def test_dr_eliminates_the_graph_once(tmp_path, capsys, monkeypatch, order):
+    """A heuristic ordering's greedy gives the width bound, so the check runs
+    no second elimination; a given ordering's check runs one."""
+    import bucketforge.cli as cli
+    path = tmp_path / "band.cnf"
+    path.write_text("p cnf 4 3\n1 -2 3 0\n-1 2 4 0\n2 -3 -4 0\n", encoding="utf-8")
+    argv = ["dr", str(path), *([] if order is None else ["--order", order])]
+    assert cli.run(argv) == 0
+    expected = capsys.readouterr()
+    eliminated = []
+    real = bucketforge.resolution.induced_width
+
+    def counted(g, ordering):
+        eliminated.append(ordering)
+        return real(g, ordering)
+    monkeypatch.setattr(bucketforge.resolution, "induced_width", counted)
+    assert cli.run(argv) == 0
+    assert capsys.readouterr() == expected
+    assert len(eliminated) == (order is not None and order.startswith("given:"))
+
+
+def reference_model(extension):
+    """Model generation as the paper states it: along the ordering, try
+    false, then true, and keep the first value that satisfies every clause
+    of the proposition's bucket."""
+    assignment = {}
+    for node in extension.ordering:
+        prop = node + 1
+        for value in (False, True):
+            assignment[prop] = value
+            if all(any((lit > 0) == assignment[abs(lit)] for lit in clause)
+                   for clause in extension.buckets.get(prop, ())):
+                break
+        else:
+            raise AssertionError(f"dead end at proposition {prop}")
+    return assignment
+
+
+def test_generate_model_matches_trying_false_then_true():
+    """On 200 seeded satisfiable theories, band and random, some with unit
+    clauses as ``--evidence`` adds them, under min-fill, min-degree and
+    shuffled orderings."""
+    rng = random.Random(3401)
+    seen = with_units = 0
+    while seen < 200:
+        props = rng.randint(3, 30)
+        if rng.random() < 0.5:
+            theory = _band_cnf(rng, props, rng.randint(3, min(6, props)),
+                               rng.randint(props, 3 * props))
+        else:
+            theory = random_cnf(rng, max_props=12)
+            props = theory.num_props
+        units = tuple(frozenset({p if rng.random() < 0.5 else -p})
+                      for p in rng.sample(range(1, props + 1), rng.randint(0, 3)))
+        theory = CnfTheory(props, theory.clauses + units)
+        for ordering in _orderings(rng, theory):
+            extension = directional_resolution(theory, ordering)
+            if not extension.satisfiable:
+                continue
+            model = generate_model(extension)
+            assert model == reference_model(extension)
+            assert list(model) == [node + 1 for node in ordering]
+            assert satisfies(theory, model)
+            seen += 1
+            with_units += bool(units)
+    assert with_units > 50
+
+
+def test_an_extension_that_is_not_backtrack_free_hits_a_dead_end():
+    # Along 1, 2: proposition 1 settles on false, and then bucket 2 needs 2
+    # both true (1 | 2) and false (1 | ~2).
+    extension = bucketforge.resolution.DirectionalExtension(
+        Ordering((0, 1)), 2, {1: (), 2: clauses({1, 2}, {1, -2})}, True)
+    with pytest.raises(AssertionError, match="dead end at proposition 2; "
+                       "the extension is not backtrack-free"):
+        generate_model(extension)
+    with pytest.raises(AssertionError, match="dead end at proposition 2"):
+        reference_model(extension)
+
+
+def test_a_sweep_past_the_filing_cap_is_refused(tmp_path, capsys, monkeypatch, generators):
+    """The cap counts every clause filed, the theory's own included; past
+    it the sweep raises TooLargeError and dr exits 1 with one error line
+    naming the count.  Checked on a benchmark band CNF with the cap
+    lowered, not on a wide theory."""
+    import bucketforge.cli as cli
+    cnf = generators.planted_banded_cnf(np.random.default_rng(3402), 200, 8, 2.5)
+    path = tmp_path / "band.cnf"
+    path.write_text(generators.cnf_text(cnf), encoding="utf-8")
+    theory = CnfTheory(200, tuple(map(frozenset, cnf.clauses)))
+    ordering = order_heuristic(interaction_graph(theory), "min_fill")
+    assert cli.run(["dr", str(path)]) == 0
+    answer = capsys.readouterr()
+
+    def sweep(cap):
+        monkeypatch.setattr(bucketforge.resolution, "FILING_CAP", cap)
+        try:
+            directional_resolution(theory, ordering)
+        except bucketforge.TooLargeError as exc:
+            assert str(exc) == (f"directional resolution tried to file {cap + 1} clauses, "
+                                f"past the cap of {cap}")
+            return False
+        return True
+
+    # The least cap that passes is the number of clauses the sweep files.
+    real = bucketforge.resolution.FILING_CAP
+    low, high = len(theory.clauses) - 1, real
+    assert not sweep(low) and sweep(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if sweep(mid) else (mid, high)
+    assert len(theory.clauses) < high < real // 100
+    for cap in (low, len(theory.clauses) - 1):
+        monkeypatch.setattr(bucketforge.resolution, "FILING_CAP", cap)
+        assert cli.run(["dr", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: directional resolution tried to file "
+                                           f"{cap + 1} clauses, past the cap of {cap}\n")
+    monkeypatch.setattr(bucketforge.resolution, "FILING_CAP", high)
+    assert cli.run(["dr", str(path)]) == 0
+    assert capsys.readouterr() == answer

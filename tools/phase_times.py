@@ -9,8 +9,11 @@ its output discarded.  Each phase is timed by wrapping, for the duration of
 the runs, the functions the query path calls it by:
 
     parse    cli.parse_network, parse_evidence, parse_cnf, parse_cnf_evidence
-    order    Ordering.parse as cli calls it (an order file), cli.constrained_order
-             and engines.constrained_order (a heuristic ordering)
+    graph    cli.moral_graph, augmented_graph and interaction_graph (the graph a
+             heuristic ordering, a cutset or stats reads)
+    order    Ordering.parse as cli calls it (an order file), cli.constrained_order,
+             cli.order_and_width (a heuristic ordering with nothing pinned, dr's
+             included) and engines.constrained_order (a heuristic ordering)
     plan     engines.plan
     execute  engines.execute
     decode   engines.forward_decode
@@ -62,8 +65,10 @@ REPEATS = 7
 PHASES = {
     "parse": [("cli", "parse_network"), ("cli", "parse_evidence"), ("cli", "parse_cnf"),
               ("cli", "parse_cnf_evidence")],
+    "graph": [("cli", "moral_graph"), ("cli", "augmented_graph"),
+              ("cli", "interaction_graph")],
     "order": [("cli", "Ordering.parse"), ("cli", "constrained_order"),
-              ("engines", "constrained_order")],
+              ("cli", "order_and_width"), ("engines", "constrained_order")],
     "plan": [("engines", "plan")],
     "execute": [("engines", "execute")],
     "decode": [("engines", "forward_decode")],
