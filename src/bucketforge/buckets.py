@@ -171,13 +171,6 @@ class Plan(NamedTuple):
         scopes = self.planner.built()
         return tuple([step.traced(scopes) for step in self.steps])
 
-    @property
-    def scopes(self) -> list[tuple[int, ...]]:
-        """Each slot's scope as numbered (its array is over ``planner.kept``'s
-        entry).  A slot that fixed buckets refile keeps their variables here;
-        :meth:`Step.traced` cuts them off at each bucket."""
-        return self.planner.built()
-
     def widest_read(self) -> int:
         """The most cells in the scope union of one step's inputs (1 if
         none), read off their masks up to the step's variable."""
@@ -221,11 +214,14 @@ class _Planner:
         self.widest = 0  # the largest scope a sum or max rule generated
 
     def built(self) -> list[tuple[int, ...]]:
-        """Each slot's scope, in id order: the variables it keeps, and the
-        fixed ones its mask holds; :attr:`kept` itself when none is fixed.
-        Else the planning is done before anything reads it: the list is built
-        on the first read and published whole, so threads reading at once
-        each build an equal one."""
+        """Each slot's scope as numbered, in id order: the variables it keeps
+        (its array is over its ``kept`` entry), and the fixed ones its mask
+        holds; :attr:`kept` itself when none is fixed.  A slot that fixed
+        buckets refile keeps their variables here; :meth:`Step.traced` cuts
+        them off at each bucket.  With a fixed variable the planning is done
+        before anything reads it: the list is built on the first read and
+        published whole, so threads reading at once each build an equal
+        one."""
         if not self.fixed_mask:
             return self.kept
         if self._built is None:  # given inputs, then results

@@ -144,27 +144,22 @@ def _parse_id_list(spec: str, n: int, model=None, base: int = 0) -> list[int]:
 
 
 def _resolve_ordering(spec, n, graph, model=None, base=0, prefix=(), observed=()):
-    """Ordering from a file, a heuristic name, or an inline given: list,
-    and its induced width on ``graph()`` when that comes free, else None.
+    """Ordering from a file, a heuristic name, or an inline given: list.
 
     Ids in a file or a list count from ``base`` (1 for DIMACS propositions);
     the ordering holds them 0-based, and a list may name ``model``'s
     variables.  A heuristic ordering runs on the graph ``graph()``
     returns, called only then, and pins ``prefix`` first and the
     ``observed`` variables outside it last (``graph.observed_suffix``).
-    With nothing pinned, its greedy elimination gives the width too.
     """
     if spec is None:
         spec = "min-fill"
     if spec in HEURISTICS:
-        suffix = observed_suffix(observed, prefix)
-        if not prefix and not suffix:
-            return order_and_width(graph(), HEURISTICS[spec])
         return constrained_order(graph(), HEURISTICS[spec], prefix=prefix,
-                                 suffix=suffix), None
+                                 suffix=observed_suffix(observed, prefix))
     if spec.startswith("given:"):
-        return Ordering(tuple(_parse_id_list(spec[len("given:"):], n, model, base))), None
-    return Ordering.parse(_read(spec), n, base=base), None
+        return Ordering(tuple(_parse_id_list(spec[len("given:"):], n, model, base)))
+    return Ordering.parse(_read(spec), n, base=base)
 
 
 def _load_evidence(args, model):
@@ -266,8 +261,8 @@ def _run_bel(args) -> int:
     query = _parse_id_list(args.query, net.n, net)
     if len(query) != 1:
         raise _UsageError(f"--query takes one variable, got {args.query!r}")
-    ordering, _ = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net,
-                                    prefix=query, observed=_observed(evidence))
+    ordering = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net,
+                                 prefix=query, observed=_observed(evidence))
     result = engines.solve_belief(net, query[0], evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
@@ -282,8 +277,8 @@ def _run_bel(args) -> int:
 
 def _run_mpe(args) -> int:
     net, evidence = _load(args, args.network, "bayes")
-    ordering, _ = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net,
-                                    observed=_observed(evidence))
+    ordering = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net,
+                                 observed=_observed(evidence))
     result = engines.solve_mpe(net, evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
@@ -297,8 +292,8 @@ def _run_map(args) -> int:
     net, evidence = _load(args, args.network, "bayes")
     # Checked before the ordering, whose resolver has its own duplicate check.
     hyp = engines.check_hypothesis(net, _parse_id_list(args.hyp, net.n, net))
-    ordering, _ = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net,
-                                    prefix=hyp, observed=_observed(evidence))
+    ordering = _resolve_ordering(args.order, net.n, lambda: moral_graph(net), net,
+                                 prefix=hyp, observed=_observed(evidence))
     result = engines.solve_map(net, hyp, evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
@@ -310,9 +305,9 @@ def _run_map(args) -> int:
 
 def _run_meu(args) -> int:
     diagram, evidence = _load(args, args.diagram, "id")
-    ordering, _ = _resolve_ordering(args.order, diagram.n, lambda: augmented_graph(diagram),
-                                    diagram, prefix=list(diagram.decisions),
-                                    observed=_observed(evidence))
+    ordering = _resolve_ordering(args.order, diagram.n, lambda: augmented_graph(diagram),
+                                 diagram, prefix=list(diagram.decisions),
+                                 observed=_observed(evidence))
     result = engines.solve_meu(diagram, evidence, ordering)
     out = _Output(args.json)
     _emit_common(out, result, args)
@@ -336,8 +331,8 @@ def _run_cond_mpe(args) -> int:
         cut = sorted(set(_parse_id_list(args.cutset, net.n, net)))
     else:
         cut = sorted(cutset_heuristic(graph.without(observed), args.wbound))
-    ordering, _ = _resolve_ordering(args.order, net.n, lambda: graph, net,
-                                    observed=sorted(set(cut) | set(observed)))
+    ordering = _resolve_ordering(args.order, net.n, lambda: graph, net,
+                                 observed=sorted(set(cut) | set(observed)))
     result = engines.solve_mpe_conditioned(net, cut, evidence, ordering)
     out = _Output(args.json)
     out.put("cutset", " ".join(str(v) for v in cut), list(cut))
@@ -352,10 +347,13 @@ def _run_cond_mpe(args) -> int:
 
 def _run_dr(args) -> int:
     theory = _load_cnf(args, _read(args.cnf))
-    # A heuristic ordering's greedy gives its width, so the width check
-    # eliminates no graph of its own.
-    ordering, width = _resolve_ordering(args.order, theory.num_props,
-                                        lambda: interaction_graph(theory), base=1)
+    spec = "min-fill" if args.order is None else args.order
+    if spec in HEURISTICS:
+        # The greedy gives the ordering's width, so the width check
+        # eliminates no graph of its own.
+        ordering, width = order_and_width(interaction_graph(theory), HEURISTICS[spec])
+    else:
+        ordering, width = _resolve_ordering(spec, theory.num_props, None, base=1), None
     extension = directional_resolution(theory, ordering, width=width)
     if not extension.satisfiable:
         return _refuse(args, "UNSAT", {"sat": 0})
@@ -415,7 +413,7 @@ def _run_stats(args) -> int:
         label = (args.order if args.order in HEURISTICS else
                  "given" if args.order.startswith("given:") else "file")
         _stats_block(out, label, g,
-                     _resolve_ordering(args.order, n, lambda: g, named, base)[0], base)
+                     _resolve_ordering(args.order, n, lambda: g, named, base), base)
     out.flush()
     return 0
 

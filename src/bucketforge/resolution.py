@@ -1,11 +1,12 @@
 """Bucket-structured clause resolution with backtrack-free model generation.
 
 Clauses are filed by their highest-ordered proposition and buckets are
-processed from the last ordering position to the first.  A bucket holding a
-unit clause does unit resolution only; otherwise every opposing pair is
-resolved.  A clause that contains a clause already filed is dropped.  The
-union of all buckets afterwards (originals plus resolvents) admits model
-generation along the ordering with no dead ends.
+processed from the last ordering position to the first.  Each bucket
+resolves every opposing pair of its clauses on its proposition, except
+that its first unit clause, if it has one, stands for its whole side
+(unit resolution).  A clause that contains a clause already filed is
+dropped.  The union of all buckets afterwards (originals plus resolvents)
+admits model generation along the ordering with no dead ends.
 
 Propositions are 1-based with DIMACS literal signs; ordering positions use
 0-based node ids (proposition p is node p - 1).
@@ -14,9 +15,10 @@ Propositions are 1-based with DIMACS literal signs; ordering positions use
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
 from .errors import TooLargeError, UnsatisfiableError
-from .graph import GraphView, Ordering, induced_width, interaction_graph
+from .graph import Ordering, induced_width, interaction_graph
 from .model import CnfTheory, sorted_clause
 
 # The most clauses one sweep may try to file: the theory's own and every
@@ -55,8 +57,7 @@ class DirectionalExtension:
         return "\n".join(lines) + "\n"
 
 
-def directional_resolution(theory: CnfTheory, ordering: Ordering,
-                           graph: GraphView | None = None,
+def directional_resolution(theory: CnfTheory, ordering: Ordering, *,
                            width: int | None = None) -> DirectionalExtension:
     """Resolution sweep over buckets; empty resolvent means unsatisfiable.
 
@@ -69,10 +70,10 @@ def directional_resolution(theory: CnfTheory, ordering: Ordering,
     Every kept clause must have at most the ordering's induced width plus
     one literals.  ``width`` is that induced width on the theory's
     interaction graph, if the caller knows it (``graph.order_and_width``
-    returns it with a greedy ordering); without it the check eliminates
-    ``graph``, the interaction graph, along the ordering, building the
-    graph if it is None.  Raises TooLargeError once the sweep has tried to
-    file more than ``FILING_CAP`` clauses.
+    returns it with a greedy ordering); without it the check builds the
+    interaction graph and eliminates it once along the ordering.  Raises
+    TooLargeError once the sweep has tried to file more than
+    ``FILING_CAP`` clauses.
     """
     n = theory.num_props
     if len(ordering) != n:
@@ -113,38 +114,29 @@ def directional_resolution(theory: CnfTheory, ordering: Ordering,
     for node in reversed(ordering.sequence):
         prop = node + 1
         bucket = buckets[prop]
-        units = [c for c in bucket if len(c) == 1]
-        if units:
-            for unit in units:
-                (lit,) = unit
-                for other in list(bucket):
-                    if -lit not in other:
-                        continue
-                    # A subset of a filed clause is never tautological.
-                    resolvent = other - {-lit}
+        # No filed clause is tautological, so a resolvent is one exactly when
+        # the positive side holds the negation of a literal of the negative
+        # side.  A unit clause is its side whole, its rest empty; a second
+        # unit in the bucket is its opposite, whose resolvent is empty.
+        unit = next((c for c in bucket if len(c) == 1), frozenset())
+        positive = ([frozenset()] if prop in unit else
+                    [c - {prop} for c in bucket if prop in c])
+        negative = ([(frozenset(), frozenset({prop}))] if -prop in unit else
+                    [(c - {-prop}, frozenset(map(neg, c)))
+                     for c in bucket if -prop in c])
+        for a_rest in positive:
+            for b_rest, b_negated in negative:
+                if a_rest.isdisjoint(b_negated):
+                    resolvent = a_rest | b_rest
                     if not resolvent:
                         return unsat
                     file_clause(resolvent)
-        else:
-            # No filed clause is tautological, so a resolvent is one exactly
-            # when the positive side holds the negation of a literal of the
-            # negative side.  Without a unit clause no side, and so no
-            # resolvent, is empty.
-            positive = [c - {prop} for c in bucket if prop in c]
-            negative = [(c - {-prop}, frozenset(-lit for lit in c))
-                        for c in bucket if -prop in c]
-            for a_rest in positive:
-                for b_rest, b_negated in negative:
-                    if a_rest.isdisjoint(b_negated):
-                        file_clause(a_rest | b_rest)
 
     extension = DirectionalExtension(ordering, theory.num_props,
                                      {p: tuple(cs) for p, cs in buckets.items()}, True)
     # Resolvent size is capped by the interaction graph's induced width.
     if width is None:
-        if graph is None:
-            graph = interaction_graph(theory)
-        width = induced_width(graph, ordering).induced_width
+        width = induced_width(interaction_graph(theory), ordering).induced_width
     bound = width + 1
     longest = max(map(len, extension.all_clauses()), default=0)
     if longest > bound:

@@ -292,9 +292,9 @@ def test_no_slot_outlives_the_step_that_consumes_it(diag_net, evidence):
         watched(i, step) for i, step in enumerate(planned.steps)))
     sweep = execute(watching, [f.values for f in tables], evidence)
     (sent,) = planned.steps[0].outputs
-    assert planned.scopes[sent[0]] == (4,)
+    assert planned.planner.built()[sent[0]] == (4,)
     assert sent[0] in checked
-    assert sweep.slots == [None] * len(planned.scopes)
+    assert sweep.slots == [None] * len(planned.planner.built())
     mass = 0.324 if evidence else 1.0  # P(X4 = 0) by enumeration
     assert math.isclose(sweep.scalar, mass, rel_tol=1e-12)
 

@@ -676,7 +676,7 @@ def test_conditioning_in_batches_of_any_size_replays_like_repeated_sweeps(monkey
         assert rows <= set(range(1, batch + 1)), rows
         seen["batched"] += bool(rows)
         seen["after the first batch"] += state["read"] > max(rows, default=1)
-        cards = {v: c for scope, a in zip(planned.scopes, arrays)
+        cards = {v: c for scope, a in zip(planned.planner.built(), arrays)
                  for v, c in zip(scope, a.shape)}
         budget = batch * max((math.prod(cards[v] for v in set().union(*e.input_scopes))
                               for e in planned.trace), default=1)

@@ -41,3 +41,24 @@ def test_the_benchmark_tracer_installs_and_restores_every_name():
     finally:
         tracer.uninstall()
     assert [name for name in names if _current(*name) is not originals[name]] == []
+
+
+def test_the_benchmark_tracer_times_every_heuristic_network_ordering(tmp_path, capsys,
+                                                                     diag_text):
+    """A network query with nothing pinned orders through a function the
+    tracer wraps, so its ordering shows as a ``graph.order`` span."""
+    import bucketforge.cli as cli
+    path = tmp_path / "diag.net"
+    path.write_text(diag_text, encoding="utf-8")
+    tracer = _load_tracing().Tracer(bucketforge)
+    try:
+        tracer.install()
+        for query, argv in (("mpe", ["mpe", str(path)]),
+                            ("stats", ["stats", str(path), "--order", "min-fill"])):
+            tracer.query = query
+            assert cli.run(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    ordered = {query for name, *_, query, _ in tracer.spans if name == "graph.order"}
+    assert ordered == {"mpe", "stats"}

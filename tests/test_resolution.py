@@ -259,23 +259,6 @@ def _band_cnf(rng, props, band, count):
     return CnfTheory(props, tuple(out))
 
 
-def test_a_passed_interaction_graph_gives_the_extension_built_without_it():
-    rng = random.Random(2027)
-    sat = 0
-    for case in range(40):
-        props = rng.randint(6, 40)
-        theory = _band_cnf(rng, props, rng.randint(3, min(6, props)),
-                           rng.randint(props, 3 * props))
-        graph = interaction_graph(theory)
-        for ordering in (order_heuristic(graph, "min_fill"), shuffled_ordering(rng, props)):
-            built = directional_resolution(theory, ordering)
-            passed = directional_resolution(theory, ordering, graph)
-            assert passed == built
-            assert passed.to_dimacs() == built.to_dimacs()
-            sat += built.satisfiable
-    assert 0 < sat < 80
-
-
 @pytest.mark.parametrize("order", [None, "min-degree", "given:3,1,2,4"], ids=str)
 def test_dr_builds_the_interaction_graph_once(tmp_path, capsys, monkeypatch, order):
     import bucketforge.cli as cli
@@ -435,3 +418,100 @@ def test_a_sweep_past_the_filing_cap_is_refused(tmp_path, capsys, monkeypatch, g
     monkeypatch.setattr(bucketforge.resolution, "FILING_CAP", high)
     assert cli.run(["dr", str(path)]) == 0
     assert capsys.readouterr() == answer
+
+
+def reference_resolution(theory, ordering):
+    """The sweep with unit and pairwise resolution as two branches: a bucket
+    holding unit clauses resolves each of them against every clause that
+    holds its negation, and only a bucket without one resolves every
+    opposing pair.  Returns whether no resolvent was empty, and the buckets
+    (none when one was)."""
+    if any(not clause for clause in theory.clauses):
+        return False, {}
+    buckets = {node + 1: [] for node in ordering}
+    rank = {}
+    for position, node in enumerate(ordering):
+        rank[node + 1] = rank[-node - 1] = position
+
+    def file_clause(clause):
+        for lit in clause:
+            for other in buckets[abs(lit)]:
+                if other <= clause:
+                    return
+        buckets[abs(max(clause, key=rank.__getitem__))].append(clause)
+
+    for clause in theory.clauses:
+        file_clause(clause)
+    for node in reversed(ordering.sequence):
+        prop = node + 1
+        bucket = buckets[prop]
+        units = [c for c in bucket if len(c) == 1]
+        if units:
+            for unit in units:
+                (lit,) = unit
+                for other in list(bucket):
+                    if -lit not in other:
+                        continue
+                    resolvent = other - {-lit}
+                    if not resolvent:
+                        return False, {}
+                    file_clause(resolvent)
+        else:
+            positive = [c - {prop} for c in bucket if prop in c]
+            negative = [(c - {-prop}, frozenset(-lit for lit in c))
+                        for c in bucket if -prop in c]
+            for a_rest in positive:
+                for b_rest, b_negated in negative:
+                    if a_rest.isdisjoint(b_negated):
+                        file_clause(a_rest | b_rest)
+    return True, {p: tuple(cs) for p, cs in buckets.items()}
+
+
+def _assert_resolves_as_the_reference(theory, ordering):
+    extension = directional_resolution(theory, ordering)
+    satisfiable, buckets = reference_resolution(theory, ordering)
+    assert (extension.satisfiable, extension.buckets) == (satisfiable, buckets)
+    return satisfiable
+
+
+def _with_units(rng, theory):
+    """The theory with 0-3 unit clauses on distinct propositions appended
+    after its own, as ``dr --evidence`` appends them."""
+    props = theory.num_props
+    units = tuple(frozenset({p if rng.random() < 0.5 else -p})
+                  for p in rng.sample(range(1, props + 1), rng.randint(0, min(3, props))))
+    return CnfTheory(props, theory.clauses + units), bool(units)
+
+
+def test_one_rule_files_what_unit_and_pairwise_branches_file():
+    """3000 seeded random theories and 300 band theories, each with 0-3
+    unit clauses appended, under min-fill, min-degree and shuffled
+    orderings in turn: the same outcome and the same buckets, clause for
+    clause, as the two-branch sweep."""
+    rng = random.Random(3501)
+    outcomes = {True: 0, False: 0}
+    with_units = 0
+    for case in range(3300):
+        if case < 3000:
+            theory = random_cnf(rng, max_props=12)
+        else:
+            props = rng.randint(6, 40)
+            theory = _band_cnf(rng, props, rng.randint(3, min(6, props)),
+                               rng.randint(props, 3 * props))
+        theory, united = _with_units(rng, theory)
+        ordering = _orderings(rng, theory)[case % 3]
+        outcomes[_assert_resolves_as_the_reference(theory, ordering)] += 1
+        with_units += united
+    assert min(outcomes.values()) > 300 and with_units > 2000
+
+
+@pytest.mark.parametrize("groups, satisfiable", [
+    (({-2, 1}, {2}, {-2}, {-2, 3}), False),   # {p} before {-p} in one bucket
+    (({-2, 1}, {-2}, {2}, {-2, 3}), False),   # {-p} before {p}
+    (({1, 2}, {2}, {-2, 3}, {-2, -1}), True),  # a longer clause on {p}'s side first
+    (({1, -2}, {-2}, {2, 3}, {2, -1}), True),  # the same on {-p}'s side
+], ids=["unit-then-opposite", "opposite-then-unit", "positive-side", "negative-side"])
+def test_a_unit_bucket_resolves_as_the_reference(groups, satisfiable):
+    theory = CnfTheory(3, clauses(*groups))
+    ordering = Ordering((0, 2, 1))  # proposition 2's bucket holds every clause
+    assert _assert_resolves_as_the_reference(theory, ordering) == satisfiable

@@ -11,9 +11,9 @@ the runs, the functions the query path calls it by:
     parse    cli.parse_network, parse_evidence, parse_cnf, parse_cnf_evidence
     graph    cli.moral_graph, augmented_graph and interaction_graph (the graph a
              heuristic ordering, a cutset or stats reads)
-    order    Ordering.parse as cli calls it (an order file), cli.constrained_order,
-             cli.order_and_width (a heuristic ordering with nothing pinned, dr's
-             included) and engines.constrained_order (a heuristic ordering)
+    order    Ordering.parse as cli calls it (an order file), cli.constrained_order
+             (a heuristic ordering other than dr's), cli.order_and_width (dr's
+             heuristic ordering) and engines.constrained_order (a heuristic ordering)
     plan     engines.plan
     execute  engines.execute
     decode   engines.forward_decode
