@@ -68,7 +68,7 @@ from .errors import EvidenceError
 # ``multiply`` is not called here, but perfbench/tracing.py wraps
 # ``buckets.multiply`` by name and fails to install without it.
 from .factor import (DiscreteFactor, Scratch, _aligned, _finite, _fold,  # noqa: F401
-                     _narrow, fold_max, fold_sum, multiply)
+                     _wide, fold_max, fold_sum, multiply)
 from .graph import Ordering, _bits
 from .model import Evidence
 
@@ -86,6 +86,14 @@ class TraceEntry:
     input_scopes: tuple[tuple[int, ...], ...]
     output_scopes: tuple[tuple[int, ...], ...]
     cells: int
+
+    def __init__(self, variable: int, op: str, input_scopes, output_scopes, cells: int):
+        # One update of the new instance's __dict__, in place of the five
+        # object.__setattr__ calls of the frozen dataclass's own __init__:
+        # a long plan's trace builds thousands of entries.  Equality,
+        # hashing and the refusal to assign a field stay the dataclass's.
+        self.__dict__.update(variable=variable, op=op, input_scopes=input_scopes,
+                             output_scopes=output_scopes, cells=cells)
 
     def render(self) -> str:
         def scopes(ss):
@@ -469,9 +477,9 @@ def _eliminate(reduce, var, masks, kept, utilities, cards, batched):
     if batched and any(batched):  # a leading batch axis: -1 on a batched input, else 1
         return ([(mask, scope, False, True)],
                 partial(_reduced, [(-1 if b else 1, *shape) for b, shape in zip(batched, shapes)],
-                        batched.index(True), reduce, axis + 1))  # see _out for the probe
+                        reduce, axis + 1))
     if not utilities:
-        return [(mask, scope, False, False)], partial(_reduced, shapes, 0, reduce, axis)
+        return [(mask, scope, False, False)], partial(_reduced, shapes, reduce, axis)
     joint = _union(kept)
     rest = _without(joint, var)
     # The weighted product continues in the product's own array where it
@@ -484,22 +492,35 @@ def _eliminate(reduce, var, masks, kept, utilities, cards, batched):
                     _aligned(scope, rest, cards)))
 
 
-def _out(scratch, key, shapes, arrays, probe=0):
+def _out(scratch, key, shapes, arrays):
     """Where a fold of ``arrays`` viewed in ``shapes`` writes: ``scratch``'s
     buffer ``key``, in the shape they broadcast to, or None (fresh arrays)
-    for a single array or when input ``probe``, the first or one with the
-    batch axis, has fewer than ``SCRATCH_CELLS`` cells.  The test is made
-    as the step runs, since one on the scopes would cost every plan more."""
-    if len(arrays) == 1 or _narrow(arrays[probe].size):
+    for a single array or when every array has fewer than
+    ``SCRATCH_CELLS`` cells.  The test is made as the step runs, since one
+    on the scopes would cost every plan more, and it is the one wide test
+    of a fold: ``_fold`` stretches a fold written in a wide output.
+
+    The widest array decides, not the first: in a wide bucket the first is
+    often the small conditional table, and a test on it left every product
+    of dense-sweep's ``mpe`` and ``meu`` buckets a fresh 1.4 MB array that
+    was not stretched.  Measured in alternated in-process rounds of
+    ``execute``, writing the product in the scratch rather than a fresh
+    array, both stretched, was within noise (the scratch won 31 and 28 of
+    60 rounds on an ``mpe`` plan, 19 and 33 of 60 on a ``meu`` plan)."""
+    if len(arrays) == 1 or not _wide(arrays):
         return None
     return scratch.take(key, np.broadcast_shapes(*[a.reshape(s).shape
                                                    for a, s in zip(arrays, shapes)]))
 
 
-def _reduced(shapes, probe, reduce, axis, arrays, context):
+def _reduced(shapes, reduce, axis, arrays, context):
     """The product of the probability tables, reduced over ``axis``."""
     scratch = context.scratch
-    product = _fold(arrays, shapes, np.multiply, _out(scratch, "product", shapes, arrays, probe))
+    out = _out(scratch, "product", shapes, arrays)
+    if out is None and len(arrays) == 2:
+        product = np.multiply(arrays[0].reshape(shapes[0]), arrays[1].reshape(shapes[1]))
+    else:
+        product = _fold(arrays, shapes, np.multiply, out)
     marginal, choices = reduce(product, axis, scratch)
     return [marginal], choices
 
@@ -516,10 +537,17 @@ def _averaged(k, shapes, reduce, axis, totals, shape, weighted, joint_axis, rest
     # Cells the probability part rules out contribute no utility; where a
     # product cell is > 0 so is d, so its overflow reaches the average.
     weighted = product if weighted is None else scratch.take("weighted", weighted)
-    np.multiply(product.reshape(shape), total, out=weighted)
+    _fold([product, total], [shape, total.shape], np.multiply, weighted)
     numer = fold_sum(weighted, joint_axis, scratch.take("numer", rest))
     d = marginal.reshape(denom)
-    return [marginal, np.divide(numer, d, out=np.zeros_like(numer), where=d != 0)], choices
+    # A zero-mass context (d == 0) averages to +0; its 0/0 or x/0 is
+    # overwritten, so it is not warned about.  The average is written in an
+    # array of its own, so that a 0-d one stays an array.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        average = np.divide(numer, d, out=np.empty(numer.shape))
+    if not marginal.all():
+        np.copyto(average, 0.0, where=d == 0)
+    return [marginal, average], choices
 
 
 def _decide(var, masks, kept, utilities, cards, batched):

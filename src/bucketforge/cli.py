@@ -169,9 +169,14 @@ def _load_evidence(args, model):
 
 
 def _load(args, path: str, kind: str):
-    """A network command's model and its evidence (None without --evidence)."""
+    """A network command's model and its evidence (None without --evidence).
+    With ``--oracle``, a model past the oracle's cap is refused here, before
+    it is ordered or swept."""
     model = parse_network(_read(path), kind=kind, strict=not args.lax)
-    return model, _load_evidence(args, model)
+    evidence = _load_evidence(args, model)
+    if args.oracle:
+        oracle.check_cap(model)
+    return model, evidence
 
 
 def _load_cnf(args, text: str) -> CnfTheory:
@@ -347,6 +352,8 @@ def _run_cond_mpe(args) -> int:
 
 def _run_dr(args) -> int:
     theory = _load_cnf(args, _read(args.cnf))
+    if args.oracle:  # refused before the theory is ordered or resolved
+        oracle.check_cap(theory)
     spec = "min-fill" if args.order is None else args.order
     if spec in HEURISTICS:
         # The greedy gives the ordering's width, so the width check

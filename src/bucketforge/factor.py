@@ -17,6 +17,21 @@ continues in its own output, so every cell goes through the same
 operations in the same order as with a fresh array per operation, and
 gives the same bits.
 
+A wide operation runs with long inner loops.  numpy runs a broadcast
+operation as one inner loop over the trailing axes on which every operand
+is contiguous, and an outer loop over the rest.  A small table broadcast
+over a bucket's middle axes is contiguous only over its own innermost few
+cells, so its product with a wide message would run an inner loop of 3 to
+9 cells some 20 000 times.  So when a fold is written in an output of
+``SCRATCH_CELLS`` cells or more, which the bucket rules give it when its
+widest array has that many cells, each other array is first copied, in C
+order, broadcast over a run of trailing axes on which the widest array is
+full: the longest run over which no copy passes ``STRETCH_CELLS`` cells
+(:func:`_stretched`).  Each copy holds at most a few thousand cells, and
+the inner loop then spans the whole run, hundreds of cells.  Copying and
+broadcasting move values unchanged, so every cell is the same product or
+sum of the same numbers in the same order, and the same bits.
+
 A factor holds one real value per joint assignment of its scope.  The scope
 is always kept sorted by variable id, so factors over the same variables are
 comparable entrywise, and ``values`` carries one axis per scope variable in
@@ -166,6 +181,16 @@ def _narrow(cells: int) -> bool:
     return cells < SCRATCH_CELLS
 
 
+def _wide(arrays) -> bool:
+    """Whether any of ``arrays`` has ``SCRATCH_CELLS`` cells or more.  A
+    loop, since it runs once per bucket step and ``max(map(...))`` over a
+    few arrays costs about twice as much."""
+    for a in arrays:
+        if a.size >= SCRATCH_CELLS:
+            return True
+    return False
+
+
 class Scratch(dict):
     """Memory reused for the intermediates of the kernels: ``take(key,
     shape, dtype)`` is a view of the first cells of the buffer ``key``
@@ -218,15 +243,17 @@ def fold_max(values: np.ndarray, axis: int,
     """``values.max(axis)`` and the lowest index attaining it, the index in
     the smallest unsigned integer type that holds it; both are fresh
     arrays.  The slice fold's per-slice arrays are made once for all the
-    slices, or taken from ``scratch`` if one is given and they have
-    ``SCRATCH_CELLS`` cells or more.
+    slices after the second, or taken from ``scratch`` if one is given and
+    they have ``SCRATCH_CELLS`` cells or more.
 
     Below ``REDUCE_CELLS`` cells, numpy's max and argmax reduce the axis at
     once.  Otherwise, or when a maximum is zero, the axis is folded slice by
     slice: a strictly greater slice value moves the choice to that slice's
     index, so ties keep the lowest value, and since the index grows with
     each slice the running choice is updated by a maximum instead of a
-    masked write.  Both give the same values, bit for bit, and the same
+    masked write.  The fold starts from the first two slices: their
+    maximum, and whether the second is greater, which is the choice between
+    index 0 and 1.  Both give the same values, bit for bit, and the same
     choices: the maximum of finite or infinite values is exact, and both
     break ties at the lowest index.  Only the sign of a zero maximum tied
     between +0 and -0 depends on the order numpy visits the cells in, and
@@ -234,20 +261,24 @@ def fold_max(values: np.ndarray, axis: int,
     """
     index = np.min_scalar_type(values.shape[axis] - 1).type
     if values.size < REDUCE_CELLS:
-        best = values.max(axis)
+        best = np.maximum.reduce(values, axis)
         if best.all():
             return np.asarray(best), np.asarray(values.argmax(axis), dtype=index)
     slices = _slices(values, axis)
-    best = np.array(slices[0])
-    choices = np.zeros(best.shape, dtype=index)
     if len(slices) == 1:
+        return np.array(slices[0]), np.zeros(slices[0].shape, dtype=index)
+    # Each written in an array of its own, so that a 0-d one stays an array.
+    first, second = slices[0], slices[1]
+    best = np.maximum(first, second, out=np.empty(first.shape, values.dtype))
+    choices = np.greater(second, first, out=np.empty(first.shape, index))
+    if len(slices) == 2:
         return best, choices
     if scratch is None or _narrow(best.size):
         better, moved = np.empty(best.shape, bool), np.empty(best.shape, index)
     else:
         better, moved = (scratch.take("better", best.shape, bool),
                          scratch.take(index, best.shape, index))
-    for i, s in enumerate(slices[1:], 1):
+    for i, s in enumerate(slices[2:], 2):
         np.greater(s, best, out=better)
         np.maximum(best, s, out=best)
         np.maximum(choices, np.multiply(better, index(i), out=moved), out=choices)
@@ -271,11 +302,53 @@ def _fold(arrays, shapes, op, out=None):
     shape; unchecked, since only what is kept is checked for finiteness.
     Two or more arrays are folded in ``out``, an array of the shape they
     broadcast to, if one is given: the first operation writes it and each
-    later one continues in it."""
+    later one continues in it.  A fold written in an ``out`` of
+    ``SCRATCH_CELLS`` cells or more first stretches the arrays over the
+    widest one's trailing axes (:func:`_stretched`); the bucket rules give
+    an ``out`` only to a fold whose widest array has that many cells, so a
+    narrow fold makes no test of its own."""
+    if out is not None and not _narrow(out.size):
+        arrays = _stretched([a.reshape(shape) for a, shape in zip(arrays, shapes)], out.shape)
+        shapes = [a.shape for a in arrays]
     acc = arrays[0].reshape(shapes[0])
     for a, shape in zip(arrays[1:], shapes[1:]):
         acc = op(acc, a.reshape(shape), out=out)
     return acc
+
+
+# The most cells a stretched copy of a wide fold's smaller array holds: a
+# few thousand, so making the copy costs a few microseconds and the inner
+# loop over it spans hundreds of cells.  Alternated in-process rounds on
+# recorded dense buckets gave 1 << 10 a slower product than 1 << 12, and
+# 1 << 14 no faster.
+STRETCH_CELLS = 1 << 12
+
+
+def _stretched(views, full: tuple[int, ...]) -> list[np.ndarray]:
+    """``views``, arrays in their broadcast shapes over ``full``, with each
+    but the widest copied in C order, broadcast over the trailing axes from
+    some ``start`` on: the longest run of trailing axes on which the widest
+    is full and no copy holds more than ``STRETCH_CELLS`` cells.  An array
+    already full on those axes is kept as it is.  Each operand of a fold
+    over the views is then contiguous over the whole run, which numpy's
+    inner loop spans."""
+    wide = max(views, key=np.size)
+    heads = [v.size for v in views]  # each array's cells on the axes before ``start``
+    spread = [False] * len(views)   # whether it is broadcast on an axis from ``start`` on
+    start, run = len(full), 1
+    while start and wide.shape[start - 1] == full[start - 1]:
+        n = full[start - 1]
+        run *= n
+        for j, v in enumerate(views):
+            k = v.shape[start - 1]
+            heads[j] //= k
+            spread[j] = spread[j] or k != n
+        if any(s and h * run > STRETCH_CELLS for s, h in zip(spread, heads)):
+            break
+        start -= 1
+    tail = full[start:]
+    return [v if v.shape[start:] == tail
+            else np.broadcast_to(v, v.shape[:start] + tail).copy() for v in views]
 
 
 def _merged_scope(factors: Sequence[DiscreteFactor]) -> tuple[tuple[int, ...], tuple[int, ...]]:

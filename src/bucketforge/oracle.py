@@ -26,6 +26,20 @@ def _guard(cards: Sequence[int]) -> None:
         raise TooLargeError(f"joint table would hold {cells} cells (cap {CELL_LIMIT})")
 
 
+def check_cap(model) -> None:
+    """Raise :class:`TooLargeError`, as the oracle over ``model`` would, when
+    its table would pass the cap: the joint table of a network or diagram,
+    or the truth table of a CNF theory.  The caps are read off the
+    cardinalities or the proposition count alone, so a query can be refused
+    before any work is done."""
+    if isinstance(model, CnfTheory):
+        if model.num_props > 20:
+            raise TooLargeError(f"truth table over {model.num_props} propositions "
+                                "exceeds the cap")
+    else:
+        _guard(model.cards)
+
+
 def _table(model, factors, op: np.ufunc) -> np.ndarray:
     """``op`` (``np.multiply`` or ``np.add``) folded over the tables, from its
     identity, with one axis per variable id of ``model``."""
@@ -178,9 +192,8 @@ def score_decisions(diagram: InfluenceDiagram, decisions: dict[int, int],
 
 def truth_table_models(theory: CnfTheory) -> set[tuple[bool, ...]]:
     """All satisfying assignments as tuples ordered proposition 1..n."""
+    check_cap(theory)
     n = theory.num_props
-    if n > 20:
-        raise TooLargeError(f"truth table over {n} propositions exceeds the cap")
     count = 1 << n
     idx = np.arange(count)
     cols = [(idx >> (n - 1 - j)) & 1 for j in range(n)]  # prop 1 most significant

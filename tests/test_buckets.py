@@ -1,11 +1,13 @@
 """Bucket filing, the observation rule, and the backward sweep mechanics."""
 
+import dataclasses
 import gc
 import itertools
 import math
 import random
 import sys
 import threading
+import warnings
 import weakref
 from collections import Counter
 
@@ -14,7 +16,7 @@ import pytest
 
 from bucketforge import (BucketSchedule, Evidence, EvidenceError, Ordering, buckets, factor,
                          forward_decode, parse_network, partition)
-from bucketforge.buckets import FOLD, Context, execute, plan
+from bucketforge.buckets import FOLD, Context, TraceEntry, execute, plan
 from bucketforge.factor import DiscreteFactor, Scratch
 from bucketforge.randgen import (random_evidence, random_influence_diagram,
                                  random_network, shuffled_ordering)
@@ -816,6 +818,77 @@ def test_the_bucket_kernels_equal_their_allocate_per_op_forms_byte_for_byte():
             utilities and (marginal == 0).any() and all((a < 0).all() for a in arrays[k:]))
     assert scratch.keys() >= {"product", "better", np.uint8}
     assert min(seen.values()) >= 10, seen
+
+
+def test_utility_averages_over_broadcast_denominators_equal_their_masked_form():
+    """Sum and max rules on buckets whose utilities hold variables the
+    probability product lacks, so the denominator broadcasts over them,
+    with zero-mass contexts under negative utilities (whose weighted sums
+    are -0.0): the marginal, the average and the choices are byte for byte
+    those of the rule dividing under a mask, wide and narrow run as wide,
+    and no RuntimeWarning escapes the rule, called outside ``execute``."""
+    rng = np.random.default_rng(3638)
+    scratch, seen = Scratch(), Counter()
+    for case in range(80):
+        wide = case % 2 == 0
+        cards = {v: int(rng.integers(2, 4)) for v in range(18)}
+        over, cells = [0], cards[0]
+        for v in rng.permutation(np.arange(1, 18)).tolist():
+            if wide and cells >= factor.SCRATCH_CELLS or not wide and len(over) > 7:
+                break
+            over.append(v)
+            cells *= cards[v]
+        over.sort()
+        outside = rng.choice([v for v in range(1, 18) if v not in over], size=2).tolist()
+        k, utilities = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        kept = [tuple(over)] + [tuple(sorted({0, *rng.choice(over, size=2).tolist()}))
+                                for _ in range(k - 1)]
+        for _ in range(utilities):  # each over 0, one or two of over, one outside it
+            kept.append(tuple(sorted({0, *rng.choice(over[1:], size=2).tolist(),
+                                      int(rng.choice(outside))})))
+        arrays = []
+        for i, scope in enumerate(kept):
+            a = rng.choice([0.0, 0.5, 1.0], size=tuple(cards[v] for v in scope))
+            if i == 0:  # zero mass in about a third of the contexts
+                a = np.where(rng.random(a.shape[1:]) < 0.3, 0.0, a)
+            elif i >= k:
+                a = -1.0 - 10.0 * a
+            arrays.append(a)
+        op = "max" if case % 4 < 2 else "sum"
+        flags = (False,) * len(kept)
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not wide:
+                patch.setattr(factor, "SCRATCH_CELLS", 0)
+            _, run = buckets._RULES[op](0, [0] * len(kept), kept, utilities, cards, flags)
+            got = run(arrays, Context({}, scratch))
+        _assert_same_outputs(got, _reference_bucket(op, 0, kept, utilities, cards, flags,
+                                                    arrays))
+        marginal, average = got[0]
+        seen[f"{op} {'wide' if wide else 'narrow'}"] += 1
+        seen["zero-mass context"] += bool((marginal == 0).any())
+        seen["broadcast denominator"] += average.ndim > marginal.ndim
+        # A zero-mass context's weighted sum is -0.0 here; its average is +0.0.
+        seen["+0.0 average"] += bool(((average == 0) & ~np.signbit(average)).any())
+    assert min(seen.values()) >= 10, seen
+
+
+def test_a_trace_entry_is_the_frozen_dataclass_its_constructor_builds(diag_net):
+    """Plan.trace's entries, built without the dataclass's __init__, are
+    TraceEntry values equal to and hashing as those the constructor builds,
+    and refuse assignment to a field."""
+    order = Ordering(DIAG_GOOD_ORDER)
+    tables = diag_net.table_list()
+    planned = plan([f.scope for f in tables], diag_net.cards, order, {5: 1},
+                   dict.fromkeys(order.sequence, "sum"))
+    for entry in planned.trace:
+        built = TraceEntry(entry.variable, entry.op, entry.input_scopes,
+                           entry.output_scopes, entry.cells)
+        assert type(entry) is TraceEntry and entry == built and hash(entry) == hash(built)
+        assert vars(entry) == vars(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.cells = 0
+    assert planned.trace[0] != dataclasses.replace(planned.trace[0], cells=-1)
 
 
 def test_a_batched_max_bucket_equals_its_allocate_per_op_form_byte_for_byte():

@@ -569,6 +569,45 @@ def test_dr_oracle_past_its_cap_is_an_error_line(tmp_path, capsys):
     assert captured.err == "error: truth table over 21 propositions exceeds the cap\n"
 
 
+def diagram_text(n):
+    """An influence diagram: decision 0, then a chain of n - 1 binary chance
+    variables, and one utility over the last two."""
+    lines = ["ID", str(n), " ".join(["2"] * n), "1 0", str(n - 1)]
+    lines += [f"2 {v - 1} {v}" for v in range(1, n)]
+    lines += ["4 0.9 0.1 0.2 0.8"] * (n - 1)
+    lines += ["1", f"2 {n - 2} {n - 1}", "4 1 2 3 4"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command, text, line", [
+    (["bel", "--query", "0"], chain_text(22), "joint table would hold 4194304 cells (cap 1048576)"),
+    (["mpe"], chain_text(22), "joint table would hold 4194304 cells (cap 1048576)"),
+    (["map", "--hyp", "0,1"], chain_text(22),
+     "joint table would hold 4194304 cells (cap 1048576)"),
+    (["cond-mpe", "--wbound", "1"], chain_text(22),
+     "joint table would hold 4194304 cells (cap 1048576)"),
+    (["meu"], diagram_text(22), "joint table would hold 4194304 cells (cap 1048576)"),
+    (["dr"], "p cnf 21 20\n" + "".join(f"{p} {p + 1} 0\n" for p in range(1, 21)),
+     "truth table over 21 propositions exceeds the cap"),
+], ids=["bel", "mpe", "map", "cond-mpe", "meu", "dr"])
+def test_an_oracle_past_its_cap_is_refused_before_the_work(tmp_path, capsys, monkeypatch,
+                                                           command, text, line):
+    """Each --oracle cap is checked right after loading: with the ordering,
+    the cutset search, the sweep and resolution made to raise if called,
+    the command still exits 1 with its one error line and prints nothing."""
+    def called(*args, **kwargs):
+        raise AssertionError("the work ran before the cap was checked")
+    for owner, name in [(bucketforge.engines, "execute"), (bucketforge.cli, "_resolve_ordering"),
+                        (bucketforge.cli, "order_and_width"), (bucketforge.cli, "cutset_heuristic"),
+                        (bucketforge.resolution, "directional_resolution"),
+                        (bucketforge.cli, "directional_resolution")]:
+        monkeypatch.setattr(owner, name, called)
+    path = write(tmp_path, "big.cnf" if command[0] == "dr" else "big.net", text)
+    assert run([command[0], path, *command[1:], "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {line}\n")
+
+
 def test_cond_mpe_output_is_the_same_at_every_parallelism(tmp_path, capsys):
     net = write(tmp_path, "diag.net", DIAG_TEXT)
     ev = write(tmp_path, "obs.ev", "1 5 1\n")

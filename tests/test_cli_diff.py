@@ -99,3 +99,30 @@ def test_a_third_of_the_query_orderings_leave_the_observed_variables_anywhere(tm
         first = min(seq.index(v) for v, _ in evidence.items())
         mid_order += any(v not in evidence for v in seq[first:])
     assert mid_order >= len(queries) // 8
+
+
+def test_a_slice_of_the_command_set_runs_the_wide_kernels(tmp_path, capsys):
+    """The wide slice: ternary window-10 networks and diagrams of 30-60
+    variables, given their natural order or ordered by min-fill, some with
+    evidence, none with ``--oracle``; a ``meu`` command's trace reads
+    buckets of ``factor.SCRATCH_CELLS`` cells or more."""
+    from bucketforge import factor
+    from bucketforge.cli import run
+    from bucketforge.model import parse_network
+
+    commands = cli_diff.build_commands(400, 3, str(tmp_path))
+    wide = [argv for argv in commands if ".wide." in argv[1]]
+    assert {argv[0] for argv in wide} == {"bel", "mpe", "map", "meu"}
+    assert any("--evidence" in argv for argv in wide)
+    orders = {argv[argv.index("--order") + 1] if "--order" in argv else "default"
+              for argv in wide}
+    assert {"min-fill", "default"} < orders  # and given order files
+    for argv in wide:
+        model = parse_network(Path(argv[1]).read_text())
+        assert 30 <= model.n <= 60 and set(model.cards) == {3}
+        assert "--oracle" not in argv
+    argv = [a for a in next(argv for argv in wide if argv[0] == "meu")
+            if a not in ("--trace", "--json")]
+    assert run([*argv, "--trace"]) == 0
+    trace = [line for line in capsys.readouterr().out.splitlines() if line.startswith("trace ")]
+    assert max(int(line.rsplit("cells=", 1)[1]) for line in trace) >= factor.SCRATCH_CELLS

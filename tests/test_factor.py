@@ -442,6 +442,115 @@ def test_the_slice_folds_in_a_scratch_equal_their_allocate_per_op_forms(monkeypa
     assert min(seen.values()) > 50, seen
 
 
+def fold_cases(rng):
+    """(arrays, shapes) for a fold, as a bucket rule holds them: each array
+    over its own axes, each shape its broadcast over a product of 0 to 9
+    axes of 1 to 4 cells.  One array is over the product's trailing axes
+    from some point on (the widest), the others over random subsets, some
+    missing the trailing axes; in half the cases a leading batch axis of 2
+    or 3 rows, -1 in the shapes of the arrays that carry it.  In one case
+    in four the widest array has ``factor.SCRATCH_CELLS`` cells or more.
+    Entries are signed zeros, ties and infinities, or uniform draws of
+    either sign."""
+    for case in range(400):
+        while True:
+            ndim = int(rng.integers(0, 10))
+            full = tuple(int(c) for c in rng.integers(1, 5, size=ndim))
+            held = [np.arange(ndim) >= rng.integers(0, 3)]
+            widest = math.prod(c for c, m in zip(full, held[0]) if m)
+            if (widest >= factor.SCRATCH_CELLS) == (case % 4 == 0) and widest <= 1 << 17:
+                break
+        for _ in range(int(rng.integers(1, 4))):
+            mask = rng.random(ndim) < 0.5
+            if rng.random() < 0.4:
+                mask[ndim - int(rng.integers(1, 3)):] = False  # missing trailing axes
+            held.append(mask)
+        rng.shuffle(held)
+        rows = int(rng.integers(2, 4)) if rng.random() < 0.5 else 0
+        batched = [bool(rows) and rng.random() < 0.6 for _ in held]
+        if rows and not any(batched):
+            batched[0] = True
+        arrays, shapes = [], []
+        for mask, b in zip(held, batched):
+            own = (rows,) * b + tuple(c for c, m in zip(full, mask) if m)
+            if rng.random() < 0.5:
+                arrays.append(rng.choice([-0.0, 0.0, 0.5, -2.0, np.inf], size=own))
+            else:
+                arrays.append(rng.uniform(-2.0, 2.0, size=own))
+            shapes.append((-1 if b else 1,) * bool(rows)
+                          + tuple(c if m else 1 for c, m in zip(full, mask)))
+        yield arrays, shapes
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_stretched_folds_equal_their_allocate_per_op_forms(monkeypatch):
+    """A wide fold's smaller arrays copied out over its trailing axes: sums
+    and products, fresh or written in an output, are byte for byte the fold
+    allocating per operation, at the default thresholds, with every fold
+    taken as wide, and with copies capped at 8 cells so that runs stop
+    early.  Inputs missing trailing axes, batched inputs and 0-d results are
+    among the cases; the inputs are left as they were."""
+    rng = np.random.default_rng(3636)
+    seen = Counter()
+    stretched = factor._stretched
+
+    def counting(views, full):
+        out = stretched(views, full)
+        seen["copied"] += any(a is not v for a, v in zip(out, views))
+        return out
+    monkeypatch.setattr(factor, "_stretched", counting)
+    for case, (arrays, shapes) in enumerate(fold_cases(rng)):
+        before = [a.copy() for a in arrays]
+        with pytest.MonkeyPatch.context() as patch:
+            if case % 3:
+                patch.setattr(factor, "SCRATCH_CELLS", 0)
+            if case % 3 == 2:
+                patch.setattr(factor, "STRETCH_CELLS", 8)
+            for op in (np.add, np.multiply):
+                expected = reference_fold(arrays, shapes, op)
+                got = factor._fold(arrays, shapes, op)
+                assert type(got) is type(expected) and got.shape == expected.shape
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+                out = np.empty(expected.shape)
+                assert factor._fold(arrays, shapes, op, out) is out
+                assert out.tobytes() == expected.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, before))
+        seen["batched"] += any(-1 in s for s in shapes)
+        seen["0-d"] += expected.ndim == 0
+        seen["wide"] += max(a.size for a in arrays) >= factor.SCRATCH_CELLS
+    assert min(seen.values()) >= 10, seen
+
+
+def test_the_two_slice_max_start_equals_its_allocate_per_op_form(monkeypatch):
+    """fold_max started from its first two slices, on axes of 2 and 3
+    cells, 0-d results included: maxima, choices, their types and dtypes
+    are those of the fold that copies the first slice and zero-fills the
+    choices, byte for byte, with ties between +0 and -0, zero maxima and
+    dead (-inf) lines; with and without a scratch."""
+    monkeypatch.setattr(factor, "REDUCE_CELLS", 0)
+    rng = np.random.default_rng(3637)
+    seen = Counter()
+    for case in range(400):
+        k = int(rng.integers(2, 4))
+        shape = [int(c) for c in rng.integers(1, 4, size=rng.integers(0, 4))]
+        axis = int(rng.integers(len(shape) + 1))
+        shape.insert(axis, k)
+        values = rng.choice([-0.0, 0.0, 0.25, -np.inf], size=shape, p=[0.35, 0.35, 0.2, 0.1])
+        expected = reference_fold_max(values, axis)
+        scratch = Scratch() if case % 2 else None
+        with pytest.MonkeyPatch.context() as patch:
+            if scratch is not None:
+                patch.setattr(factor, "SCRATCH_CELLS", 0)
+            best, choices = fold_max(values, axis, scratch)
+        for got, ref in ((best, expected[0]), (choices, expected[1])):
+            assert type(got) is np.ndarray and got.shape == ref.shape
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        seen["0-d"] += best.ndim == 0
+        seen[f"{k} slices"] += 1
+        seen["zero maximum"] += bool((best == 0).any())
+    assert min(seen.values()) >= 30, seen
+
+
 def bucket_of(*factors):
     schedule = partition(factors, Ordering((0, 1)))
     assert len(schedule.buckets[1].factors) == len(factors)

@@ -16,6 +16,16 @@ own subprocess that imports ``bucketforge`` from that tree only.  A third
 of the ``bel``, ``mpe`` and ``map`` commands take a given ordering with the
 observed variables anywhere in it; the others order them last.
 
+randgen's models (at most 10 variables) almost never build a product of
+``factor.SCRATCH_CELLS`` cells, so a seeded slice of the commands, drawn
+from an RNG of its own so that the rest of the set does not depend on it,
+runs on wide models instead: ternary window-10 networks and influence
+diagrams of 30 to 60 variables from ``perfbench/generators.py``, under
+their natural order (given) or min-fill, whose buckets multiply tables of
+up to 3^11 cells.  Some of their rows are deterministic and some variables
+observed, so some contexts have zero mass, and some diagrams' utilities are
+negative.
+
 The report counts commands whose exit code differs, whose answer differs
 (stdout without its trace lines, or the JSON object without its trace
 keys, and stderr, where the errors and warnings go) and whose trace lines
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -229,9 +240,73 @@ def _cnf_commands(rng: random.Random, files: _Files) -> list[list[str]]:
     return commands
 
 
+def _generators():
+    """perfbench/generators.py, the benchmark's seeded window-model
+    generators, loaded as a module."""
+    name = "perfbench_generators"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, Path(__file__).resolve().parent.parent / "perfbench" / "generators.py")
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # its dataclasses look their module up
+    return sys.modules[name]
+
+
+def _hardened(rng: random.Random, tables) -> None:
+    """Make about one conditional-table row in six deterministic, in place:
+    one value 1, the others 0.  Observed at another value, such a row's
+    parent context has zero mass."""
+    for table in tables:
+        if table is None:
+            continue
+        rows = table.reshape(-1, table.shape[-1])
+        for row in rows:
+            if rng.random() < 1 / 6:
+                row[:] = 0.0
+                row[rng.randrange(len(row))] = 1.0
+
+
+def _wide_commands(rng: random.Random, files: _Files) -> list[list[str]]:
+    """``mpe``, ``bel --query 0`` and ``map --hyp 0,1`` on a ternary
+    window-10 network, or ``meu`` twice on a diagram of the same shape with
+    two decisions and 10 utilities, 30 to 60 variables, with some variables
+    observed; ordered by their natural order, given, or by min-fill (the
+    default ordering, which puts the query, hypothesis or decisions first,
+    or ``mpe --order min-fill``).  No ``--oracle``: its table would pass
+    the cap."""
+    import numpy as np
+
+    gen = _generators()
+    seeded = np.random.default_rng(rng.randrange(1 << 32))
+    n = rng.randint(30, 60)
+    if rng.random() < 0.5:
+        model = gen.window_network(seeded, n, 3, 10, anchored=True)
+        kinds = [["mpe"], ["bel", "--query", "0"], ["map", "--hyp", "0,1"]]
+        suffix = ".wide.net"
+    else:
+        model = gen.window_diagram(seeded, n, 3, 10, decisions=2, utilities=10, anchored=True)
+        for _, values in model.utilities:
+            if rng.random() < 0.3:
+                values *= -1.0
+        kinds, suffix = [["meu"], ["meu"]], ".wide.id"
+    _hardened(rng, model.tables)
+    path = files.put(suffix, gen.network_text(model))
+    evidence = gen.observe(seeded, model, count=rng.randint(0, 3), exclude=[0, 1])
+    ev = ["--evidence", files.put(".ev", gen.evidence_text(evidence))] if evidence else []
+    commands = []
+    for kind in kinds:
+        if rng.random() < 0.5:
+            order = ["--order", "min-fill"] if kind[0] == "mpe" else []
+        else:
+            order = ["--order", files.put(".order", gen.order_text(range(n)))]
+        commands.append([kind[0], path, *kind[1:], *ev, *order, *_flags(rng, oracle=False)])
+    return commands
+
+
 def build_commands(count: int, seed: int, workdir: str) -> list[list[str]]:
     """At least ``count`` commands over seeded inputs written to ``workdir``."""
     rng, aside = random.Random(seed), random.Random(f"anywhere {seed}")
+    wide = random.Random(f"wide {seed}")
     files = _Files(workdir)
     commands: list[list[str]] = []
     while len(commands) < count:
@@ -240,6 +315,8 @@ def build_commands(count: int, seed: int, workdir: str) -> list[list[str]]:
             commands += _network_commands(rng, files, aside)
         else:
             commands += (_diagram_commands if r < 0.85 else _cnf_commands)(rng, files)
+        if wide.random() < 0.08:
+            commands += _wide_commands(wide, files)
     return commands
 
 
